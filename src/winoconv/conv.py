@@ -7,9 +7,16 @@ Both paths compute cross-correlation (no kernel flip): for stride 1,
 Layouts are fixed to N-C-H-W feature maps and K-C-r-r kernel banks.  The
 Winograd path decomposes the padded input into overlapping alpha x alpha
 tiles with stride m; partial edge tiles are zero-padded to alpha and the
-excess output rows/columns are discarded.  Channel accumulation happens
-after the inverse transform, in ascending channel order, mirroring an
-accelerator that accumulates per-kernel output buffers over C cycles.
+excess output rows/columns are discarded.  Channels are summed in the
+transformed domain (Lavin & Gray, arXiv:1509.09308): for each of the
+alpha^2 tile positions (xi, nu) one GEMM
+
+    M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx]
+
+and then one inverse transform per (image, kernel, output tile).  The
+hardware order -- inverse transform per channel, then accumulation over C
+cycles -- is modeled by pipeline_sim.simulate_layer.  Both Winograd paths
+need floating-point input: the transforms have fractional entries.
 """
 
 from __future__ import annotations
@@ -126,14 +133,36 @@ def spatial_conv(
     return FeatureMap(out64.astype(fmap.data.dtype))
 
 
+def require_floating(what: str, data: np.ndarray) -> None:
+    """Reject integer data: casting the fractional transforms to it would truncate them."""
+    if not np.issubdtype(data.dtype, np.floating):
+        raise ValueError(f"{what} must be floating point, got {data.dtype}")
+
+
 def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.ndarray:
     """Transform every (k, c) kernel slice: returns (K, C, alpha, alpha)."""
     if kernels.r != ts.params.r:
         raise ValueError(
             f"kernel size {kernels.r} does not match transform set r={ts.params.r}"
         )
+    require_floating("kernel bank", kernels.data)
     g = ts.g.astype(kernels.data.dtype)
     return np.einsum("ij,kcjl,ol->kcio", g, kernels.data, g, optimize=True)
+
+
+def zero_extend(
+    fmap: FeatureMap, spec: ConvSpec, m: int, r: int
+) -> tuple[np.ndarray, int, int, int, int]:
+    """Pad the map and zero-extend it so every tile, partial edge tiles included, is full size.
+
+    Returns (ext, H_out, W_out, Ty, Tx): ext is (N, C, Ty*m + r-1, Tx*m + r-1)
+    in the map's dtype and holds the Ty x Tx alpha x alpha tiles at stride m.
+    """
+    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
+    ty, tx = tile_grid(h_out, w_out, m)
+    ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=fmap.data.dtype)
+    ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
+    return ext, h_out, w_out, ty, tx
 
 
 def extract_tiles(padded_ext: np.ndarray, m: int, alpha: int) -> np.ndarray:
@@ -149,34 +178,33 @@ def winograd_conv(
     ts: TransformSet,
     counter: MultCounter | None = None,
 ) -> FeatureMap:
-    """Tiled minimal-filtering convolution, equal to spatial_conv within tolerance."""
+    """Tiled minimal-filtering convolution, equal to spatial_conv within tolerance.
+
+    Computes in the feature map's dtype and returns it; integer input raises
+    ValueError.
+    """
     if kernels.r != ts.params.r:
         raise ValueError(
             f"kernel size {kernels.r} does not match transform set r={ts.params.r}"
         )
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
-    m, r, alpha = ts.params.m, ts.params.r, ts.params.alpha
+    require_floating("feature map", fmap.data)
+    m, alpha = ts.params.m, ts.params.alpha
+    n, c, k = fmap.n, fmap.c, kernels.k
     dtype = fmap.data.dtype
-    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    ty, tx = tile_grid(h_out, w_out, m)
+    v = precompute_filter_transforms(kernels, ts).astype(dtype, copy=False)
+    v = v.transpose(2, 3, 0, 1).reshape(alpha * alpha, k, c)
 
-    # Zero-extend so every tile, including partial edge tiles, is full size.
-    ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
-    ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
-    tiles = extract_tiles(ext, m, alpha)
+    ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, ts.params.r)
+    tiles = n * ty * tx
+    # Transforms act on row-major flattened tiles: vec(X^T d X) = kron(X^T, X^T) vec(d).
+    d = extract_tiles(ext, m, alpha).transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, c * tiles)
+    u = (np.kron(ts.bt, ts.bt).astype(dtype) @ d).reshape(alpha * alpha, c, tiles)
+    prod = np.matmul(v, u)  # (alpha^2, K, tiles), summed over channels
+    if counter is not None:
+        counter.add(prod.size * c)
+    y = np.kron(ts.at, ts.at).astype(dtype) @ prod.reshape(alpha * alpha, k * tiles)
 
-    b = ts.b.astype(dtype)
-    a = ts.a.astype(dtype)
-    u = np.einsum("ji,nctsjl,lo->nctsio", b, tiles, b, optimize=True)  # B^T d B
-    v = precompute_filter_transforms(kernels, ts)
-
-    out_tiles = np.zeros((fmap.n, kernels.k, ty, tx, m, m), dtype=dtype)
-    for ci in range(fmap.c):  # ascending channels, accumulate after inverse transform
-        prod = u[:, ci][:, None] * v[None, :, ci, None, None]
-        if counter is not None:
-            counter.add(prod.size)
-        out_tiles += np.einsum("ji,nktsjl,lo->nktsio", a, prod, a, optimize=True)
-
-    out = out_tiles.transpose(0, 1, 2, 4, 3, 5).reshape(fmap.n, kernels.k, ty * m, tx * m)
+    out = y.reshape(m, m, k, n, ty, tx).transpose(3, 2, 4, 0, 5, 1).reshape(n, k, ty * m, tx * m)
     return FeatureMap(np.ascontiguousarray(out[:, :, :h_out, :w_out]))

@@ -27,7 +27,14 @@ from math import ceil
 
 import numpy as np
 
-from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, precompute_filter_transforms, tile_grid
+from .conv import (
+    ConvSpec,
+    FeatureMap,
+    KernelBank,
+    precompute_filter_transforms,
+    require_floating,
+    zero_extend,
+)
 from .cost_model import HardwareConfig, LayerShape, pipeline_depth
 from .transforms import MinimalParams, TransformSet, generate_transforms
 
@@ -93,25 +100,22 @@ def simulate_layer(
         raise ValueError(f"kernel size {kernels.r} does not match engine r={cfg.params.r}")
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    require_floating("feature map", fmap.data)  # precompute_filter_transforms checks the kernels
     if ts is None:
         ts = generate_transforms(cfg.params)
     elif ts.params != cfg.params:
         raise ValueError("transform set does not match engine parameters")
 
-    m, r, alpha = cfg.params.m, cfg.params.r, cfg.params.alpha
+    m, alpha = cfg.params.m, cfg.params.alpha
     p = cfg.p
     dtype = fmap.data.dtype
-    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    ty, tx = tile_grid(h_out, w_out, m)
+    ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, cfg.params.r)
     n_groups = ceil(kernels.k / p)
 
     # Filter transforms are precomputed before the run; idle PE slots in the
     # last kernel group hold zero kernels.
     v = np.zeros((n_groups * p, kernels.c, alpha, alpha), dtype=dtype)
     v[: kernels.k] = precompute_filter_transforms(kernels, ts)
-
-    ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
-    ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
 
     bt = ts.b.T.astype(dtype)
     b = ts.b.astype(dtype)

@@ -11,6 +11,7 @@ from winoconv.conv import (
     tile_grid,
     winograd_conv,
 )
+from winoconv.pipeline_sim import EngineConfig, simulate_layer
 from winoconv.transforms import (
     MinimalParams,
     MultCounter,
@@ -196,6 +197,70 @@ def test_precompute_filter_transforms():
 
     with pytest.raises(ValueError, match="does not match"):
         precompute_filter_transforms(KernelBank(np.ones((1, 1, 5, 5))), ts)
+
+
+def test_integer_input_rejected():
+    # int32 would truncate the 1/2 entries of G in F(2,3); the result was off by tens
+    rng = np.random.default_rng(6)
+    fmap = FeatureMap(rng.integers(-3, 4, (1, 2, 8, 8)).astype(np.int32))
+    kern = KernelBank(rng.integers(-3, 4, (2, 2, 3, 3)).astype(np.int32))
+    ts = generate_transforms(MinimalParams(2, 3))
+    cfg = EngineConfig(ts.params, p=2, d_p=4, clock_period=5e-9)
+    spec = ConvSpec(pad=1)
+    with pytest.raises(ValueError, match="floating point"):
+        winograd_conv(fmap, kern, spec, ts)
+    with pytest.raises(ValueError, match="floating point"):
+        simulate_layer(cfg, fmap, kern, spec, ts)
+    with pytest.raises(ValueError, match="floating point"):
+        precompute_filter_transforms(kern, ts)
+
+    # either operand alone being integer is rejected
+    fmap32 = FeatureMap(fmap.data.astype(np.float32))
+    kern32 = KernelBank(kern.data.astype(np.float32))
+    for engine in (lambda x, w: winograd_conv(x, w, spec, ts),
+                   lambda x, w: simulate_layer(cfg, x, w, spec, ts)):
+        with pytest.raises(ValueError, match="kernel bank must be floating point"):
+            engine(fmap32, kern)
+        with pytest.raises(ValueError, match="feature map must be floating point"):
+            engine(fmap, kern32)
+    # the spatial oracle still takes integers
+    assert spatial_conv(fmap, kern, spec).data.dtype == np.int32
+
+
+@pytest.mark.parametrize("map_dtype,kernel_dtype", [(np.float32, np.float64),
+                                                    (np.float64, np.float32)])
+def test_output_keeps_map_dtype(map_dtype, kernel_dtype):
+    rng = np.random.default_rng(10)
+    fmap, kern = random_case(rng, 1, 3, 9, 9, 4, 3, dtype=map_dtype)
+    kern = KernelBank(kern.data.astype(kernel_dtype))
+    spec = ConvSpec(pad=1)
+    ts = generate_transforms(MinimalParams(3, 3))
+    out = winograd_conv(fmap, kern, spec, ts)
+    assert out.data.dtype == map_dtype
+    assert rel_err(out.data, spatial_conv(fmap, kern, spec).data) < 1e-4
+
+
+# Measured max relative error of float32 winograd_conv on the layer below
+# (seed 7): m=2 3.9e-7, m=3 2.8e-6, m=4 9.2e-6, m=5 7.6e-6, m=6 9.9e-6,
+# m=7 2.0e-4, m=8 1.4e-3; float64 stays below 2e-12 up to m=8.
+FLOAT32_ERROR_CEILING = {7: 1e-3, 8: 5e-3}
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_accuracy_per_m(m, record_property):
+    rng = np.random.default_rng(7)
+    fmap32, kern32 = random_case(rng, 1, 64, 24, 24, 64, 3)
+    fmap64 = FeatureMap(fmap32.data.astype(np.float64))
+    kern64 = KernelBank(kern32.data.astype(np.float64))
+    spec = ConvSpec(pad=1)
+    ref = spatial_conv(fmap64, kern64, spec).data
+    ts = generate_transforms(MinimalParams(m, 3))
+    err32 = rel_err(winograd_conv(fmap32, kern32, spec, ts).data, ref)
+    err64 = rel_err(winograd_conv(fmap64, kern64, spec, ts).data, ref)
+    record_property("rel_err_float32", err32)
+    record_property("rel_err_float64", err64)
+    assert err32 <= FLOAT32_ERROR_CEILING.get(m, 1e-4)
+    assert err64 <= 1e-9
 
 
 def test_winograd_r_mismatch():
