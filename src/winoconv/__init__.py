@@ -13,6 +13,7 @@ from .cost_model import (
     HardwareConfig,
     LayerShape,
     TransformOpCounts,
+    analytical_cycles,
     count_transform_ops,
     default_pipeline_depth,
     evaluate_design,

@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dse as dse_mod
-from .conv import ConvSpec, FeatureMap, KernelBank, spatial_conv, winograd_conv
-from .cost_model import HardwareConfig, LayerShape, pe_count
-from .pipeline_sim import EngineConfig, simulate_layer, validate_against_analytical
+from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, spatial_conv, winograd_conv
+from .cost_model import HardwareConfig, LayerShape
+from .pipeline_sim import engine_config_for, simulate_layer, validate_against_analytical
 from .tensor_io import load_tensor, save_tensor
 from .transforms import (
     MinimalParams,
@@ -119,13 +119,10 @@ def cmd_dse(args) -> int:
 
 def cmd_simulate(args) -> int:
     params = MinimalParams(args.m, args.r)
-    hw = HardwareConfig(m_total=args.multipliers, t_c=1.0 / (args.freq_mhz * 1e6),
-                        d_p=args.d_p)
-    p = args.pes if args.pes else pe_count(hw, params)
-    from .cost_model import pipeline_depth
-
-    cfg = EngineConfig(params=params, p=p, d_p=pipeline_depth(params, hw),
-                       clock_period=hw.t_c, reference_design=args.reference_design)
+    # --pes sizes the array directly: a budget of exactly that many PEs.
+    budget = args.pes * params.alpha**2 if args.pes else args.multipliers
+    hw = HardwareConfig(m_total=budget, t_c=1.0 / (args.freq_mhz * 1e6), d_p=args.d_p)
+    cfg = engine_config_for(params, hw, args.reference_design)
 
     rng = np.random.default_rng(args.seed)
     fmap = FeatureMap(rng.standard_normal((args.n, args.c, args.height, args.width))
@@ -134,8 +131,7 @@ def cmd_simulate(args) -> int:
                          .astype(np.float32))
     out, trace = simulate_layer(cfg, fmap, kernels, ConvSpec(pad=args.pad))
 
-    h_out = args.height + 2 * args.pad - args.r + 1
-    w_out = args.width + 2 * args.pad - args.r + 1
+    h_out, w_out = output_hw(args.height, args.width, args.r, args.pad)
     layer = LayerShape(n=args.n, h=h_out, w=w_out, c=args.c, k=args.k, r=args.r)
     report = validate_against_analytical(cfg, layer)
 

@@ -1,5 +1,8 @@
 """Closed-form complexity, latency and throughput models for the PE array.
 
+evaluate_design prices each layer once (one LayerCost per layer); design
+totals, and in dse the group rows, figures and Table 2, are sums over it.
+
 Complexity conventions, with alpha = m + r - 1 and a layer of N images,
 H x W output pixels, C input and K output channels:
 
@@ -73,14 +76,11 @@ class HardwareConfig:
 
     d_p of None selects the default pipeline depth for the tile size in use
     (data transform + element-wise stage + inverse-transform adder tree).
-    The per-PE LUT slopes feed the linear logic-resource model only.
     """
 
     m_total: int
     t_c: float
     d_p: int | None = None
-    lut_per_pe_shared: int = 5312      # shared data-transform design
-    lut_per_pe_reference: int = 12224  # per-PE data-transform design
 
     def __post_init__(self):
         if self.m_total < 1:
@@ -92,15 +92,29 @@ class HardwareConfig:
 
 
 @dataclass(frozen=True)
+class LayerCost:
+    """Closed-form costs of one layer under one design."""
+
+    o_m: float        # element-wise multiplications
+    o_t: float        # transform ops T(D) + T(F) + T(I)
+    o_s: float        # spatial op count
+    latency_s: float
+
+
+@dataclass(frozen=True)
 class DesignPoint:
-    """One evaluated (m, r, hardware) configuration over a workload."""
+    """One evaluated (m, r, hardware) configuration over a workload.
+
+    `layers` holds one LayerCost per workload layer, in order; the totals
+    are in-order sums over it.
+    """
 
     params: MinimalParams
     hw: HardwareConfig
     p: int
+    layers: tuple[LayerCost, ...]
     o_m: float
     o_t: float
-    o_T: float
     o_s: float
     t_total: float
     throughput: float
@@ -210,12 +224,16 @@ def pe_count(hw: HardwareConfig, params: MinimalParams) -> int:
     return hw.m_total // per_pe
 
 
-def layer_latency(layer: LayerShape, params: MinimalParams, p: int, hw: HardwareConfig) -> float:
-    """Seconds to produce the layer's output map; fractional cycle counts."""
+def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int, d_p: int) -> float:
+    """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
     if p < 1:
         raise ValueError(f"PE count must be >= 1, got {p}")
-    cycles = layer.nhwck / (params.m**2 * p) + pipeline_depth(params, hw) - 1
-    return cycles * hw.t_c
+    return layer.nhwck / (params.m**2 * p) + d_p - 1
+
+
+def layer_latency(layer: LayerShape, params: MinimalParams, p: int, hw: HardwareConfig) -> float:
+    """Seconds to produce the layer's output map; fractional cycle counts."""
+    return analytical_cycles(layer, params, p, pipeline_depth(params, hw)) * hw.t_c
 
 
 def spatial_ops(layer: LayerShape) -> float:
@@ -259,16 +277,22 @@ def evaluate_design(
     hw: HardwareConfig,
     ops: TransformOpCounts,
 ) -> DesignPoint:
-    """Whole-workload DesignPoint: sums the per-layer models over `layers`."""
-    layers = list(layers)
+    """Whole-workload DesignPoint: evaluates the per-layer models once per layer."""
     p = pe_count(hw, params)
-    o_m = sum(multiplication_complexity(l, params) for l in layers)
-    o_t = sum(transform_complexity(l, params, ops).total for l in layers)
-    o_T = sum(implementation_transform_complexity(l, params, ops, p) for l in layers)
-    o_s = sum(spatial_ops(l) for l in layers)
-    t_total = sum(layer_latency(l, params, p, hw) for l in layers)
+    costs = tuple(
+        LayerCost(
+            o_m=multiplication_complexity(l, params),
+            o_t=transform_complexity(l, params, ops).total,
+            o_s=spatial_ops(l),
+            latency_s=layer_latency(l, params, p, hw),
+        )
+        for l in layers
+    )
+    o_s = sum(c.o_s for c in costs)
+    t_total = sum(c.latency_s for c in costs)
     tput = throughput(o_s, t_total)
     return DesignPoint(
-        params=params, hw=hw, p=p, o_m=o_m, o_t=o_t, o_T=o_T, o_s=o_s,
+        params=params, hw=hw, p=p, layers=costs,
+        o_m=sum(c.o_m for c in costs), o_t=sum(c.o_t for c in costs), o_s=o_s,
         t_total=t_total, throughput=tput, mult_efficiency=tput / hw.m_total,
     )

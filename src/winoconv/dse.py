@@ -1,9 +1,11 @@
 """Design space exploration over output tile size and multiplier budget.
 
 run_sweep evaluates every (m, budget) pair of a SweepSpec against a workload
-and derives the percentage-change columns between consecutive tile sizes:
+with evaluate_design; group rows, totals, figures and Table 2 are all sums
+over slices of the per-layer costs it returns.  run_sweep also derives the
+percentage-change columns between consecutive tile sizes:
 
-  - multiplication savings: 100 * (O_m(m) - O_m(m')) / O_m(m)
+  - multiplication savings: 100 * (O_m(m) - O_m(m')) / O_m(m), of one layer
   - transform overhead:     100 * (t(m') - t(m)) / t(m), where
     t(m) = (beta + gamma + delta) / m^2 is the per-output-pixel transform
     cost of one tile (the workload-independent normalization; m and m' are
@@ -26,13 +28,7 @@ from .cost_model import (
     TransformOpCounts,
     count_transform_ops,
     evaluate_design,
-    implementation_transform_complexity,
-    layer_latency,
-    multiplication_complexity,
     normalized_transform_ops,
-    pe_count,
-    spatial_ops,
-    transform_complexity,
 )
 from .reference_data import (
     PRIOR_DESIGNS,
@@ -70,8 +66,6 @@ class SweepRow:
     group: str
     o_m: float
     o_t: float
-    o_T: float
-    o_s: float
     latency_s: float
 
 
@@ -101,6 +95,22 @@ class SweepResult:
     op_counts: dict[int, TransformOpCounts]
 
 
+def _group_rows(workload: Workload, point: DesignPoint) -> tuple[SweepRow, ...]:
+    """Per-group sums of the point's per-layer costs, in workload group order."""
+    by_group = {g: [] for g in workload.groups}
+    for layer, cost in zip(workload.layers, point.layers):
+        by_group[layer.group].append(cost)
+    return tuple(
+        SweepRow(
+            m=point.params.m, budget=point.hw.m_total, group=group,
+            o_m=sum(c.o_m for c in costs),
+            o_t=sum(c.o_t for c in costs),
+            latency_s=sum(c.latency_s for c in costs),
+        )
+        for group, costs in by_group.items()
+    )
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     ms = sorted(set(spec.m_values))
     budgets = sorted(set(spec.budgets))
@@ -117,32 +127,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for m in ms:
         params = MinimalParams(m, spec.r)
         for budget in budgets:
-            hw = HardwareConfig(
-                m_total=budget, t_c=spec.hw.t_c, d_p=spec.hw.d_p,
-                lut_per_pe_shared=spec.hw.lut_per_pe_shared,
-                lut_per_pe_reference=spec.hw.lut_per_pe_reference,
-            )
-            points.append(evaluate_design(spec.workload.shapes, params, hw, counts[m]))
-            p = pe_count(hw, params)
-            for group in spec.workload.groups:
-                shapes = [l.shape for l in spec.workload.group_layers(group)]
-                rows.append(SweepRow(
-                    m=m, budget=budget, group=group,
-                    o_m=sum(multiplication_complexity(s, params) for s in shapes),
-                    o_t=sum(transform_complexity(s, params, counts[m]).total for s in shapes),
-                    o_T=sum(
-                        implementation_transform_complexity(s, params, counts[m], p)
-                        for s in shapes
-                    ),
-                    o_s=sum(spatial_ops(s) for s in shapes),
-                    latency_s=sum(layer_latency(s, params, p, hw) for s in shapes),
-                ))
+            hw = HardwareConfig(m_total=budget, t_c=spec.hw.t_c, d_p=spec.hw.d_p)
+            point = evaluate_design(spec.workload.shapes, params, hw, counts[m])
+            points.append(point)
+            rows.extend(_group_rows(spec.workload, point))
 
+    # O_m of one layer does not depend on the budget; any layer gives the ratio.
+    first_layer_om = {pt.params.m: pt.layers[0].o_m for pt in points}
     transitions: list[Transition] = []
-    any_layer = spec.workload.shapes[0]
     for m_from, m_to in zip(ms, ms[1:]):
-        om_from = multiplication_complexity(any_layer, MinimalParams(m_from, spec.r))
-        om_to = multiplication_complexity(any_layer, MinimalParams(m_to, spec.r))
+        om_from, om_to = first_layer_om[m_from], first_layer_om[m_to]
         pct_mult = 100.0 * (om_from - om_to) / om_from
         t_from = normalized_transform_ops(MinimalParams(m_from, spec.r), counts[m_from])
         t_to = normalized_transform_ops(MinimalParams(m_to, spec.r), counts[m_to])
@@ -198,49 +192,31 @@ class Table2Report:
     rows: tuple[Table2Row, ...]
 
 
-def table2_report(
-    workload: Workload,
-    designs=SHARED_DESIGN_BUDGETS,
-    freq_hz: float = 200e6,
-    include_prior: bool = True,
-) -> Table2Report:
+def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
     """Per-group latency / throughput / efficiency comparison on VGG16-D.
 
-    Latency, throughput and multiplier efficiency of the shared-transform
-    designs are computed from the analytical model; frequency, precision and
-    power columns of prior designs are echoed from the static reference rows
-    and never derived.
+    Prior designs, then those of SHARED_DESIGN_BUDGETS.  Latency, throughput
+    and multiplier efficiency of the shared-transform designs are computed
+    from the analytical model (group latencies are run_sweep's group rows);
+    frequency, precision and power columns of prior designs are echoed from
+    the static reference rows and never derived.
     """
     if workload.name != "vgg16d":
         raise ValueError(
             f"the comparison table is defined for the vgg16d workload, got {workload.name!r}"
         )
-    groups = workload.groups
-    rows: list[Table2Row] = []
-    if include_prior:
-        for ref in PRIOR_DESIGNS:
-            rows.append(Table2Row(
-                name=ref.name, m=None, r=None,
-                multipliers=ref.multipliers, pes=ref.pes,
-                precision_bits=ref.precision_bits, freq_mhz=ref.freq_mhz,
-                conv_ms=ref.conv_ms, overall_ms=ref.overall_ms,
-                gops=ref.gops, gops_per_mult=ref.gops_per_mult,
-                power_w=ref.power_w, gops_per_w=ref.gops_per_w,
-                computed=False,
-            ))
-    for m, r, budget in designs:
+    rows = [
+        Table2Row(m=None, r=None, computed=False,
+                  **{k: v for k, v in vars(ref).items() if k != "note"})
+        for ref in PRIOR_DESIGNS
+    ]
+    for m, r, budget in SHARED_DESIGN_BUDGETS:
         params = MinimalParams(m, r)
         hw = HardwareConfig(m_total=budget, t_c=1.0 / freq_hz)
         ts = generate_transforms(params)
         counts = count_transform_ops(ts)
         point = evaluate_design(workload.shapes, params, hw, counts)
-        conv_ms = tuple(
-            1e3 * sum(
-                layer_latency(l.shape, params, point.p, hw)
-                for l in workload.group_layers(g)
-            )
-            for g in groups
-        )
+        conv_ms = tuple(1e3 * row.latency_s for row in _group_rows(workload, point))
         power = SHARED_DESIGN_POWER_W.get(m)
         rows.append(Table2Row(
             name=f"shared_transform_m{m}", m=m, r=r,
@@ -252,7 +228,7 @@ def table2_report(
             power_w=power, gops_per_w=SHARED_DESIGN_GOPS_PER_W.get(m),
             computed=True,
         ))
-    return Table2Report(groups=groups, rows=tuple(rows))
+    return Table2Report(groups=workload.groups, rows=tuple(rows))
 
 
 def _fmt(x) -> str:
@@ -275,17 +251,14 @@ def write_fig1_csv(result: SweepResult, path: str | Path):
 
 
 def write_fig2_csv(result: SweepResult, path: str | Path):
-    """Whole-network transform complexity: m, O_t."""
-    budget0 = min(r.budget for r in result.rows)
-    totals: dict[int, float] = {}
-    for row in result.rows:
-        if row.budget == budget0:
-            totals[row.m] = totals.get(row.m, 0.0) + row.o_t
+    """Whole-network transform complexity: m, O_t (design totals)."""
+    budget0 = min(p.hw.m_total for p in result.points)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["m", "o_t"])
-        for m in sorted(totals):
-            w.writerow([m, _fmt(totals[m])])
+        for point in result.points:
+            if point.hw.m_total == budget0:
+                w.writerow([point.params.m, _fmt(point.o_t)])
 
 
 def write_fig3_csv(result: SweepResult, path: str | Path):

@@ -35,7 +35,7 @@ from .conv import (
     require_floating,
     zero_extend,
 )
-from .cost_model import HardwareConfig, LayerShape, pipeline_depth
+from .cost_model import HardwareConfig, LayerShape, analytical_cycles, pe_count, pipeline_depth
 from .transforms import MinimalParams, TransformSet, generate_transforms
 
 STAGES = ("data_transform", "hadamard", "inverse_transform")
@@ -178,12 +178,14 @@ class ValidationReport:
 def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> ValidationReport:
     """Compare the simulator's cycle count with the fractional latency model.
 
-    The gap is exactly the ceiling overhead of partial tiles and partial
-    kernel groups; it is zero when m divides both output dims and P divides K.
+    The analytical side is cost_model.analytical_cycles, the cycle count that
+    layer_latency prices.  The gap is exactly the ceiling overhead of partial
+    tiles and partial kernel groups; it is zero when m divides both output
+    dims and P divides K.
     """
     m = cfg.params.m
     simulated = expected_cycles(cfg, layer)
-    analytical = layer.nhwck / (m * m * cfg.p) + cfg.d_p - 1
+    analytical = analytical_cycles(layer, cfg.params, cfg.p, cfg.d_p)
     tiles_ceil = ceil(layer.h / m) * ceil(layer.w / m)
     overhead = (
         tiles_ceil * ceil(layer.k / cfg.p) - (layer.h * layer.w / (m * m)) * (layer.k / cfg.p)
@@ -200,8 +202,6 @@ def engine_config_for(
     params: MinimalParams, hw: HardwareConfig, reference_design: bool = False
 ) -> EngineConfig:
     """Engine sized to a hardware budget: P from the multiplier count."""
-    from .cost_model import pe_count
-
     return EngineConfig(
         params=params,
         p=pe_count(hw, params),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -76,6 +77,25 @@ def test_dse_subcommand(tmp_path, capsys):
         assert (tmp_path / name).exists()
     fig3 = (tmp_path / "fig3.csv").read_text().splitlines()
     assert fig3[0] == "m,pct_mult_decrease,pct_transform_increase"
+
+
+# sha256 of the CSV files written by `dse` and `report` with default arguments.
+DEFAULT_CSV_DIGESTS = {
+    "fig1.csv": "c6913e5e5974b1c02c97f039225cd48b62c6fb2cfe3ad1599e67bd52f5021f6e",
+    "fig2.csv": "ce8b71e2b53f6059b61879c8e5043bdb5504bf0830b96e395ff47f220d450ee1",
+    "fig3.csv": "9bee934cf702a7b1c5b0ee9388f19faaf3d381da9775d26a580793404f728744",
+    "fig6.csv": "856dde7decc7623ef5c0290a9c092c5391ca18157d2e115852b3809437ee2156",
+    "table2.csv": "f3af579899d8e315e3c1fac0e3640685d1062cadbf587f9a79d1526fcfdf538e",
+    "table2_reference.csv": "6fa2cc076187137c52154643c1bef049c30cbd992a490b4db9a42d36b2f4a322",
+}
+
+
+def test_dse_and_report_default_csvs_are_byte_identical(tmp_path, capsys):
+    assert main(["dse", "--outdir", str(tmp_path)]) == 0
+    assert main(["report", "--outdir", str(tmp_path)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DEFAULT_CSV_DIGESTS}
+    assert digests == DEFAULT_CSV_DIGESTS
 
 
 def test_simulate_subcommand(tmp_path, capsys):

@@ -217,3 +217,25 @@ def test_table2_csv_headers(tmp_path, vgg):
     by_name = {r[0]: r for r in ref_rows[1:]}
     # power numbers are echoed statics, never derived
     assert float(by_name["shared_transform_m4"][5]) == 36.32
+
+
+def test_table2_group_latencies_are_sweep_rows(vgg):
+    freq_hz = 200e6
+    report = table2_report(vgg, freq_hz=freq_hz)
+    hw = HardwareConfig(m_total=700, t_c=1.0 / freq_hz)
+    computed = [r for r in report.rows if r.computed]
+    spec = SweepSpec(m_values=tuple(r.m for r in computed), r=3,
+                     budgets=tuple(r.multipliers for r in computed), workload=vgg, hw=hw)
+    result = run_sweep(spec)
+    for design in computed:
+        rows = [r for r in result.rows if (r.m, r.budget) == (design.m, design.multipliers)]
+        assert [r.group for r in rows] == list(report.groups)
+        assert design.conv_ms == tuple(1e3 * r.latency_s for r in rows)
+
+
+def test_group_rows_sum_to_point_totals(sweep):
+    for point in sweep.points:
+        rows = [r for r in sweep.rows if (r.m, r.budget) == (point.params.m, point.hw.m_total)]
+        assert sum(r.o_m for r in rows) == pytest.approx(point.o_m, rel=1e-12)
+        assert sum(r.o_t for r in rows) == pytest.approx(point.o_t, rel=1e-12)
+        assert sum(r.latency_s for r in rows) == pytest.approx(point.t_total, rel=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from winoconv.conv import ConvSpec, FeatureMap, KernelBank, spatial_conv, winograd_conv
-from winoconv.cost_model import HardwareConfig, LayerShape
+from winoconv.cost_model import HardwareConfig, LayerShape, layer_latency
 from winoconv.pipeline_sim import (
     EngineConfig,
     engine_config_for,
@@ -144,6 +144,21 @@ def test_validate_against_analytical_partial_tiles():
     assert report.ceiling_overhead == pytest.approx((16 - (14 / 4) ** 2) * 4 * 2)
     assert report.consistent
     assert report.simulated_cycles == expected_cycles(cfg, layer)
+
+
+def test_analytical_cycles_price_the_dse_latency():
+    # The simulator check and the DSE must use one latency model.
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        params = MinimalParams(int(rng.integers(1, 7)), int(rng.choice([1, 3, 5])))
+        layer = LayerShape(*(int(x) for x in rng.integers(1, 300, size=5)), r=params.r)
+        p = int(rng.integers(1, 40))
+        d_p = int(rng.integers(3, 12))
+        t_c = 1.0 / float(rng.uniform(50e6, 500e6))
+        cfg = EngineConfig(params, p=p, d_p=d_p, clock_period=t_c)
+        hw = HardwareConfig(m_total=p * params.alpha**2, t_c=t_c, d_p=d_p)
+        report = validate_against_analytical(cfg, layer)
+        assert report.analytical_cycles * t_c == layer_latency(layer, params, p, hw)
 
 
 def test_batch_doubles_issue_cycles():
