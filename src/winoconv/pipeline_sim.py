@@ -17,6 +17,12 @@ bit-accurate; that is enough to validate the latency model and the
 shared-transform economy.  In reference-design mode every PE recomputes the
 data transform itself, which multiplies the transform invocation count by P
 without changing latency or output.
+
+The modeled loop order is unchanged; execution batches it.  Every tile is
+data-transformed once, then one step per channel computes all of that
+channel's issue cycles (every tile position and PE slot) and adds each PE's
+inverse transform into its buffer, so channels accumulate in hardware order.
+The trace counters are summed from the sizes of the arrays each step computes.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .conv import (
     ConvSpec,
     FeatureMap,
     KernelBank,
+    extract_tiles,
     precompute_filter_transforms,
     require_floating,
     zero_extend,
@@ -122,32 +129,23 @@ def simulate_layer(
     at = ts.a.T.astype(dtype)
     a = ts.a.astype(dtype)
 
-    out = np.zeros((fmap.n, kernels.k, ty * m, tx * m), dtype=dtype)
+    # The shared data transform of every tile, (N, C, Ty, Tx, alpha, alpha).
+    u = bt @ extract_tiles(ext, m, alpha) @ b
     trace = SimTrace(tiles_per_image=ty * tx, kernel_groups=n_groups)
-    accum = np.zeros((p, m, m), dtype=dtype)  # per-PE output buffers
+    accum = np.zeros((fmap.n, ty, tx, n_groups * p, m, m), dtype=dtype)  # PE output buffers
 
-    for img in range(fmap.n):
-        for tile_y in range(ty):
-            for tile_x in range(tx):
-                y0, x0 = tile_y * m, tile_x * m
-                for group in range(n_groups):
-                    accum[:] = 0
-                    for ci in range(fmap.c):
-                        # one issue cycle: shared transform, then all P PEs
-                        trace.issue_cycles += 1
-                        tile = ext[img, ci, y0 : y0 + alpha, x0 : x0 + alpha]
-                        u = bt @ tile @ b
-                        trace.data_transform_invocations += p if cfg.reference_design else 1
-                        for pe in range(p):
-                            prod = u * v[group * p + pe, ci]
-                            accum[pe] += at @ prod @ a
-                        trace.hadamard_mult_count += p * alpha * alpha
-                        trace.inverse_transform_count += p
-                    for pe in range(p):
-                        k_idx = group * p + pe
-                        if k_idx < kernels.k:
-                            out[img, k_idx, y0 : y0 + m, x0 : x0 + m] = accum[pe]
+    for ci in range(fmap.c):
+        # every issue cycle of channel ci: all tile positions x all P-PE kernel groups
+        prod = u[:, ci, :, :, None] * v[:, ci]  # (N, Ty, Tx, groups*P, alpha, alpha)
+        accum += at @ prod @ a
+        issued = prod.size // (p * alpha * alpha)
+        trace.issue_cycles += issued
+        trace.data_transform_invocations += issued * (p if cfg.reference_design else 1)
+        trace.hadamard_mult_count += prod.size
+        trace.inverse_transform_count += prod.size // (alpha * alpha)
 
+    out = accum[:, :, :, : kernels.k].transpose(0, 3, 1, 4, 2, 5)
+    out = out.reshape(fmap.n, kernels.k, ty * m, tx * m)
     for stage in STAGES:
         trace.stage_busy[stage] = trace.issue_cycles
     trace.cycles_elapsed = trace.issue_cycles + cfg.d_p - 1

@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
 
-from winoconv.conv import ConvSpec, FeatureMap, KernelBank, spatial_conv, winograd_conv
-from winoconv.cost_model import HardwareConfig, LayerShape, layer_latency
+from winoconv.conv import (
+    ConvSpec,
+    FeatureMap,
+    KernelBank,
+    precompute_filter_transforms,
+    spatial_conv,
+    winograd_conv,
+)
+from winoconv.cost_model import (
+    HardwareConfig,
+    LayerShape,
+    count_transform_ops,
+    implementation_transform_complexity,
+    layer_latency,
+)
 from winoconv.pipeline_sim import (
+    STAGES,
     EngineConfig,
+    SimTrace,
     engine_config_for,
     expected_cycles,
     simulate_layer,
@@ -209,3 +224,112 @@ def test_trace_json_round_trips():
     blob = json.loads(trace.to_json())
     assert blob["cycles_elapsed"] == trace.cycles_elapsed
     assert set(blob["stage_busy"]) == {"data_transform", "hadamard", "inverse_transform"}
+
+
+def stepped_hardware_order(cfg, fmap, kern, spec):
+    """The engine stepped one issue cycle at a time, in the modeled loop order.
+
+    Batch, tile position, kernel group, channel: each cycle transforms one
+    input tile once, then every PE multiplies it with its filter transform
+    (zero for idle PEs), runs the inverse transform and accumulates over C.
+    """
+    ts = generate_transforms(cfg.params)
+    m, alpha, r, p = cfg.params.m, cfg.params.alpha, cfg.params.r, cfg.p
+    n, c, h, w = fmap.data.shape
+    k, dtype = kern.k, fmap.data.dtype
+    h_out, w_out = h + 2 * spec.pad - r + 1, w + 2 * spec.pad - r + 1
+    ty, tx, groups = -(-h_out // m), -(-w_out // m), -(-k // p)
+    ext = np.zeros((n, c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
+    ext[:, :, spec.pad : spec.pad + h, spec.pad : spec.pad + w] = fmap.data
+    v = precompute_filter_transforms(kern, ts)
+    idle = np.zeros((alpha, alpha), dtype=dtype)
+    bt, b, at, a = (x.astype(dtype) for x in (ts.b.T, ts.b, ts.a.T, ts.a))
+
+    out = np.zeros((n, k, ty * m, tx * m), dtype=dtype)
+    cycles = 0
+    for img in range(n):
+        for y0 in range(0, ty * m, m):
+            for x0 in range(0, tx * m, m):
+                for group in range(groups):
+                    accum = np.zeros((p, m, m), dtype=dtype)
+                    for ci in range(c):
+                        cycles += 1
+                        u = bt @ ext[img, ci, y0 : y0 + alpha, x0 : x0 + alpha] @ b
+                        for pe in range(p):
+                            kk = group * p + pe
+                            accum[pe] += at @ (u * (v[kk, ci] if kk < k else idle)) @ a
+                    for pe in range(min(p, k - group * p)):
+                        out[img, group * p + pe, y0 : y0 + m, x0 : x0 + m] = accum[pe]
+    trace = SimTrace(
+        cycles_elapsed=cycles + cfg.d_p - 1,
+        issue_cycles=cycles,
+        stage_busy={stage: cycles for stage in STAGES},
+        data_transform_invocations=cycles * (p if cfg.reference_design else 1),
+        inverse_transform_count=cycles * p,
+        hadamard_mult_count=cycles * p * alpha * alpha,
+        tiles_per_image=ty * tx,
+        kernel_groups=groups,
+    )
+    return out[:, :, :h_out, :w_out], trace
+
+
+def test_bit_identical_to_hardware_order_stepping():
+    rng = np.random.default_rng(12)
+    for i in range(30):
+        m = 1 + i % 5
+        p = int(rng.integers(2, 5))
+        k = p * int(rng.integers(0, 2)) + int(rng.integers(1, p))  # K % P != 0
+        pad = i % 3
+        # >= 3 output rows and columns, so pad 2 leaves an input; on odd layers
+        # they are one short of whole tiles (partial edge tiles)
+        partial = m - 1 if i % 2 else 0
+        h = m * int(rng.integers(1, 3) + 3 // m) + partial + 2 - 2 * pad  # r = 3
+        w = m * int(rng.integers(1, 3) + 3 // m) + partial + 2 - 2 * pad
+        dtype = (np.float32, np.float64)[(i // 5) % 2]
+        fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, int(rng.integers(1, 4)), h, w))
+                          .astype(dtype))
+        kern = KernelBank(rng.standard_normal((k, fmap.c, 3, 3)).astype(dtype))
+        cfg = EngineConfig(MinimalParams(m, 3), p=p, d_p=4 + i % 3, clock_period=5e-9,
+                           reference_design=bool((i // 3) % 2))
+        spec = ConvSpec(pad=pad)
+        out, trace = simulate_layer(cfg, fmap, kern, spec)
+        want, want_trace = stepped_hardware_order(cfg, fmap, kern, spec)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, want), (i, m, p, k, pad, h, w)
+        assert trace.to_json() == want_trace.to_json()
+
+
+def test_measured_transform_counts_price_the_shared_design():
+    # beta per data-transform invocation plus delta per inverse transform is
+    # the amortized O_T of the shared design when no tile or PE slot is idle.
+    rng = np.random.default_rng(13)
+    for i in range(15):
+        m = 1 + i % 5
+        params = MinimalParams(m, 3)
+        ts = generate_transforms(params)
+        p = int(rng.integers(1, 5))
+        n, c = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        h, w = m * int(rng.integers(1, 4)), m * int(rng.integers(1, 4))
+        k = p * int(rng.integers(1, 3))
+        fmap, kern = random_case(rng, n, c, h, w, k)
+        cfg = EngineConfig(params, p=p, d_p=5, clock_period=5e-9)
+        _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1), ts)
+        ops = count_transform_ops(ts)
+        measured = ops.beta * trace.data_transform_invocations \
+            + ops.delta * trace.inverse_transform_count
+        layer = LayerShape(n=n, h=h, w=w, c=c, k=k, r=3)  # pad 1 keeps dims
+        assert measured == pytest.approx(
+            implementation_transform_complexity(layer, params, ops, p), rel=1e-12)
+
+
+def test_vgg16d_conv5_1_at_paper_scale():
+    # 14x14, C = K = 512, F(4,3) with 684 multipliers: P = 19, 27 kernel groups
+    rng = np.random.default_rng(14)
+    fmap, kern = random_case(rng, 1, 512, 14, 14, 512)
+    cfg = engine_config_for(MinimalParams(4, 3), HardwareConfig(m_total=684, t_c=5e-9))
+    spec = ConvSpec(pad=1)
+    out, trace = simulate_layer(cfg, fmap, kern, spec)
+    layer = LayerShape(n=1, h=14, w=14, c=512, k=512, r=3)
+    assert cfg.p == 19
+    assert trace.cycles_elapsed == expected_cycles(cfg, layer) == 221_188
+    assert rel_err(out.data, spatial_conv(fmap, kern, spec).data) < 1e-4
