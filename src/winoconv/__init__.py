@@ -22,7 +22,6 @@ from .cost_model import (
     lut_total,
     multiplication_complexity,
     pe_count,
-    relative_transform_overhead,
     spatial_ops,
     throughput,
     transform_complexity,
@@ -46,16 +45,10 @@ from .pipeline_sim import (
 from .transforms import (
     MinimalParams,
     MultCounter,
-    Tile2D,
     TransformSet,
-    data_transform_2d,
     default_points,
-    filter_transform_2d,
     generate_transforms,
-    inverse_transform_2d,
-    winograd_1d,
     winograd_1d_exact,
-    winograd_2d_tile,
     winograd_2d_tile_exact,
 )
 from .workload import Workload, WorkloadLayer, load_workload, save_workload

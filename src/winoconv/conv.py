@@ -114,9 +114,15 @@ def spatial_conv(
     spec: ConvSpec,
     counter: MultCounter | None = None,
 ) -> FeatureMap:
-    """Direct convolution; every output pixel is a triple sum in 64-bit."""
+    """Direct convolution; every output pixel is a triple sum in 64-bit.
+
+    Keeps the map's dtype; an integer map with float kernels, which would
+    truncate, raises ValueError.
+    """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    if np.issubdtype(kernels.data.dtype, np.floating):
+        require_floating("feature map", fmap.data)
     r = kernels.r
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
     padded = np.pad(fmap.data, ((0, 0), (0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad)))

@@ -17,6 +17,11 @@ H x W output pixels, C input and K output channels:
     spatial op count  O_S = 2 * N*H*W*C*K * r^2      (one MAC = 2 ops)
     throughput        O_S / T_t
 
+implementation_transform_complexity computes O_T, the one normalization of
+the beta/gamma/delta counts this module keeps: the shared-design transform
+cost, with the filter transform precomputed and the data transform shared
+by P PEs.
+
 Tile counts are fractional (H*W/m^2) in this analytical model; the cycle
 simulator uses ceilings and the difference is exactly the partial-tile
 overhead.  beta/gamma/delta come from count_transform_ops, which walks the
@@ -246,24 +251,6 @@ def throughput(o_s: float, t_total: float) -> float:
     if t_total <= 0:
         raise ValueError(f"total time must be > 0, got {t_total}")
     return o_s / t_total
-
-
-def relative_transform_overhead(
-    params: MinimalParams, ops: TransformOpCounts, p: int | None = None
-) -> float:
-    """Per-tile transform ops relative to per-tile spatial multiplications m^2 r^2.
-
-    With p given, the data transform is amortized over p PEs (shared-transform
-    design); with p None every PE pays the full data transform (reference
-    design).  Pass adds-only counts to price the overhead in hardware adders.
-    """
-    beta = ops.beta / p if p is not None else float(ops.beta)
-    return (beta + ops.gamma + ops.delta) / (params.m**2 * params.r**2)
-
-
-def normalized_transform_ops(params: MinimalParams, ops: TransformOpCounts) -> float:
-    """Total per-tile transform ops per output pixel: (beta+gamma+delta)/m^2."""
-    return (ops.beta + ops.gamma + ops.delta) / params.m**2
 
 
 def lut_total(p: int, per_pe: int, fixed: int = 0) -> int:

@@ -28,7 +28,6 @@ from .cost_model import (
     TransformOpCounts,
     count_transform_ops,
     evaluate_design,
-    normalized_transform_ops,
 )
 from .reference_data import (
     PRIOR_DESIGNS,
@@ -134,12 +133,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     # O_m of one layer does not depend on the budget; any layer gives the ratio.
     first_layer_om = {pt.params.m: pt.layers[0].o_m for pt in points}
+    per_pixel_transform_ops = {m: (c.beta + c.gamma + c.delta) / m**2 for m, c in counts.items()}
     transitions: list[Transition] = []
     for m_from, m_to in zip(ms, ms[1:]):
         om_from, om_to = first_layer_om[m_from], first_layer_om[m_to]
         pct_mult = 100.0 * (om_from - om_to) / om_from
-        t_from = normalized_transform_ops(MinimalParams(m_from, spec.r), counts[m_from])
-        t_to = normalized_transform_ops(MinimalParams(m_to, spec.r), counts[m_to])
+        t_from, t_to = per_pixel_transform_ops[m_from], per_pixel_transform_ops[m_to]
         transitions.append(Transition(
             m_from=m_from, m_to=m_to,
             pct_mult_decrease=pct_mult,

@@ -1,4 +1,4 @@
-"""Winograd minimal filtering: transform synthesis and single-tile algorithms.
+"""Winograd minimal filtering: transform synthesis and exact single-tile mode.
 
 A minimal 1D algorithm F(m, r) computes m outputs of a valid (no padding)
 convolution with an r-tap filter using only m+r-1 multiplications:
@@ -13,9 +13,11 @@ Nesting the 1D form gives the 2D algorithm on alpha x alpha input tiles:
 
 The constant matrices are synthesized from a set of distinct interpolation
 points via polynomial evaluation/interpolation (Cook-Toom), carried out in
-exact rational arithmetic.  Floating-point copies are derived at the end.
-Exact mode evaluates the algorithms on integer numerators over one common
-denominator per matrix and divides once per output.
+exact rational arithmetic.  Floating-point copies are derived at the end;
+conv.winograd_conv and pipeline_sim.simulate_layer apply them to whole
+layers.  Exact mode (winograd_1d_exact, winograd_2d_tile_exact) evaluates
+the algorithms on one tile, on integer numerators over one common
+denominator per matrix, and divides once per output.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class ScaledIntMatrix(NamedTuple):
     den: int
 
 
-TILE_ROLES = ("input", "kernel", "transformed", "output")
-
-
 class MultCounter:
     """Instrumented counter for element-wise (Hadamard) multiplications."""
 
@@ -50,9 +49,6 @@ class MultCounter:
 
     def add(self, n: int):
         self.count += int(n)
-
-    def reset(self):
-        self.count = 0
 
 
 @dataclass(frozen=True)
@@ -114,37 +110,6 @@ class TransformSet:
     @property
     def bt(self) -> np.ndarray:
         return self.b.T
-
-
-@dataclass(frozen=True)
-class Tile2D:
-    """A 2D tile with a declared role, checked against MinimalParams.
-
-    Roles: 'input' (alpha x alpha), 'kernel' (r x r),
-    'transformed' (alpha x alpha), 'output' (m x m).
-    """
-
-    data: np.ndarray
-    role: str
-
-    def __post_init__(self):
-        if self.role not in TILE_ROLES:
-            raise ValueError(f"unknown tile role {self.role!r}")
-        if np.ndim(self.data) != 2:
-            raise ValueError("tile data must be a 2D matrix")
-
-    def expected_shape(self, params: MinimalParams) -> tuple[int, int]:
-        a = params.alpha
-        side = {"input": a, "kernel": params.r, "transformed": a, "output": params.m}[self.role]
-        return (side, side)
-
-    def validate(self, params: MinimalParams):
-        want = self.expected_shape(params)
-        if tuple(self.data.shape) != want:
-            raise ValueError(
-                f"{self.role} tile must be {want[0]}x{want[1]} for "
-                f"F({params.m},{params.r}), got {self.data.shape}"
-            )
 
 
 def default_points(n: int) -> tuple[Fraction, ...]:
@@ -263,70 +228,6 @@ def generate_transforms(
     )
 
 
-def _tile_array(x, params: MinimalParams, role: str) -> np.ndarray:
-    if isinstance(x, Tile2D):
-        if x.role != role:
-            raise ValueError(f"expected a {role!r} tile, got role {x.role!r}")
-        x.validate(params)
-        return x.data
-    return np.asarray(x)
-
-
-def winograd_1d(ts: TransformSet, d, g, counter: MultCounter | None = None) -> np.ndarray:
-    """One 1D minimal-filtering pass: valid convolution of d (len alpha) with g (len r).
-
-    Spends exactly alpha multiplications in the element-wise stage.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    alpha, r = ts.params.alpha, ts.params.r
-    if d.shape != (alpha,):
-        raise ValueError(f"data vector must have length {alpha}, got {d.shape}")
-    if g.shape != (r,):
-        raise ValueError(f"filter vector must have length {r}, got {g.shape}")
-    u = ts.b.T @ d
-    v = ts.g @ g
-    if counter is not None:
-        counter.add(alpha)
-    return ts.a.T @ (u * v)
-
-
-def filter_transform_2d(ts: TransformSet, g) -> np.ndarray:
-    """V = G g G^T, mapping an r x r kernel to the alpha x alpha domain."""
-    g = _tile_array(g, ts.params, "kernel")
-    r = ts.params.r
-    if g.shape != (r, r):
-        raise ValueError(f"kernel tile must be {r}x{r}, got {g.shape}")
-    return ts.g @ g @ ts.g.T
-
-
-def data_transform_2d(ts: TransformSet, d) -> np.ndarray:
-    """U = B^T d B on an alpha x alpha input tile."""
-    d = _tile_array(d, ts.params, "input")
-    alpha = ts.params.alpha
-    if d.shape != (alpha, alpha):
-        raise ValueError(f"input tile must be {alpha}x{alpha}, got {d.shape}")
-    return ts.b.T @ d @ ts.b
-
-
-def inverse_transform_2d(ts: TransformSet, mtile) -> np.ndarray:
-    """Y = A^T M A, collapsing an alpha x alpha product tile to m x m outputs."""
-    mtile = _tile_array(mtile, ts.params, "transformed")
-    alpha = ts.params.alpha
-    if mtile.shape != (alpha, alpha):
-        raise ValueError(f"transformed tile must be {alpha}x{alpha}, got {mtile.shape}")
-    return ts.a.T @ mtile @ ts.a
-
-
-def winograd_2d_tile(ts: TransformSet, d, g, counter: MultCounter | None = None) -> np.ndarray:
-    """Full 2D minimal algorithm on one tile; alpha^2 element-wise multiplications."""
-    u = data_transform_2d(ts, d)
-    v = filter_transform_2d(ts, g)
-    if counter is not None:
-        counter.add(ts.params.alpha ** 2)
-    return inverse_transform_2d(ts, u * v)
-
-
 # Exact (rational) mode: same algorithms, evaluated on integer numerators
 # over one common denominator per operand and divided once per output.
 # Outputs are bit-identical to brute-force convolution, which makes the
@@ -360,7 +261,7 @@ def _sandwich(t, x) -> list[list[int]]:
 
 
 def winograd_1d_exact(ts: TransformSet, d, g) -> tuple[Fraction, ...]:
-    """Rational-arithmetic winograd_1d; d and g are sequences of rationals."""
+    """F(m, r) on one tile in exact arithmetic; d and g are sequences of rationals."""
     alpha, r = ts.params.alpha, ts.params.r
     (dv,), d_den = _scaled_input([d])
     (gv,), g_den = _scaled_input([g])
@@ -374,7 +275,7 @@ def winograd_1d_exact(ts: TransformSet, d, g) -> tuple[Fraction, ...]:
 
 
 def winograd_2d_tile_exact(ts: TransformSet, d, g) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational-arithmetic winograd_2d_tile; d is alpha x alpha, g is r x r."""
+    """F(m x m, r x r) on one tile in exact arithmetic; d is alpha x alpha, g is r x r."""
     alpha, r = ts.params.alpha, ts.params.r
     dm, d_den = _scaled_input(d)
     if len(dm) != alpha or any(len(row) != alpha for row in dm):

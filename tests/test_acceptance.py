@@ -16,7 +16,6 @@ from winoconv.cost_model import (
     LayerShape,
     count_transform_ops,
     lut_total,
-    relative_transform_overhead,
 )
 from winoconv.dse import SweepSpec, recommend, run_sweep, table2_report
 from winoconv.pipeline_sim import (
@@ -217,15 +216,18 @@ def test_criterion_5_shared_transform_saving():
     closed = Fraction(layer.nhwck, params.m**2) * (Fraction(ops.beta, p) + ops.delta)
     assert derived == closed
 
-    # Relative overhead vs per-tile spatial multiplications, adder-cost pricing.
+    # Per-tile transform adds relative to per-tile spatial multiplications
+    # m^2 r^2: the data transform shared by 16 PEs, then paid by every PE.
     adds = count_transform_ops(ts, "adds_only")
-    ratio = relative_transform_overhead(params, adds, p=16)
-    ratio_ref = relative_transform_overhead(params, adds)
+    spatial_mults = params.m**2 * params.r**2
+    ratio = (Fraction(adds.beta, 16) + adds.gamma + adds.delta) / spatial_mults
+    ratio_ref = Fraction(adds.beta + adds.gamma + adds.delta, spatial_mults)
+    assert (ratio, ratio_ref) == (Fraction(3, 2), Fraction(7, 3))
     assert ratio == pytest.approx(1.5, abs=0.2)
     assert ratio_ref == pytest.approx(2.33, abs=0.2)
     _ok(5, f"invocations P-independent (ref mode = Px); derived amortized cost == "
-           f"closed form exactly; overhead ratio {ratio:.3f} (shared) vs "
-           f"{ratio_ref:.3f} (per-PE)")
+           f"closed form exactly; overhead ratio {float(ratio):.3f} (shared) vs "
+           f"{float(ratio_ref):.3f} (per-PE)")
 
 
 def test_criterion_6_cycle_model():

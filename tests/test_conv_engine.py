@@ -15,7 +15,6 @@ from winoconv.pipeline_sim import EngineConfig, simulate_layer
 from winoconv.transforms import (
     MinimalParams,
     MultCounter,
-    filter_transform_2d,
     generate_transforms,
 )
 
@@ -75,6 +74,15 @@ def test_spatial_matches_naive_6loop():
     ref = naive_conv(fmap.data, kern.data, pad=1)
     assert out.data.shape == ref.shape == (1, 3, 5, 5)
     assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_spatial_rejects_integer_map_with_float_kernels():
+    # the int32 output would truncate 4.5 to 4
+    kern = KernelBank(np.full((1, 1, 3, 3), 0.5, dtype=np.float32))
+    with pytest.raises(ValueError, match="feature map must be floating point"):
+        spatial_conv(FeatureMap(np.ones((1, 1, 4, 4), dtype=np.int32)), kern, ConvSpec())
+    out = spatial_conv(FeatureMap(np.ones((1, 1, 4, 4), dtype=np.float32)), kern, ConvSpec())
+    assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.5, dtype=np.float32))
 
 
 def test_spatial_channel_mismatch():
@@ -192,7 +200,6 @@ def test_precompute_filter_transforms():
     assert v.shape == (4, 3, 4, 4)
     for k in range(4):
         for c in range(3):
-            assert np.allclose(v[k, c], filter_transform_2d(ts, kern.data[k, c]))
             assert np.allclose(v[k, c], ts.g @ kern.data[k, c] @ ts.g.T)
 
     with pytest.raises(ValueError, match="does not match"):

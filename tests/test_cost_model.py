@@ -12,7 +12,6 @@ from winoconv.cost_model import (
     lut_total,
     multiplication_complexity,
     pe_count,
-    relative_transform_overhead,
     spatial_ops,
     throughput,
     transform_complexity,
@@ -120,13 +119,6 @@ def test_implementation_transform_complexity():
     assert o32 < o16
     with pytest.raises(ValueError):
         implementation_transform_complexity(layer, params, ops, p=0)
-
-
-def test_relative_transform_overhead_shared_vs_reference():
-    ts = generate_transforms(MinimalParams(2, 3))
-    adds = count_transform_ops(ts, "adds_only")
-    assert relative_transform_overhead(ts.params, adds, p=16) == pytest.approx(1.5)
-    assert relative_transform_overhead(ts.params, adds) == pytest.approx(7 / 3)
 
 
 def test_pe_count_table():

@@ -2,25 +2,20 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from winoconv.conv import ConvSpec, FeatureMap, KernelBank, winograd_conv
 from winoconv.transforms import (
     MinimalParams,
     MultCounter,
-    Tile2D,
-    data_transform_2d,
     default_points,
     export_transforms_csv,
-    filter_transform_2d,
     generate_transforms,
-    inverse_transform_2d,
-    winograd_1d,
     winograd_1d_exact,
-    winograd_2d_tile,
     winograd_2d_tile_exact,
 )
 
 
 def brute_conv1d(d, g):
-    """Valid 1D cross-correlation, the oracle winograd_1d must match."""
+    """Valid 1D cross-correlation, the oracle winograd_1d_exact must match."""
     m = len(d) - len(g) + 1
     return [sum(d[i + j] * g[j] for j in range(len(g))) for i in range(m)]
 
@@ -33,6 +28,13 @@ def brute_conv2d(d, g):
         [sum(d[i + u][j + v] * g[u][v] for u in range(r) for v in range(r)) for j in range(m)]
         for i in range(m)
     ]
+
+
+def one_tile(ts, d, g, counter=None):
+    """winograd_conv on a single alpha x alpha tile (pad 0): the m x m output Y."""
+    fmap = FeatureMap(np.asarray(d)[None, None])
+    kern = KernelBank(np.asarray(g)[None, None])
+    return winograd_conv(fmap, kern, ConvSpec(pad=0), ts, counter=counter).data[0, 0]
 
 
 def test_default_points_match_classical_sets():
@@ -101,11 +103,11 @@ def test_f1r_degenerates_to_dot_product():
         assert np.array_equal(ts.a, np.ones((r, 1)))
         assert np.array_equal(ts.b, np.eye(r))
         assert np.array_equal(ts.g, np.eye(r))
-        d = np.arange(1.0, r + 1)
-        g = np.linspace(-1, 1, r)
-        out = winograd_1d(ts, d, g)
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(float(d @ g), rel=1e-12)
+        d = np.arange(1.0, r * r + 1).reshape(r, r)
+        g = np.linspace(-1, 1, r * r).reshape(r, r)
+        out = one_tile(ts, d, g)
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(float(np.sum(d * g)), rel=1e-12)
 
 
 def test_generate_transforms_errors():
@@ -123,85 +125,60 @@ def test_generate_transforms_errors():
 
 def test_winograd_1d_examples():
     ts = generate_transforms(MinimalParams(2, 3))
-    out = winograd_1d(ts, [1, 2, 3, 4], [1, 1, 1])
-    assert out == pytest.approx([6, 9], abs=1e-12)
-    assert winograd_1d(ts, [1, 2, 3, 4], [0, 0, 0]) == pytest.approx([0, 0], abs=0)
-    assert winograd_1d(ts, [1, 0, 0, 0], [5, 0, 0]) == pytest.approx([5, 0], abs=1e-12)
-    with pytest.raises(ValueError):
-        winograd_1d(ts, [1, 2, 3], [1, 1, 1])
-    with pytest.raises(ValueError):
-        winograd_1d(ts, [1, 2, 3, 4], [1, 1])
+    assert winograd_1d_exact(ts, [1, 2, 3, 4], [1, 1, 1]) == (6, 9)
+    assert winograd_1d_exact(ts, [1, 2, 3, 4], [0, 0, 0]) == (0, 0)
+    assert winograd_1d_exact(ts, [1, 0, 0, 0], [5, 0, 0]) == (5, 0)
+    with pytest.raises(ValueError, match="need len"):
+        winograd_1d_exact(ts, [1, 2, 3], [1, 1, 1])
+    with pytest.raises(ValueError, match="need len"):
+        winograd_1d_exact(ts, [1, 2, 3, 4], [1, 1])
 
 
 def test_hadamard_counts():
-    counter = MultCounter()
-    ts = generate_transforms(MinimalParams(2, 3))
-    winograd_1d(ts, [1, 2, 3, 4], [1, 1, 1], counter=counter)
-    assert counter.count == 4  # alpha, vs m*r = 6 for the sliding dot products
-    counter.reset()
-    winograd_2d_tile(ts, np.ones((4, 4)), np.ones((3, 3)), counter=counter)
-    assert counter.count == 16  # alpha^2, vs m^2 r^2 = 36 spatially
-
-
-def test_filter_transform_examples():
-    ts = generate_transforms(MinimalParams(2, 3))
-    assert np.array_equal(filter_transform_2d(ts, np.zeros((3, 3))), np.zeros((4, 4)))
-    # rank-1 kernel -> rank-1 transform: outer product of G's first column
-    g = np.zeros((3, 3))
-    g[0, 0] = 1.0
-    v = filter_transform_2d(ts, g)
-    col = ts.g[:, 0]
-    assert np.allclose(v, np.outer(col, col))
-    rowsum = ts.g.sum(axis=1)
-    v_ones = filter_transform_2d(ts, np.ones((3, 3)))
-    assert np.allclose(v_ones, np.outer(rowsum, rowsum))
-    with pytest.raises(ValueError):
-        filter_transform_2d(ts, np.ones((4, 4)))
-
-
-def test_data_and_inverse_transform_against_dense_matmul():
-    rng = np.random.default_rng(5)
-    ts = generate_transforms(MinimalParams(3, 3))
-    alpha = 5
-    assert np.array_equal(data_transform_2d(ts, np.zeros((alpha, alpha))),
-                          np.zeros((alpha, alpha)))
-    impulse = np.zeros((alpha, alpha))
-    impulse[0, 0] = 1.0
-    assert np.allclose(data_transform_2d(ts, impulse), np.outer(ts.b[0], ts.b[0]))
-    d = rng.standard_normal((alpha, alpha))
-    assert np.allclose(data_transform_2d(ts, d), ts.b.T @ d @ ts.b)
-    mt = rng.standard_normal((alpha, alpha))
-    assert np.allclose(inverse_transform_2d(ts, mt), ts.a.T @ mt @ ts.a)
-    assert np.array_equal(inverse_transform_2d(ts, np.zeros((alpha, alpha))),
-                          np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        inverse_transform_2d(ts, np.zeros((3, 3)))
+    for m in (2, 3, 4):
+        ts = generate_transforms(MinimalParams(m, 3))
+        alpha = m + 2
+        counter = MultCounter()
+        one_tile(ts, np.ones((alpha, alpha)), np.ones((3, 3)), counter=counter)
+        assert counter.count == alpha**2  # vs m^2 r^2 spatially (36 at m = 2)
 
 
 def test_winograd_2d_tile_examples():
-    ts = generate_transforms(MinimalParams(2, 3))
-    out = winograd_2d_tile(ts, np.ones((4, 4)), np.ones((3, 3)))
-    assert np.allclose(out, np.full((2, 2), 9.0))
-    assert np.allclose(winograd_2d_tile(ts, np.ones((4, 4)), np.zeros((3, 3))), 0.0)
+    for m in (2, 3, 4):
+        ts = generate_transforms(MinimalParams(m, 3))
+        alpha = m + 2
+        ones = np.ones((alpha, alpha))
+        assert np.allclose(one_tile(ts, ones, np.ones((3, 3))), np.full((m, m), 9.0))
+        assert np.array_equal(one_tile(ts, ones, np.zeros((3, 3))), np.zeros((m, m)))
+        # an impulse at (i, j) returns the kernel, shifted: Y[x, y] = g[i - x, j - y]
+        g = np.arange(1.0, 10.0).reshape(3, 3)
+        for i, j in ((0, 0), (alpha - 1, alpha - 1), (1, alpha - 2)):
+            impulse = np.zeros((alpha, alpha))
+            impulse[i, j] = 1.0
+            assert np.allclose(one_tile(ts, impulse, g), brute_conv2d(impulse, g),
+                               rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="does not match"):
+            one_tile(ts, ones, np.ones((4, 4)))
 
     rng = np.random.default_rng(11)
     ts33 = generate_transforms(MinimalParams(3, 3))
     d = rng.standard_normal((5, 5)).astype(np.float32)
     g = rng.standard_normal((3, 3)).astype(np.float32)
-    out = winograd_2d_tile(ts33, d, g)
+    out = one_tile(ts33, d, g)
     ref = np.array(brute_conv2d(d.astype(np.float64).tolist(), g.astype(np.float64).tolist()))
     assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-4
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_nesting_property_separable(m):
     rng = np.random.default_rng(m)
     ts = generate_transforms(MinimalParams(m, 3))
     alpha = m + 2
     u, v = rng.standard_normal(alpha), rng.standard_normal(alpha)
     p, q = rng.standard_normal(3), rng.standard_normal(3)
-    two_d = winograd_2d_tile(ts, np.outer(u, v), np.outer(p, q))
-    assert np.allclose(two_d, np.outer(winograd_1d(ts, u, p), winograd_1d(ts, v, q)),
+    two_d = one_tile(ts, np.outer(u, v), np.outer(p, q))
+    rows, cols = winograd_1d_exact(ts, u, p), winograd_1d_exact(ts, v, q)
+    assert np.allclose(two_d, np.outer(np.array(rows, float), np.array(cols, float)),
                        rtol=1e-9, atol=1e-9)
 
 
@@ -240,21 +217,6 @@ def test_exact_2d_bit_identical():
         winograd_2d_tile_exact(ts, [[1] * 4] * 4, [[1] * 3] * 2)
     with pytest.raises(ValueError, match="kernel tile must be 3x3"):
         winograd_2d_tile_exact(ts, [[1] * 4] * 4, [[1] * 3, [1] * 4, [1] * 3])
-
-
-def test_tile2d_role_validation():
-    params = MinimalParams(2, 3)
-    tile = Tile2D(np.zeros((4, 4)), "input")
-    tile.validate(params)
-    with pytest.raises(ValueError, match="kernel tile must be 3x3"):
-        Tile2D(np.zeros((4, 4)), "kernel").validate(params)
-    with pytest.raises(ValueError, match="unknown tile role"):
-        Tile2D(np.zeros((4, 4)), "bogus")
-    ts = generate_transforms(params)
-    out = winograd_2d_tile(ts, Tile2D(np.ones((4, 4)), "input"), Tile2D(np.ones((3, 3)), "kernel"))
-    assert np.allclose(out, 9.0)
-    with pytest.raises(ValueError, match="expected a 'kernel' tile"):
-        filter_transform_2d(ts, Tile2D(np.ones((4, 4)), "input"))
 
 
 def test_csv_export_renders_exact_rationals(tmp_path):
