@@ -17,6 +17,7 @@ from .cost_model import (
     count_transform_ops,
     default_pipeline_depth,
     evaluate_design,
+    exact_cycles,
     implementation_transform_complexity,
     layer_latency,
     lut_total,

@@ -22,10 +22,10 @@ need floating-point input: the transforms have fractional entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
+from .cost_model import tile_grid
 from .transforms import MultCounter, TransformSet
 
 
@@ -103,21 +103,16 @@ def output_hw(h: int, w: int, r: int, pad: int) -> tuple[int, int]:
     return ho, wo
 
 
-def tile_grid(h_out: int, w_out: int, m: int) -> tuple[int, int]:
-    """Tiles per channel along each axis: ceil(H_out/m) x ceil(W_out/m)."""
-    return ceil(h_out / m), ceil(w_out / m)
-
-
 def spatial_conv(
     fmap: FeatureMap,
     kernels: KernelBank,
     spec: ConvSpec,
     counter: MultCounter | None = None,
 ) -> FeatureMap:
-    """Direct convolution; every output pixel is a triple sum in 64-bit.
+    """Direct convolution; every output pixel is a triple sum in float64.
 
-    Keeps the map's dtype; an integer map with float kernels, which would
-    truncate, raises ValueError.
+    Keeps the map's dtype.  An integer map raises ValueError with float kernels,
+    which would truncate, and when a sum is not exact in float64 or its dtype.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
@@ -134,6 +129,13 @@ def spatial_conv(
         kernels.data.astype(np.float64),
         optimize=True,
     )
+    if np.issubdtype(fmap.data.dtype, np.integer):
+        # out64 is exact while sum |d|*|g| stays below 2^53; then check it fits the dtype
+        info = np.iinfo(fmap.data.dtype)
+        bound = np.einsum("nchwuv,kcuv->nkhw", np.abs(windows.astype(np.float64)),
+                          np.abs(kernels.data.astype(np.float64)), optimize=True).max()
+        if bound > 2**53 - 1 or out64.min() < info.min or out64.max() > info.max:
+            raise ValueError(f"integer sums leave the exact range of {fmap.data.dtype}")
     if counter is not None:
         counter.add(fmap.n * fmap.c * h_out * w_out * r * r * kernels.k)
     return FeatureMap(out64.astype(fmap.data.dtype))
@@ -189,10 +191,6 @@ def winograd_conv(
     Computes in the feature map's dtype and returns it; integer input raises
     ValueError.
     """
-    if kernels.r != ts.params.r:
-        raise ValueError(
-            f"kernel size {kernels.r} does not match transform set r={ts.params.r}"
-        )
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
     require_floating("feature map", fmap.data)

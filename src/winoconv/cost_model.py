@@ -14,6 +14,7 @@ H x W output pixels, C input and K output channels:
     amortized         O_T = (N*H*W*C*K / m^2) * (beta/P + delta)
     PE count          P = floor(m_total / alpha^2)
     latency           T_t = (N*H*W*C*K / (m^2 * P) + D_p - 1) * t_c
+    issued cycles     ceil(H/m) * ceil(W/m) * C * ceil(K/P) * N + D_p - 1
     spatial op count  O_S = 2 * N*H*W*C*K * r^2      (one MAC = 2 ops)
     throughput        O_S / T_t
 
@@ -22,11 +23,11 @@ the beta/gamma/delta counts this module keeps: the shared-design transform
 cost, with the filter transform precomputed and the data transform shared
 by P PEs.
 
-Tile counts are fractional (H*W/m^2) in this analytical model; the cycle
-simulator uses ceilings and the difference is exactly the partial-tile
-overhead.  beta/gamma/delta come from count_transform_ops, which walks the
-transform matrices symbolically (see its docstring for the two counting
-conventions).
+Tile counts are fractional (H*W/m^2) in this analytical model; exact_cycles
+counts the whole tiles and kernel groups the PE array issues, and the
+difference is exactly the partial-tile overhead.  beta/gamma/delta come from
+count_transform_ops, which walks the transform matrices symbolically (see its
+docstring for the two counting conventions).
 """
 
 from __future__ import annotations
@@ -229,11 +230,24 @@ def pe_count(hw: HardwareConfig, params: MinimalParams) -> int:
     return hw.m_total // per_pe
 
 
+def tile_grid(h_out: int, w_out: int, m: int) -> tuple[int, int]:
+    """Tiles per channel along each axis: ceil(H_out/m) x ceil(W_out/m)."""
+    return ceil(h_out / m), ceil(w_out / m)
+
+
 def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int, d_p: int) -> float:
     """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
     if p < 1:
         raise ValueError(f"PE count must be >= 1, got {p}")
     return layer.nhwck / (params.m**2 * p) + d_p - 1
+
+
+def exact_cycles(layer: LayerShape, params: MinimalParams, p: int, d_p: int) -> int:
+    """Cycle count the PE array issues: whole tiles and whole kernel groups."""
+    if p < 1:
+        raise ValueError(f"PE count must be >= 1, got {p}")
+    ty, tx = tile_grid(layer.h, layer.w, params.m)
+    return ty * tx * layer.c * ceil(layer.k / p) * layer.n + d_p - 1
 
 
 def layer_latency(layer: LayerShape, params: MinimalParams, p: int, hw: HardwareConfig) -> float:

@@ -34,6 +34,7 @@ from .reference_data import (
     SHARED_DESIGN_BUDGETS,
     SHARED_DESIGN_GOPS_PER_W,
     SHARED_DESIGN_POWER_W,
+    Table2Row,
 )
 from .transforms import MinimalParams, generate_transforms
 from .workload import Workload
@@ -168,24 +169,6 @@ def recommend(result: SweepResult) -> DesignPoint:
 
 
 @dataclass(frozen=True)
-class Table2Row:
-    name: str
-    m: int | None
-    r: int | None
-    multipliers: int
-    pes: int | None
-    precision_bits: int
-    freq_mhz: float
-    conv_ms: tuple[float, ...]
-    overall_ms: float
-    gops: float
-    gops_per_mult: float
-    power_w: float | None
-    gops_per_w: float | None
-    computed: bool
-
-
-@dataclass(frozen=True)
 class Table2Report:
     groups: tuple[str, ...]
     rows: tuple[Table2Row, ...]
@@ -204,11 +187,7 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
         raise ValueError(
             f"the comparison table is defined for the vgg16d workload, got {workload.name!r}"
         )
-    rows = [
-        Table2Row(m=None, r=None, computed=False,
-                  **{k: v for k, v in vars(ref).items() if k != "note"})
-        for ref in PRIOR_DESIGNS
-    ]
+    rows = list(PRIOR_DESIGNS)
     for m, r, budget in SHARED_DESIGN_BUDGETS:
         params = MinimalParams(m, r)
         hw = HardwareConfig(m_total=budget, t_c=1.0 / freq_hz)
@@ -238,65 +217,53 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_fig1_csv(result: SweepResult, path: str | Path):
     """Per-group multiplication complexity: m, group, O_m."""
     budget0 = min(r.budget for r in result.rows)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "group", "o_m"])
-        for row in result.rows:
-            if row.budget == budget0:
-                w.writerow([row.m, row.group, _fmt(row.o_m)])
+    _write_csv(path, ["m", "group", "o_m"],
+               ([row.m, row.group, _fmt(row.o_m)] for row in result.rows if row.budget == budget0))
 
 
 def write_fig2_csv(result: SweepResult, path: str | Path):
     """Whole-network transform complexity: m, O_t (design totals)."""
     budget0 = min(p.hw.m_total for p in result.points)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "o_t"])
-        for point in result.points:
-            if point.hw.m_total == budget0:
-                w.writerow([point.params.m, _fmt(point.o_t)])
+    _write_csv(path, ["m", "o_t"],
+               ([pt.params.m, _fmt(pt.o_t)] for pt in result.points if pt.hw.m_total == budget0))
 
 
 def write_fig3_csv(result: SweepResult, path: str | Path):
     """Percentage changes between consecutive m, keyed by the destination m."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "pct_mult_decrease", "pct_transform_increase"])
-        for tr in result.transitions:
-            w.writerow([tr.m_to, _fmt(tr.pct_mult_decrease), _fmt(tr.pct_transform_increase)])
+    _write_csv(path, ["m", "pct_mult_decrease", "pct_transform_increase"],
+               ([tr.m_to, _fmt(tr.pct_mult_decrease), _fmt(tr.pct_transform_increase)]
+                for tr in result.transitions))
 
 
 def write_fig6_csv(result: SweepResult, path: str | Path):
     """Throughput surface: m, multipliers, gops."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "multipliers", "gops"])
-        for point in result.points:
-            w.writerow([point.params.m, point.hw.m_total, _fmt(point.throughput / 1e9)])
+    _write_csv(path, ["m", "multipliers", "gops"],
+               ([pt.params.m, pt.hw.m_total, _fmt(pt.throughput / 1e9)] for pt in result.points))
 
 
 def write_table2_csv(report: Table2Report, path: str | Path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["design"] + [f"{g}_ms" for g in report.groups]
-        header += ["overall_ms", "gops", "gops_per_mult"]
-        w.writerow(header)
-        for row in report.rows:
-            w.writerow([row.name] + [_fmt(round(v, 4)) for v in row.conv_ms]
-                       + [_fmt(round(row.overall_ms, 4)), _fmt(round(row.gops, 2)),
-                          _fmt(round(row.gops_per_mult, 4))])
+    header = ["design", *(f"{g}_ms" for g in report.groups), "overall_ms", "gops", "gops_per_mult"]
+    _write_csv(path, header,
+               ([row.name] + [_fmt(round(v, 4)) for v in row.conv_ms]
+                + [_fmt(round(row.overall_ms, 4)), _fmt(round(row.gops, 2)),
+                   _fmt(round(row.gops_per_mult, 4))]
+                for row in report.rows))
 
 
 def write_table2_reference_csv(report: Table2Report, path: str | Path):
     """Echoed static attributes (precision, frequency, power) per design."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["design", "multipliers", "pes", "precision_bits", "freq_mhz",
-                    "power_w", "gops_per_w", "computed"])
-        for row in report.rows:
-            w.writerow([row.name, row.multipliers, _fmt(row.pes), row.precision_bits,
-                        _fmt(row.freq_mhz), _fmt(row.power_w), _fmt(row.gops_per_w),
-                        int(row.computed)])
+    _write_csv(path, ["design", "multipliers", "pes", "precision_bits", "freq_mhz",
+                      "power_w", "gops_per_w", "computed"],
+               ([row.name, row.multipliers, _fmt(row.pes), row.precision_bits,
+                 _fmt(row.freq_mhz), _fmt(row.power_w), _fmt(row.gops_per_w), int(row.computed)]
+                for row in report.rows))

@@ -8,9 +8,7 @@ accumulates the m x m partial result in its output buffer over C channel
 cycles.  Kernels are processed in groups of P (idle PEs compute with zero
 kernels when K is not a multiple of P); loop order is batch, tile position,
 kernel group, channel.  Double buffering is assumed ideal, so no stall
-cycles exist and
-
-    cycles = ceil(Ho/m) * ceil(Wo/m) * C * ceil(K/P) * N + D_p - 1.
+cycles exist and the run takes cost_model.exact_cycles cycles.
 
 Granularity is stage-synchronous ("one tile per stage per cycle"), not
 bit-accurate; that is enough to validate the latency model and the
@@ -28,8 +26,8 @@ The trace counters are summed from the sizes of the arrays each step computes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from math import ceil
+from dataclasses import asdict, dataclass, field
+from math import ceil, isclose
 
 import numpy as np
 
@@ -42,7 +40,15 @@ from .conv import (
     require_floating,
     zero_extend,
 )
-from .cost_model import HardwareConfig, LayerShape, analytical_cycles, pe_count, pipeline_depth
+from .cost_model import (
+    HardwareConfig,
+    LayerShape,
+    analytical_cycles,
+    exact_cycles,
+    pe_count,
+    pipeline_depth,
+    tile_grid,
+)
 from .transforms import MinimalParams, TransformSet, generate_transforms
 
 STAGES = ("data_transform", "hadamard", "inverse_transform")
@@ -53,7 +59,6 @@ class EngineConfig:
     params: MinimalParams
     p: int
     d_p: int
-    clock_period: float
     reference_design: bool = False
 
     def __post_init__(self):
@@ -61,8 +66,6 @@ class EngineConfig:
             raise ValueError(f"PE count must be >= 1, got {self.p}")
         if self.d_p < 3:
             raise ValueError(f"pipeline depth must cover the 3 stages, got {self.d_p}")
-        if self.clock_period <= 0:
-            raise ValueError(f"clock period must be > 0, got {self.clock_period}")
 
 
 @dataclass
@@ -77,22 +80,12 @@ class SimTrace:
     kernel_groups: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "cycles_elapsed": self.cycles_elapsed,
-            "issue_cycles": self.issue_cycles,
-            "stage_busy": self.stage_busy,
-            "data_transform_invocations": self.data_transform_invocations,
-            "inverse_transform_count": self.inverse_transform_count,
-            "hadamard_mult_count": self.hadamard_mult_count,
-            "tiles_per_image": self.tiles_per_image,
-            "kernel_groups": self.kernel_groups,
-        })
+        return json.dumps(asdict(self))
 
 
 def expected_cycles(cfg: EngineConfig, layer: LayerShape) -> int:
     """Closed-form cycle count of simulate_layer for the same shapes."""
-    tiles = ceil(layer.h / cfg.params.m) * ceil(layer.w / cfg.params.m)
-    return tiles * layer.c * ceil(layer.k / cfg.p) * layer.n + cfg.d_p - 1
+    return exact_cycles(layer, cfg.params, cfg.p, cfg.d_p)
 
 
 def simulate_layer(
@@ -103,8 +96,6 @@ def simulate_layer(
     ts: TransformSet | None = None,
 ) -> tuple[FeatureMap, SimTrace]:
     """Run the engine over one layer; returns the output map and the trace."""
-    if kernels.r != cfg.params.r:
-        raise ValueError(f"kernel size {kernels.r} does not match engine r={cfg.params.r}")
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
     require_floating("feature map", fmap.data)  # precompute_filter_transforms checks the kernels
@@ -116,13 +107,13 @@ def simulate_layer(
     m, alpha = cfg.params.m, cfg.params.alpha
     p = cfg.p
     dtype = fmap.data.dtype
-    ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, cfg.params.r)
     n_groups = ceil(kernels.k / p)
 
     # Filter transforms are precomputed before the run; idle PE slots in the
     # last kernel group hold zero kernels.
     v = np.zeros((n_groups * p, kernels.c, alpha, alpha), dtype=dtype)
     v[: kernels.k] = precompute_filter_transforms(kernels, ts)
+    ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, cfg.params.r)
 
     bt = ts.b.T.astype(dtype)
     b = ts.b.astype(dtype)
@@ -161,16 +152,10 @@ class ValidationReport:
 
     @property
     def consistent(self) -> bool:
-        return abs(self.gap_cycles - self.ceiling_overhead) < 1e-9
+        return isclose(self.gap_cycles, self.ceiling_overhead, rel_tol=1e-9, abs_tol=1e-6)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "simulated_cycles": self.simulated_cycles,
-            "analytical_cycles": self.analytical_cycles,
-            "gap_cycles": self.gap_cycles,
-            "ceiling_overhead": self.ceiling_overhead,
-            "consistent": self.consistent,
-        })
+        return json.dumps({**asdict(self), "consistent": self.consistent})
 
 
 def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> ValidationReport:
@@ -184,9 +169,9 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
     m = cfg.params.m
     simulated = expected_cycles(cfg, layer)
     analytical = analytical_cycles(layer, cfg.params, cfg.p, cfg.d_p)
-    tiles_ceil = ceil(layer.h / m) * ceil(layer.w / m)
+    ty, tx = tile_grid(layer.h, layer.w, m)
     overhead = (
-        tiles_ceil * ceil(layer.k / cfg.p) - (layer.h * layer.w / (m * m)) * (layer.k / cfg.p)
+        ty * tx * ceil(layer.k / cfg.p) - (layer.h * layer.w / (m * m)) * (layer.k / cfg.p)
     ) * layer.c * layer.n
     return ValidationReport(
         simulated_cycles=simulated,
@@ -204,6 +189,5 @@ def engine_config_for(
         params=params,
         p=pe_count(hw, params),
         d_p=pipeline_depth(params, hw),
-        clock_period=hw.t_c,
         reference_design=reference_design,
     )

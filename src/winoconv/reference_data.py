@@ -1,10 +1,11 @@
-"""Static reference rows for report tables.
+"""The Table 2 row type and the static reference rows of report tables.
 
+Table2Row is one design of the VGG16-D comparison, published or computed.
 Published measurements of prior FPGA accelerator implementations and of the
-synthesized builds of this architecture (frequency, power, logic resources).
-None of these values is computed by this package: synthesis, clock and power
-numbers require an actual FPGA flow, so reports only echo them next to the
-quantities the models do derive.
+synthesized builds of this architecture (frequency, power, logic resources)
+are not computed by this package: synthesis, clock and power numbers require
+an actual FPGA flow, so reports only echo them next to the quantities the
+models do derive.
 """
 
 from __future__ import annotations
@@ -13,26 +14,29 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class ReferenceDesign:
-    """One published accelerator evaluation on the VGG16-D conv layers."""
+class Table2Row:
+    """One design on the VGG16-D conv layers: modeled at F(m, r) if computed, else published."""
 
     name: str
     multipliers: int
     pes: int | None
     precision_bits: int
     freq_mhz: float
-    conv_ms: tuple[float, float, float, float, float]
+    conv_ms: tuple[float, ...]
     overall_ms: float
     gops: float
     gops_per_mult: float
-    power_w: float
-    gops_per_w: float
+    power_w: float | None
+    gops_per_w: float | None
+    m: int | None = None
+    r: int | None = None
+    computed: bool = False
     note: str = ""
 
 
 # Prior published designs (static echo only).
 PRIOR_DESIGNS = (
-    ReferenceDesign(
+    Table2Row(
         name="prior_zynq_16bit",
         multipliers=780, pes=None, precision_bits=16, freq_mhz=150.0,
         conv_ms=(31.29, 23.58, 39.29, 36.30, 32.95),
@@ -40,7 +44,7 @@ PRIOR_DESIGNS = (
         power_w=9.63, gops_per_w=19.50,
         note="older embedded implementation, fixed point",
     ),
-    ReferenceDesign(
+    Table2Row(
         name="prior_1d_engine",
         multipliers=256, pes=16, precision_bits=32, freq_mhz=200.0,
         conv_ms=(16.81, 24.08, 40.14, 40.14, 12.04),
@@ -48,7 +52,7 @@ PRIOR_DESIGNS = (
         power_w=8.04, gops_per_w=28.66,
         note="per-PE data transform, F(2x2,3x3), as published",
     ),
-    ReferenceDesign(
+    Table2Row(
         name="prior_1d_engine_norm688",
         multipliers=688, pes=43, precision_bits=32, freq_mhz=200.0,
         conv_ms=(6.25, 8.96, 14.94, 14.94, 4.48),

@@ -103,6 +103,14 @@ def test_simulate_subcommand(tmp_path, capsys):
                  "--width", "14", "--pes", "4", "--seed", "7",
                  "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+    assert lines == [
+        '{"cycles_elapsed": 132, "issue_cycles": 128, "stage_busy": {"data_transform": 128, '
+        '"hadamard": 128, "inverse_transform": 128}, "data_transform_invocations": 128, '
+        '"inverse_transform_count": 512, "hadamard_mult_count": 18432, "tiles_per_image": 16, '
+        '"kernel_groups": 2}',
+        '{"simulated_cycles": 132, "analytical_cycles": 102.0, "gap_cycles": 30.0, '
+        '"ceiling_overhead": 30.0, "consistent": true}',
+    ]
     trace = json.loads(lines[0])
     report = json.loads(lines[1])
     assert trace["issue_cycles"] == 16 * 4 * 2

@@ -8,9 +8,9 @@ from winoconv.conv import (
     output_hw,
     precompute_filter_transforms,
     spatial_conv,
-    tile_grid,
     winograd_conv,
 )
+from winoconv.cost_model import tile_grid
 from winoconv.pipeline_sim import EngineConfig, simulate_layer
 from winoconv.transforms import (
     MinimalParams,
@@ -83,6 +83,25 @@ def test_spatial_rejects_integer_map_with_float_kernels():
         spatial_conv(FeatureMap(np.ones((1, 1, 4, 4), dtype=np.int32)), kern, ConvSpec())
     out = spatial_conv(FeatureMap(np.ones((1, 1, 4, 4), dtype=np.float32)), kern, ConvSpec())
     assert np.array_equal(out.data, np.full((1, 1, 2, 2), 4.5, dtype=np.float32))
+
+
+def test_spatial_rejects_integer_sums_beyond_exact_range():
+    # int32 sums of 144 * 2^32 overflow the map's dtype; int64 sums near
+    # 9 * 2^53 lose their low bits in the float64 accumulator; a uint8 map
+    # cannot hold the sum -9
+    for d, g in (((1, 16, 4, 4), 2**20, np.int32), ((1, 16, 3, 3), 2**12, np.int32)), \
+                (((1, 1, 3, 3), 2**40 + 1, np.int64), ((1, 1, 3, 3), 2**13 + 1, np.int64)), \
+                (((1, 1, 3, 3), 1, np.uint8), ((1, 1, 3, 3), -1, np.int8)):
+        fmap, kern = FeatureMap(np.full(*d)), KernelBank(np.full(*g))
+        with pytest.raises(ValueError, match="exact range"):
+            spatial_conv(fmap, kern, ConvSpec())
+    # sums inside the range stay exact and keep the map's dtype
+    out = spatial_conv(FeatureMap(np.full((1, 16, 4, 4), 2**10, np.int32)),
+                       KernelBank(np.full((1, 16, 3, 3), 2**12, np.int32)), ConvSpec())
+    assert out.data.dtype == np.int32 and (out.data == 144 * 2**22).all()
+    out = spatial_conv(FeatureMap(np.full((1, 1, 3, 3), 2**40 + 1, np.int64)),
+                       KernelBank(np.full((1, 1, 3, 3), 2**8 + 1, np.int64)), ConvSpec())
+    assert out.data.dtype == np.int64 and out.data.item() == 9 * (2**40 + 1) * (2**8 + 1)
 
 
 def test_spatial_channel_mismatch():
@@ -212,7 +231,7 @@ def test_integer_input_rejected():
     fmap = FeatureMap(rng.integers(-3, 4, (1, 2, 8, 8)).astype(np.int32))
     kern = KernelBank(rng.integers(-3, 4, (2, 2, 3, 3)).astype(np.int32))
     ts = generate_transforms(MinimalParams(2, 3))
-    cfg = EngineConfig(ts.params, p=2, d_p=4, clock_period=5e-9)
+    cfg = EngineConfig(ts.params, p=2, d_p=4)
     spec = ConvSpec(pad=1)
     with pytest.raises(ValueError, match="floating point"):
         winograd_conv(fmap, kern, spec, ts)

@@ -4,9 +4,11 @@ from winoconv.cost_model import (
     HardwareConfig,
     LayerShape,
     TransformOpCounts,
+    analytical_cycles,
     count_transform_ops,
     default_pipeline_depth,
     evaluate_design,
+    exact_cycles,
     implementation_transform_complexity,
     layer_latency,
     lut_total,
@@ -14,6 +16,7 @@ from winoconv.cost_model import (
     pe_count,
     spatial_ops,
     throughput,
+    tile_grid,
     transform_complexity,
 )
 from winoconv.transforms import MinimalParams, generate_transforms
@@ -155,6 +158,19 @@ def test_layer_latency_single_tile_is_pipeline_depth():
     params = MinimalParams(2, 3)
     one_tile = LayerShape(n=1, h=2, w=2, c=1, k=1, r=3)
     assert layer_latency(one_tile, params, 1, hw) == pytest.approx(7 * 5e-9)
+
+
+def test_exact_cycles_pay_tile_and_kernel_group_ceilings():
+    params = MinimalParams(4, 3)
+    # 14 x 14 output gives 4 x 4 tiles; K = 8 on P = 3 gives 3 kernel groups
+    assert tile_grid(14, 14, 4) == (4, 4)
+    layer = LayerShape(n=2, h=14, w=14, c=5, k=8, r=3)
+    assert exact_cycles(layer, params, 3, 5) == 16 * 5 * 3 * 2 + 4
+    # whole tiles and whole kernel groups: the fractional count is exact
+    whole = LayerShape(n=1, h=16, w=12, c=3, k=8, r=3)
+    assert exact_cycles(whole, params, 4, 5) == analytical_cycles(whole, params, 4, 5) == 76
+    with pytest.raises(ValueError, match="PE count"):
+        exact_cycles(layer, params, 0, 5)
 
 
 def test_latency_scaling_invariants():
