@@ -13,7 +13,8 @@ alpha^2 tile positions (xi, nu) one GEMM
 
     M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx]
 
-and then one inverse transform per (image, kernel, output tile).  The
+and then one inverse transform per (image, kernel, output tile).  V is one
+GEMM kron(G, G) @ [r^2 x K*C], stored in that (alpha^2, K, C) layout.  The
 hardware order -- inverse transform per channel, then accumulation over C
 cycles -- is modeled by pipeline_sim.simulate_layer.  Both Winograd paths
 need floating-point input: the transforms have fractional entries.
@@ -111,11 +112,13 @@ def spatial_conv(
 ) -> FeatureMap:
     """Direct convolution; every output pixel is a triple sum in float64.
 
-    Keeps the map's dtype.  An integer map raises ValueError with float kernels,
-    which would truncate, and when a sum is not exact in float64 or its dtype.
+    Keeps the map's dtype.  Raises ValueError for a bool map, and for an integer map
+    with float kernels, which would truncate, or with a sum not exact in float64 or its dtype.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    if fmap.data.dtype == np.bool_:
+        raise ValueError("feature map must be numeric, got bool")
     if np.issubdtype(kernels.data.dtype, np.floating):
         require_floating("feature map", fmap.data)
     r = kernels.r
@@ -148,14 +151,21 @@ def require_floating(what: str, data: np.ndarray) -> None:
 
 
 def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.ndarray:
-    """Transform every (k, c) kernel slice: returns (K, C, alpha, alpha)."""
+    """G g G^T of every (k, c) kernel slice as one GEMM, in the kernels' dtype.
+
+    Returns (K, C, alpha, alpha) as a view of an (alpha^2, K, C) array.
+    """
     if kernels.r != ts.params.r:
         raise ValueError(
             f"kernel size {kernels.r} does not match transform set r={ts.params.r}"
         )
     require_floating("kernel bank", kernels.data)
-    g = ts.g.astype(kernels.data.dtype)
-    return np.einsum("ij,kcjl,ol->kcio", g, kernels.data, g, optimize=True)
+    k, c, r, alpha = kernels.k, kernels.c, kernels.r, ts.params.alpha
+    # Rows padded by 16 elements: a row stride of a multiple of 4 KiB (as at K*C = 512*512)
+    # makes the rows share cache sets, and the GEMM ran 3x slower.
+    v = np.empty((alpha * alpha, k * c + 16), kernels.data.dtype)[:, : k * c]
+    np.matmul(ts.kron_g.astype(v.dtype), kernels.data.reshape(k * c, r * r).T, out=v)
+    return v.reshape(alpha, alpha, k, c).transpose(2, 3, 0, 1)
 
 
 def zero_extend(
@@ -197,18 +207,17 @@ def winograd_conv(
     m, alpha = ts.params.m, ts.params.alpha
     n, c, k = fmap.n, fmap.c, kernels.k
     dtype = fmap.data.dtype
-    v = precompute_filter_transforms(kernels, ts).astype(dtype, copy=False)
-    v = v.transpose(2, 3, 0, 1).reshape(alpha * alpha, k, c)
+    v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1).reshape(alpha * alpha, k, c)
 
     ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, ts.params.r)
     tiles = n * ty * tx
     # Transforms act on row-major flattened tiles: vec(X^T d X) = kron(X^T, X^T) vec(d).
     d = extract_tiles(ext, m, alpha).transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, c * tiles)
-    u = (np.kron(ts.bt, ts.bt).astype(dtype) @ d).reshape(alpha * alpha, c, tiles)
-    prod = np.matmul(v, u)  # (alpha^2, K, tiles), summed over channels
+    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, tiles)
+    prod = np.matmul(v.astype(dtype, copy=False), u)  # (alpha^2, K, tiles), summed over C
     if counter is not None:
         counter.add(prod.size * c)
-    y = np.kron(ts.at, ts.at).astype(dtype) @ prod.reshape(alpha * alpha, k * tiles)
+    y = ts.kron_at.astype(dtype) @ prod.reshape(alpha * alpha, k * tiles)
 
     out = y.reshape(m, m, k, n, ty, tx).transpose(3, 2, 4, 0, 5, 1).reshape(n, k, ty * m, tx * m)
     return FeatureMap(np.ascontiguousarray(out[:, :, :h_out, :w_out]))

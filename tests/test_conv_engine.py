@@ -104,6 +104,14 @@ def test_spatial_rejects_integer_sums_beyond_exact_range():
     assert out.data.dtype == np.int64 and out.data.item() == 9 * (2**40 + 1) * (2**8 + 1)
 
 
+def test_spatial_rejects_bool_map():
+    # bool sums were cast back to bool: nine True products returned True, not 9
+    fmap = FeatureMap(np.ones((1, 1, 3, 3), dtype=bool))
+    kern = KernelBank(np.ones((1, 1, 3, 3), dtype=bool))
+    with pytest.raises(ValueError, match="bool"):
+        spatial_conv(fmap, kern, ConvSpec())
+
+
 def test_spatial_channel_mismatch():
     fmap = FeatureMap(np.ones((1, 2, 4, 4), dtype=np.float32))
     kern = KernelBank(np.ones((1, 3, 3, 3), dtype=np.float32))
@@ -223,6 +231,22 @@ def test_precompute_filter_transforms():
 
     with pytest.raises(ValueError, match="does not match"):
         precompute_filter_transforms(KernelBank(np.ones((1, 1, 5, 5))), ts)
+
+    for m in range(1, 7):
+        for r in (1, 3, 5):
+            ts = generate_transforms(MinimalParams(m, r))
+            a = ts.params.alpha
+            kern = KernelBank(rng.standard_normal((3, 2, r, r)))
+            v = precompute_filter_transforms(kern, ts)
+            assert v.shape == (3, 2, a, a) and v.dtype == np.float64
+            for k in range(3):
+                for c in range(2):
+                    np.testing.assert_allclose(v[k, c], ts.g @ kern.data[k, c] @ ts.g.T,
+                                               rtol=1e-12)
+            # winograd_conv's (alpha^2, K, C) operand is a view, not a copy
+            assert np.shares_memory(v, v.transpose(2, 3, 0, 1).reshape(a * a, 3, 2))
+            v32 = precompute_filter_transforms(KernelBank(kern.data.astype(np.float32)), ts)
+            assert v32.dtype == np.float32
 
 
 def test_integer_input_rejected():

@@ -234,3 +234,26 @@ def test_transform_set_is_frozen():
     ts = generate_transforms(MinimalParams(2, 3))
     with pytest.raises(AttributeError):
         ts.params = MinimalParams(3, 3)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_kron_forms_equal_np_kron_and_are_cached(m, r):
+    ts = generate_transforms(MinimalParams(m, r))
+    same = generate_transforms(MinimalParams(m, r))
+    other = generate_transforms(MinimalParams(m + 1, r))
+
+    def outcomes():
+        try:
+            same_eq = ts == same
+        except ValueError:  # dataclass equality compares the float arrays
+            same_eq = "ambiguous"
+        return ts == ts, same_eq, ts == other
+
+    before = outcomes()
+    for name, x in (("kron_bt", ts.bt), ("kron_at", ts.at), ("kron_g", ts.g)):
+        kron = getattr(ts, name)
+        assert kron.dtype == np.float64
+        assert np.array_equal(kron, np.kron(x, x))
+        assert getattr(ts, name) is kron
+    assert outcomes() == before
