@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dse as dse_mod
 from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, spatial_conv, winograd_conv
-from .cost_model import HardwareConfig, LayerShape
+from .cost_model import HardwareConfig, LayerShape, clock_period
 from .pipeline_sim import engine_config_for, simulate_layer, validate_against_analytical
 from .tensor_io import load_tensor, save_tensor
 from .transforms import (
@@ -94,7 +94,7 @@ def cmd_conv(args) -> int:
 
 def cmd_dse(args) -> int:
     workload = load_workload(args.workload)
-    hw = HardwareConfig(m_total=max(args.budgets), t_c=1.0 / (args.freq_mhz * 1e6))
+    hw = HardwareConfig(m_total=max(args.budgets), t_c=clock_period(args.freq_mhz * 1e6))
     spec = dse_mod.SweepSpec(
         m_values=tuple(args.m_values), r=args.r, budgets=tuple(args.budgets),
         workload=workload, hw=hw,
@@ -121,8 +121,8 @@ def cmd_simulate(args) -> int:
     params = MinimalParams(args.m, args.r)
     # --pes sizes the array directly: a budget of exactly that many PEs.
     budget = args.pes * params.alpha**2 if args.pes else args.multipliers
-    hw = HardwareConfig(m_total=budget, t_c=1.0 / (args.freq_mhz * 1e6), d_p=args.d_p)
-    cfg = engine_config_for(params, hw, args.reference_design)
+    hw = HardwareConfig(m_total=budget, t_c=clock_period(args.freq_mhz * 1e6), d_p=args.d_p)
+    cfg = engine_config_for(params, hw)
 
     rng = np.random.default_rng(args.seed)
     fmap = FeatureMap(rng.standard_normal((args.n, args.c, args.height, args.width))
@@ -209,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multipliers", type=int, default=700)
     p.add_argument("--d-p", type=int, default=None, help="pipeline depth override")
     p.add_argument("--freq-mhz", type=float, default=200.0)
-    p.add_argument("--reference-design", action="store_true",
-                   help="recompute the data transform in every PE")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_simulate)

@@ -4,10 +4,13 @@ Both paths compute cross-correlation (no kernel flip): for stride 1,
 
     Y[i, k, x, y] = sum_c sum_u sum_v D[i, c, x+u, y+v] * G[k, c, u, v]
 
-Layouts are fixed to N-C-H-W feature maps and K-C-r-r kernel banks.  The
-Winograd path decomposes the padded input into overlapping alpha x alpha
-tiles with stride m; partial edge tiles are zero-padded to alpha and the
-excess output rows/columns are discarded.  Channels are summed in the
+Layouts are fixed to N-C-H-W feature maps and K-C-r-r kernel banks.  Both
+Winograd paths (winograd_conv and pipeline_sim.simulate_layer) share one
+layer frame: tiles checks the operands and decomposes the padded input into
+overlapping alpha x alpha tiles with stride m, partial edge tiles zero-padded
+to alpha; untile reassembles the m x m output tiles and discards the excess
+output rows/columns.  The spatial path keeps its own padding, so a tiling bug
+cannot hide in the oracle too.  In winograd_conv channels are summed in the
 transformed domain (Lavin & Gray, arXiv:1509.09308): for each of the
 alpha^2 tile positions (xi, nu) one GEMM
 
@@ -112,11 +115,15 @@ def spatial_conv(
 ) -> FeatureMap:
     """Direct convolution; every output pixel is a triple sum in float64.
 
-    Keeps the map's dtype.  Raises ValueError for a bool map, and for an integer map
-    with float kernels, which would truncate, or with a sum not exact in float64 or its dtype.
+    Keeps the map's dtype.  Raises ValueError for complex operands, whose imaginary part
+    the float64 sum would drop, for a bool map, and for an integer map with float kernels,
+    which would truncate, or with a sum not exact in float64 or its dtype.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    for what, data in (("feature map", fmap.data), ("kernel bank", kernels.data)):
+        if np.iscomplexobj(data):
+            raise ValueError(f"{what} must be real, got {data.dtype}")
     if fmap.data.dtype == np.bool_:
         raise ValueError("feature map must be numeric, got bool")
     if np.issubdtype(kernels.data.dtype, np.floating):
@@ -168,25 +175,31 @@ def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.nd
     return v.reshape(alpha, alpha, k, c).transpose(2, 3, 0, 1)
 
 
-def zero_extend(
-    fmap: FeatureMap, spec: ConvSpec, m: int, r: int
-) -> tuple[np.ndarray, int, int, int, int]:
-    """Pad the map and zero-extend it so every tile, partial edge tiles included, is full size.
+def tiles(
+    fmap: FeatureMap, kernels: KernelBank, spec: ConvSpec, m: int
+) -> tuple[np.ndarray, int, int]:
+    """The Winograd layer frame: check the operands, pad the map and cut it into tiles.
 
-    Returns (ext, H_out, W_out, Ty, Tx): ext is (N, C, Ty*m + r-1, Tx*m + r-1)
-    in the map's dtype and holds the Ty x Tx alpha x alpha tiles at stride m.
+    Returns (tiles, H_out, W_out): tiles is an (N, C, Ty, Tx, alpha, alpha) view of every
+    alpha x alpha tile at stride m, alpha = m + r - 1, in the map's dtype.  The padded map
+    is zero-extended so that partial edge tiles are full size.
     """
+    if fmap.c != kernels.c:
+        raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    require_floating("feature map", fmap.data)
+    r = kernels.r
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
     ty, tx = tile_grid(h_out, w_out, m)
     ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=fmap.data.dtype)
     ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
-    return ext, h_out, w_out, ty, tx
+    win = np.lib.stride_tricks.sliding_window_view(ext, (m + r - 1, m + r - 1), axis=(2, 3))
+    return win[:, :, ::m, ::m], h_out, w_out
 
 
-def extract_tiles(padded_ext: np.ndarray, m: int, alpha: int) -> np.ndarray:
-    """View of all alpha x alpha tiles at stride m: (N, C, Ty, Tx, alpha, alpha)."""
-    win = np.lib.stride_tricks.sliding_window_view(padded_ext, (alpha, alpha), axis=(2, 3))
-    return win[:, :, ::m, ::m]
+def untile(y: np.ndarray, h_out: int, w_out: int) -> FeatureMap:
+    """(N, K, Ty, m, Tx, m) output tiles as the contiguous N-K-H_out-W_out map."""
+    n, k, ty, m, tx, _ = y.shape
+    return FeatureMap(np.ascontiguousarray(y.reshape(n, k, ty * m, tx * m)[:, :, :h_out, :w_out]))
 
 
 def winograd_conv(
@@ -201,23 +214,18 @@ def winograd_conv(
     Computes in the feature map's dtype and returns it; integer input raises
     ValueError.
     """
-    if fmap.c != kernels.c:
-        raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
-    require_floating("feature map", fmap.data)
     m, alpha = ts.params.m, ts.params.alpha
-    n, c, k = fmap.n, fmap.c, kernels.k
-    dtype = fmap.data.dtype
+    d, h_out, w_out = tiles(fmap, kernels, spec, m)
+    n, c, ty, tx = d.shape[:4]
+    k, dtype = kernels.k, fmap.data.dtype
     v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1).reshape(alpha * alpha, k, c)
 
-    ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, ts.params.r)
-    tiles = n * ty * tx
+    n_tiles = n * ty * tx
     # Transforms act on row-major flattened tiles: vec(X^T d X) = kron(X^T, X^T) vec(d).
-    d = extract_tiles(ext, m, alpha).transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, c * tiles)
-    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, tiles)
+    d = d.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, c * n_tiles)
+    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, n_tiles)
     prod = np.matmul(v.astype(dtype, copy=False), u)  # (alpha^2, K, tiles), summed over C
     if counter is not None:
         counter.add(prod.size * c)
-    y = ts.kron_at.astype(dtype) @ prod.reshape(alpha * alpha, k * tiles)
-
-    out = y.reshape(m, m, k, n, ty, tx).transpose(3, 2, 4, 0, 5, 1).reshape(n, k, ty * m, tx * m)
-    return FeatureMap(np.ascontiguousarray(out[:, :, :h_out, :w_out]))
+    y = ts.kron_at.astype(dtype) @ prod.reshape(alpha * alpha, k * n_tiles)
+    return untile(y.reshape(m, m, k, n, ty, tx).transpose(3, 2, 4, 0, 5, 1), h_out, w_out)

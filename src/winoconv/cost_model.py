@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, log2
+from math import ceil, inf, log2
 from typing import Iterable, Sequence
 
 from .transforms import MinimalParams, TransformSet
@@ -91,10 +91,17 @@ class HardwareConfig:
     def __post_init__(self):
         if self.m_total < 1:
             raise ValueError(f"multiplier budget must be >= 1, got {self.m_total}")
-        if self.t_c <= 0:
-            raise ValueError(f"clock period must be > 0, got {self.t_c}")
+        if not 0 < self.t_c < inf:
+            raise ValueError(f"clock period must be positive and finite, got {self.t_c}")
         if self.d_p is not None and self.d_p < 1:
             raise ValueError(f"pipeline depth must be >= 1, got {self.d_p}")
+
+
+def clock_period(freq_hz: float) -> float:
+    """1 / freq_hz; raises ValueError unless the frequency is positive and finite."""
+    if not 0 < freq_hz < inf:
+        raise ValueError(f"clock frequency must be positive and finite, got {freq_hz} Hz")
+    return 1.0 / freq_hz
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .cost_model import (
     DesignPoint,
     HardwareConfig,
     TransformOpCounts,
+    clock_period,
     count_transform_ops,
     evaluate_design,
 )
@@ -190,7 +191,7 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
     rows = list(PRIOR_DESIGNS)
     for m, r, budget in SHARED_DESIGN_BUDGETS:
         params = MinimalParams(m, r)
-        hw = HardwareConfig(m_total=budget, t_c=1.0 / freq_hz)
+        hw = HardwareConfig(m_total=budget, t_c=clock_period(freq_hz))
         ts = generate_transforms(params)
         counts = count_transform_ops(ts)
         point = evaluate_design(workload.shapes, params, hw, counts)

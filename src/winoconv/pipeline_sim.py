@@ -12,9 +12,9 @@ cycles exist and the run takes cost_model.exact_cycles cycles.
 
 Granularity is stage-synchronous ("one tile per stage per cycle"), not
 bit-accurate; that is enough to validate the latency model and the
-shared-transform economy.  In reference-design mode every PE recomputes the
-data transform itself, which multiplies the transform invocation count by P
-without changing latency or output.
+shared-transform economy.  In the reference design every PE transforms its
+own tile on every issue cycle, idle PEs included: its data-transform count is
+P x issue_cycles, which the trace records as inverse_transform_count.
 
 The modeled loop order is unchanged; execution batches it.  Every tile is
 data-transformed once, then one step per channel computes all of that
@@ -31,15 +31,7 @@ from math import ceil, isclose
 
 import numpy as np
 
-from .conv import (
-    ConvSpec,
-    FeatureMap,
-    KernelBank,
-    extract_tiles,
-    precompute_filter_transforms,
-    require_floating,
-    zero_extend,
-)
+from .conv import ConvSpec, FeatureMap, KernelBank, precompute_filter_transforms, tiles, untile
 from .cost_model import (
     HardwareConfig,
     LayerShape,
@@ -59,7 +51,6 @@ class EngineConfig:
     params: MinimalParams
     p: int
     d_p: int
-    reference_design: bool = False
 
     def __post_init__(self):
         if self.p < 1:
@@ -96,9 +87,7 @@ def simulate_layer(
     ts: TransformSet | None = None,
 ) -> tuple[FeatureMap, SimTrace]:
     """Run the engine over one layer; returns the output map and the trace."""
-    if fmap.c != kernels.c:
-        raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
-    require_floating("feature map", fmap.data)  # precompute_filter_transforms checks the kernels
+    d, h_out, w_out = tiles(fmap, kernels, spec, cfg.params.m)
     if ts is None:
         ts = generate_transforms(cfg.params)
     elif ts.params != cfg.params:
@@ -108,12 +97,12 @@ def simulate_layer(
     p = cfg.p
     dtype = fmap.data.dtype
     n_groups = ceil(kernels.k / p)
+    ty, tx = d.shape[2:4]
 
     # Filter transforms are precomputed before the run; idle PE slots in the
     # last kernel group hold zero kernels.
     v = np.zeros((n_groups * p, kernels.c, alpha, alpha), dtype=dtype)
     v[: kernels.k] = precompute_filter_transforms(kernels, ts)
-    ext, h_out, w_out, ty, tx = zero_extend(fmap, spec, m, cfg.params.r)
 
     bt = ts.b.T.astype(dtype)
     b = ts.b.astype(dtype)
@@ -121,7 +110,7 @@ def simulate_layer(
     a = ts.a.astype(dtype)
 
     # The shared data transform of every tile, (N, C, Ty, Tx, alpha, alpha).
-    u = bt @ extract_tiles(ext, m, alpha) @ b
+    u = bt @ d @ b
     trace = SimTrace(tiles_per_image=ty * tx, kernel_groups=n_groups)
     accum = np.zeros((fmap.n, ty, tx, n_groups * p, m, m), dtype=dtype)  # PE output buffers
 
@@ -131,16 +120,14 @@ def simulate_layer(
         accum += at @ prod @ a
         issued = prod.size // (p * alpha * alpha)
         trace.issue_cycles += issued
-        trace.data_transform_invocations += issued * (p if cfg.reference_design else 1)
+        trace.data_transform_invocations += issued
         trace.hadamard_mult_count += prod.size
         trace.inverse_transform_count += prod.size // (alpha * alpha)
 
-    out = accum[:, :, :, : kernels.k].transpose(0, 3, 1, 4, 2, 5)
-    out = out.reshape(fmap.n, kernels.k, ty * m, tx * m)
     for stage in STAGES:
         trace.stage_busy[stage] = trace.issue_cycles
     trace.cycles_elapsed = trace.issue_cycles + cfg.d_p - 1
-    return FeatureMap(np.ascontiguousarray(out[:, :, :h_out, :w_out])), trace
+    return untile(accum[:, :, :, : kernels.k].transpose(0, 3, 1, 4, 2, 5), h_out, w_out), trace
 
 
 @dataclass(frozen=True)
@@ -181,13 +168,6 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
     )
 
 
-def engine_config_for(
-    params: MinimalParams, hw: HardwareConfig, reference_design: bool = False
-) -> EngineConfig:
+def engine_config_for(params: MinimalParams, hw: HardwareConfig) -> EngineConfig:
     """Engine sized to a hardware budget: P from the multiplier count."""
-    return EngineConfig(
-        params=params,
-        p=pe_count(hw, params),
-        d_p=pipeline_depth(params, hw),
-        reference_design=reference_design,
-    )
+    return EngineConfig(params=params, p=pe_count(hw, params), d_p=pipeline_depth(params, hw))

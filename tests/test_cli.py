@@ -120,12 +120,15 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert arr.shape == (1, 8, 14, 14)
 
 
-def test_simulate_reference_mode(tmp_path):
-    assert main(["simulate", "--m", "2", "--c", "2", "--k", "4", "--height", "6",
-                 "--width", "6", "--pes", "2", "--seed", "7", "--reference-design",
-                 "--outdir", str(tmp_path)]) == 0
-    trace = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
-    assert trace["data_transform_invocations"] == 2 * trace["issue_cycles"]
+@pytest.mark.parametrize("sub", [["dse"], ["report"], ["simulate", "--m", "2"]])
+@pytest.mark.parametrize("freq", ["0", "nan"])
+def test_bad_frequency_is_an_error(tmp_path, capsys, sub, freq):
+    # 0 raised ZeroDivisionError; nan wrote fig CSVs full of nan and exited 0
+    outdir = tmp_path / "out"
+    assert main(sub + ["--freq-mhz", freq, "--outdir", str(outdir)]) == 1
+    assert "error: builtins.ValueError: clock frequency must be positive and finite" \
+        in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_simulate_deterministic_with_seed(tmp_path):

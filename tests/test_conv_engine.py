@@ -112,6 +112,15 @@ def test_spatial_rejects_bool_map():
         spatial_conv(fmap, kern, ConvSpec())
 
 
+def test_spatial_rejects_complex_operands():
+    # the float64 sum dropped the imaginary part: 1+1j maps gave 9+0j, 1j kernels gave 0
+    ones = np.ones((1, 1, 3, 3), dtype=int)
+    for fmap, kern, what in ((ones + 1j, ones, "feature map"),
+                             (ones + 0.0, 1j * ones, "kernel bank")):
+        with pytest.raises(ValueError, match=f"{what} must be real, got complex128"):
+            spatial_conv(FeatureMap(fmap), KernelBank(kern), ConvSpec())
+
+
 def test_spatial_channel_mismatch():
     fmap = FeatureMap(np.ones((1, 2, 4, 4), dtype=np.float32))
     kern = KernelBank(np.ones((1, 3, 3, 3), dtype=np.float32))
@@ -258,21 +267,27 @@ def test_integer_input_rejected():
     cfg = EngineConfig(ts.params, p=2, d_p=4)
     spec = ConvSpec(pad=1)
     with pytest.raises(ValueError, match="floating point"):
-        winograd_conv(fmap, kern, spec, ts)
-    with pytest.raises(ValueError, match="floating point"):
-        simulate_layer(cfg, fmap, kern, spec, ts)
-    with pytest.raises(ValueError, match="floating point"):
         precompute_filter_transforms(kern, ts)
 
-    # either operand alone being integer is rejected
+    # both Winograd paths share one layer frame and raise the same message per fault
     fmap32 = FeatureMap(fmap.data.astype(np.float32))
     kern32 = KernelBank(kern.data.astype(np.float32))
-    for engine in (lambda x, w: winograd_conv(x, w, spec, ts),
-                   lambda x, w: simulate_layer(cfg, x, w, spec, ts)):
-        with pytest.raises(ValueError, match="kernel bank must be floating point"):
-            engine(fmap32, kern)
-        with pytest.raises(ValueError, match="feature map must be floating point"):
-            engine(fmap, kern32)
+    faults = [
+        (fmap32, KernelBank(np.ones((2, 3, 3, 3), np.float32)),
+         "channel mismatch: input has 2, kernels have 3"),
+        (fmap32, KernelBank(np.ones((2, 2, 5, 5), np.float32)),
+         "kernel size 5 does not match transform set r=3"),
+        (fmap, kern32, "feature map must be floating point, got int32"),
+        (fmap32, kern, "kernel bank must be floating point, got int32"),
+        (fmap, kern, "feature map must be floating point, got int32"),
+        (FeatureMap(fmap.data + 1j), kern32, "feature map must be floating point, got complex128"),
+        (FeatureMap(np.ones((1, 2, 1, 8), np.float32)), kern32,
+         "kernel 3x3 with pad 0 does not fit 1x8 input"),
+    ]
+    for x, w, message in faults:
+        for engine in (winograd_conv, lambda *args: simulate_layer(cfg, *args)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                engine(x, w, ConvSpec(), ts)
     # the spatial oracle still takes integers
     assert spatial_conv(fmap, kern, spec).data.dtype == np.int32
 

@@ -219,5 +219,9 @@ def test_validation_errors():
         HardwareConfig(0, 5e-9)
     with pytest.raises(ValueError):
         HardwareConfig(100, 0.0)
+    # nan <= 0 is False, so a nan period was accepted and priced every design at nan
+    for t_c in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            HardwareConfig(100, t_c)
     with pytest.raises(ValueError):
         TransformOpCounts(-1, 0, 0)

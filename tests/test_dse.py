@@ -201,6 +201,12 @@ def test_table2_requires_vgg16d():
         table2_report(small)
 
 
+@pytest.mark.parametrize("freq_hz", [0.0, -200e6, float("nan"), float("inf")])
+def test_table2_rejects_bad_frequency(vgg, freq_hz):
+    with pytest.raises(ValueError, match="clock frequency must be positive and finite"):
+        table2_report(vgg, freq_hz=freq_hz)
+
+
 def test_table2_csv_headers(tmp_path, vgg):
     report = table2_report(vgg)
     write_table2_csv(report, tmp_path / "table2.csv")

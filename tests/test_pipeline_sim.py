@@ -86,23 +86,11 @@ def test_shared_transform_invocations_independent_of_p():
         cfg = EngineConfig(MinimalParams(2, 3), p=p, d_p=4)
         _, trace = simulate_layer(cfg, fmap, kern, spec)
         assert trace.data_transform_invocations == trace.issue_cycles
+        # the reference design transforms every tile in each of the P PEs
+        assert trace.inverse_transform_count == p * trace.data_transform_invocations
         invocations.append((p, trace.data_transform_invocations, trace.issue_cycles))
     # at constant kernel-group count the invocation count does not scale with P
     assert invocations[1][1] == invocations[2][1] * 2  # p=4 has 2 groups, p=8 has 1
-
-
-def test_reference_design_multiplies_invocations_by_p():
-    rng = np.random.default_rng(3)
-    fmap, kern = random_case(rng, 1, 2, 6, 6, 4)
-    spec = ConvSpec(pad=1)
-    for p in (2, 4):
-        ours = EngineConfig(MinimalParams(2, 3), p=p, d_p=4)
-        ref = EngineConfig(MinimalParams(2, 3), p=p, d_p=4, reference_design=True)
-        out_a, trace_a = simulate_layer(ours, fmap, kern, spec)
-        out_b, trace_b = simulate_layer(ref, fmap, kern, spec)
-        assert trace_b.data_transform_invocations == p * trace_a.data_transform_invocations
-        assert trace_b.cycles_elapsed == trace_a.cycles_elapsed
-        assert np.array_equal(out_a.data, out_b.data)
 
 
 def test_hadamard_count_and_per_pe_throughput():
@@ -272,7 +260,7 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
         cycles_elapsed=cycles + cfg.d_p - 1,
         issue_cycles=cycles,
         stage_busy={stage: cycles for stage in STAGES},
-        data_transform_invocations=cycles * (p if cfg.reference_design else 1),
+        data_transform_invocations=cycles,
         inverse_transform_count=cycles * p,
         hadamard_mult_count=cycles * p * alpha * alpha,
         tiles_per_image=ty * tx,
@@ -297,8 +285,7 @@ def test_bit_identical_to_hardware_order_stepping():
         fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, int(rng.integers(1, 4)), h, w))
                           .astype(dtype))
         kern = KernelBank(rng.standard_normal((k, fmap.c, 3, 3)).astype(dtype))
-        cfg = EngineConfig(MinimalParams(m, 3), p=p, d_p=4 + i % 3,
-                           reference_design=bool((i // 3) % 2))
+        cfg = EngineConfig(MinimalParams(m, 3), p=p, d_p=4 + i % 3)
         spec = ConvSpec(pad=pad)
         out, trace = simulate_layer(cfg, fmap, kern, spec)
         want, want_trace = stepped_hardware_order(cfg, fmap, kern, spec)

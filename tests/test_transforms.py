@@ -234,6 +234,20 @@ def test_transform_set_is_frozen():
     ts = generate_transforms(MinimalParams(2, 3))
     with pytest.raises(AttributeError):
         ts.params = MinimalParams(3, 3)
+    # the float matrices were writable: ts.g[0, 0] = 5 changed every later convolution
+    for name in ("a", "b", "g", "at", "bt", "kron_bt", "kron_at", "kron_g"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ts, name)[0, 0] = 5.0
+    assert ts.g[0, 0] == 1.0
+
+
+def test_transform_sets_compare_and_hash_by_value():
+    # == compared the float arrays and raised "truth value ... is ambiguous"
+    ts, same = generate_transforms(MinimalParams(3, 3)), generate_transforms(MinimalParams(3, 3))
+    assert ts == same and hash(ts) == hash(same)
+    assert ts != generate_transforms(MinimalParams(4, 3))
+    assert ts != generate_transforms(MinimalParams(3, 3), [0, 1, -1, Fraction(1, 2)])
+    assert len({ts, same, generate_transforms(MinimalParams(1, 3))}) == 2
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -244,13 +258,10 @@ def test_kron_forms_equal_np_kron_and_are_cached(m, r):
     other = generate_transforms(MinimalParams(m + 1, r))
 
     def outcomes():
-        try:
-            same_eq = ts == same
-        except ValueError:  # dataclass equality compares the float arrays
-            same_eq = "ambiguous"
-        return ts == ts, same_eq, ts == other
+        return ts == ts, ts == same, ts == other
 
     before = outcomes()
+    assert before == (True, True, False)
     for name, x in (("kron_bt", ts.bt), ("kron_at", ts.at), ("kron_g", ts.g)):
         kron = getattr(ts, name)
         assert kron.dtype == np.float64
