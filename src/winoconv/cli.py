@@ -7,15 +7,15 @@ Subcommands:
   simulate   cycle-level engine run on a random layer, JSON-lines trace
   report     performance comparison table on vgg16d (table2 CSV files)
 
-The output directory defaults to --outdir, overridable with WINOCONV_OUTDIR.
-Every randomized input takes an explicit --seed so runs are reproducible.
+Files go to --outdir.  dse takes the kernel size r from the workload's
+layers, and simulate sizes its PE array from --multipliers.  Every
+randomized input takes an explicit --seed so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,9 +35,11 @@ from .transforms import (
 )
 from .workload import load_workload
 
+FREQ_MHZ = 200.0  # default clock of dse and report
+
 
 def _outdir(args) -> Path:
-    path = Path(os.environ.get("WINOCONV_OUTDIR", args.outdir))
+    path = Path(args.outdir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -85,10 +87,7 @@ def cmd_conv(args) -> int:
         {"path": "winograd", "m": args.m, "multiplications": wino_counter.count},
         {"max_abs_error": float(np.max(err)), "max_rel_error": float(np.max(err) / scale)},
     ]
-    lines = "\n".join(json.dumps(s) for s in stats)
-    if args.stats:
-        Path(args.stats).write_text(lines + "\n")
-    print(lines)
+    print("\n".join(json.dumps(s) for s in stats))
     return 0
 
 
@@ -96,8 +95,8 @@ def cmd_dse(args) -> int:
     workload = load_workload(args.workload)
     hw = HardwareConfig(m_total=max(args.budgets), t_c=clock_period(args.freq_mhz * 1e6))
     spec = dse_mod.SweepSpec(
-        m_values=tuple(args.m_values), r=args.r, budgets=tuple(args.budgets),
-        workload=workload, hw=hw,
+        m_values=tuple(args.m_values), r=workload.layers[0].shape.r,
+        budgets=tuple(args.budgets), workload=workload, hw=hw,
     )
     result = dse_mod.run_sweep(spec)
     outdir = _outdir(args)
@@ -118,11 +117,9 @@ def cmd_dse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = MinimalParams(args.m, args.r)
-    # --pes sizes the array directly: a budget of exactly that many PEs.
-    budget = args.pes * params.alpha**2 if args.pes else args.multipliers
-    hw = HardwareConfig(m_total=budget, t_c=clock_period(args.freq_mhz * 1e6), d_p=args.d_p)
-    cfg = engine_config_for(params, hw)
+    # The clock sizes nothing: engine_config_for reads m_total and d_p only.
+    hw = HardwareConfig(m_total=args.multipliers, t_c=clock_period(FREQ_MHZ * 1e6), d_p=args.d_p)
+    cfg = engine_config_for(MinimalParams(args.m, args.r), hw)
 
     rng = np.random.default_rng(args.seed)
     fmap = FeatureMap(rng.standard_normal((args.n, args.c, args.height, args.width))
@@ -146,8 +143,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    workload = load_workload(args.workload)
-    report = dse_mod.table2_report(workload, freq_hz=args.freq_mhz * 1e6)
+    report = dse_mod.table2_report(load_workload("vgg16d"), freq_hz=args.freq_mhz * 1e6)
     outdir = _outdir(args)
     dse_mod.write_table2_csv(report, outdir / "table2.csv")
     dse_mod.write_table2_reference_csv(report, outdir / "table2_reference.csv")
@@ -181,17 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output NCHW tensor file")
     p.add_argument("--m", type=int, default=2, help="output tile size (default 2)")
     p.add_argument("--pad", type=int, default=0)
-    p.add_argument("--stats", help="also write the JSON-lines stats here")
     p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("dse", help="sweep (m, multiplier budget) over a workload")
     p.add_argument("--workload", default="vgg16d")
     p.add_argument("--m-values", type=_int_list, default=[1, 2, 3, 4, 5],
                    help="comma-separated tile sizes (default 1,2,3,4,5)")
-    p.add_argument("--r", type=int, default=3)
     p.add_argument("--budgets", type=_int_list, default=[688, 700, 684],
                    help="comma-separated multiplier budgets")
-    p.add_argument("--freq-mhz", type=float, default=200.0)
+    p.add_argument("--freq-mhz", type=float, default=FREQ_MHZ)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_dse)
 
@@ -204,18 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=14)
     p.add_argument("--width", type=int, default=14)
     p.add_argument("--pad", type=int, default=1)
-    p.add_argument("--pes", type=int, default=0,
-                   help="PE count (default: sized from --multipliers)")
-    p.add_argument("--multipliers", type=int, default=700)
+    p.add_argument("--multipliers", type=int, default=700,
+                   help="multiplier budget; the array has budget // (m+r-1)^2 PEs")
     p.add_argument("--d-p", type=int, default=None, help="pipeline depth override")
-    p.add_argument("--freq-mhz", type=float, default=200.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="vgg16d performance comparison table")
-    p.add_argument("--workload", default="vgg16d")
-    p.add_argument("--freq-mhz", type=float, default=200.0)
+    p.add_argument("--freq-mhz", type=float, default=FREQ_MHZ)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_report)
 

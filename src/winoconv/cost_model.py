@@ -131,7 +131,6 @@ class DesignPoint:
     o_s: float
     t_total: float
     throughput: float
-    mult_efficiency: float
 
 
 def default_pipeline_depth(params: MinimalParams) -> int:
@@ -298,9 +297,8 @@ def evaluate_design(
     )
     o_s = sum(c.o_s for c in costs)
     t_total = sum(c.latency_s for c in costs)
-    tput = throughput(o_s, t_total)
     return DesignPoint(
         params=params, hw=hw, p=p, layers=costs,
         o_m=sum(c.o_m for c in costs), o_t=sum(c.o_t for c in costs), o_s=o_s,
-        t_total=t_total, throughput=tput, mult_efficiency=tput / hw.m_total,
+        t_total=t_total, throughput=throughput(o_s, t_total),
     )

@@ -38,7 +38,7 @@ from .reference_data import (
     Table2Row,
 )
 from .transforms import MinimalParams, generate_transforms
-from .workload import Workload
+from .workload import Workload, load_workload
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class SweepSpec:
             raise ValueError("all m values must be >= 1")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        for layer in self.workload.shapes:
+            if layer.r != self.r:
+                raise ValueError(f"sweep r={self.r} does not match a {layer.r}x{layer.r} "
+                                 f"layer of workload {self.workload.name!r}")
 
 
 @dataclass(frozen=True)
@@ -184,9 +188,10 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
     frequency, precision and power columns of prior designs are echoed from
     the static reference rows and never derived.
     """
-    if workload.name != "vgg16d":
+    if workload != load_workload("vgg16d"):
         raise ValueError(
-            f"the comparison table is defined for the vgg16d workload, got {workload.name!r}"
+            f"the comparison table is defined for the builtin vgg16d workload, "
+            f"got {workload.name!r} with {len(workload.layers)} layers"
         )
     rows = list(PRIOR_DESIGNS)
     for m, r, budget in SHARED_DESIGN_BUDGETS:

@@ -26,7 +26,7 @@ The trace counters are summed from the sizes of the arrays each step computes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import ceil, isclose
 
 import numpy as np
@@ -42,8 +42,6 @@ from .cost_model import (
     tile_grid,
 )
 from .transforms import MinimalParams, TransformSet, generate_transforms
-
-STAGES = ("data_transform", "hadamard", "inverse_transform")
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class EngineConfig:
 class SimTrace:
     cycles_elapsed: int = 0
     issue_cycles: int = 0
-    stage_busy: dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
     data_transform_invocations: int = 0
     inverse_transform_count: int = 0
     hadamard_mult_count: int = 0
@@ -124,8 +121,6 @@ def simulate_layer(
         trace.hadamard_mult_count += prod.size
         trace.inverse_transform_count += prod.size // (alpha * alpha)
 
-    for stage in STAGES:
-        trace.stage_busy[stage] = trace.issue_cycles
     trace.cycles_elapsed = trace.issue_cycles + cfg.d_p - 1
     return untile(accum[:, :, :, : kernels.k].transpose(0, 3, 1, 4, 2, 5), h_out, w_out), trace
 

@@ -19,6 +19,7 @@ MAGIC = "WTNS1"
 LAYOUTS = ("NCHW", "KCRR")
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+_MAX_HEADER = 256  # bytes before the newline
 
 
 def save_tensor(path: str | Path, array: np.ndarray, layout: str):
@@ -38,16 +39,12 @@ def save_tensor(path: str | Path, array: np.ndarray, layout: str):
 def load_tensor(path: str | Path) -> tuple[np.ndarray, str]:
     """Returns (array, layout)."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise ValueError(f"{path}: truncated header")
-            if ch == b"\n":
-                break
-            header += ch
-            if len(header) > 256:
+        line = fh.readline(_MAX_HEADER + 1)
+        if not line.endswith(b"\n"):
+            if len(line) > _MAX_HEADER:
                 raise ValueError(f"{path}: header too long; not a tensor file")
+            raise ValueError(f"{path}: truncated header")
+        header = line[:-1]
         fields = header.decode("ascii", errors="replace").split()
         if len(fields) != 7 or fields[0] != MAGIC:
             raise ValueError(f"{path}: bad header {header!r}; expected "

@@ -56,9 +56,6 @@ class Workload:
                 out.append(layer.group)
         return tuple(out)
 
-    def group_layers(self, group: str) -> tuple[WorkloadLayer, ...]:
-        return tuple(l for l in self.layers if l.group == group)
-
     @property
     def shapes(self) -> tuple[LayerShape, ...]:
         return tuple(l.shape for l in self.layers)

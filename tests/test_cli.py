@@ -1,10 +1,13 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from winoconv.cli import main
+from winoconv.cli import build_parser, main
 from winoconv.tensor_io import load_tensor, save_tensor
 
 
@@ -44,13 +47,11 @@ def test_conv_subcommand(tmp_path, capsys):
     inp = tmp_path / "in.wtns"
     ker = tmp_path / "k.wtns"
     out = tmp_path / "out.wtns"
-    stats = tmp_path / "stats.jsonl"
     save_tensor(inp, rng.standard_normal((1, 2, 8, 8)).astype(np.float32), "NCHW")
     save_tensor(ker, rng.standard_normal((3, 2, 3, 3)).astype(np.float32), "KCRR")
     assert main(["conv", "--input", str(inp), "--kernels", str(ker),
-                 "--output", str(out), "--m", "2", "--pad", "1",
-                 "--stats", str(stats)]) == 0
-    lines = [json.loads(l) for l in stats.read_text().splitlines()]
+                 "--output", str(out), "--m", "2", "--pad", "1"]) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     spatial, wino, err = lines
     assert spatial["path"] == "spatial"
     assert spatial["multiplications"] == 1 * 2 * 8 * 8 * 9 * 3
@@ -100,12 +101,11 @@ def test_dse_and_report_default_csvs_are_byte_identical(tmp_path, capsys):
 
 def test_simulate_subcommand(tmp_path, capsys):
     assert main(["simulate", "--m", "4", "--c", "4", "--k", "8", "--height", "14",
-                 "--width", "14", "--pes", "4", "--seed", "7",
+                 "--width", "14", "--multipliers", "144", "--seed", "7",
                  "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "trace.jsonl").read_text().splitlines()
     assert lines == [
-        '{"cycles_elapsed": 132, "issue_cycles": 128, "stage_busy": {"data_transform": 128, '
-        '"hadamard": 128, "inverse_transform": 128}, "data_transform_invocations": 128, '
+        '{"cycles_elapsed": 132, "issue_cycles": 128, "data_transform_invocations": 128, '
         '"inverse_transform_count": 512, "hadamard_mult_count": 18432, "tiles_per_image": 16, '
         '"kernel_groups": 2}',
         '{"simulated_cycles": 132, "analytical_cycles": 102.0, "gap_cycles": 30.0, '
@@ -120,7 +120,7 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert arr.shape == (1, 8, 14, 14)
 
 
-@pytest.mark.parametrize("sub", [["dse"], ["report"], ["simulate", "--m", "2"]])
+@pytest.mark.parametrize("sub", [["dse"], ["report"]])
 @pytest.mark.parametrize("freq", ["0", "nan"])
 def test_bad_frequency_is_an_error(tmp_path, capsys, sub, freq):
     # 0 raised ZeroDivisionError; nan wrote fig CSVs full of nan and exited 0
@@ -143,7 +143,7 @@ def test_simulate_deterministic_with_seed(tmp_path):
 
 
 def test_report_subcommand(tmp_path, capsys):
-    assert main(["report", "--workload", "vgg16d", "--outdir", str(tmp_path)]) == 0
+    assert main(["report", "--outdir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "shared_transform_m4" in out
     table = (tmp_path / "table2.csv").read_text()
@@ -151,16 +151,27 @@ def test_report_subcommand(tmp_path, capsys):
     assert (tmp_path / "table2_reference.csv").exists()
 
 
-def test_report_rejects_other_workloads(tmp_path, capsys):
+def test_dse_takes_r_from_the_workload(tmp_path, capsys):
     net = tmp_path / "w.workload"
-    net.write_text("workload other\nlayer 1 8 8 1 1 3 1 g\n")
-    assert main(["report", "--workload", str(net), "--outdir", str(tmp_path)]) == 1
-    assert "vgg16d" in capsys.readouterr().err
+    net.write_text("workload five\nlayer 1 14 14 8 8 5 2 g\n")
+    assert main(["dse", "--workload", str(net), "--m-values", "2",
+                 "--budgets", "700", "--outdir", str(tmp_path)]) == 0
+    # F(2,5) has alpha = 6: 700 // 36 = 19 PEs; F(2,3) would have 43.
+    assert "recommended: m=2 budget=700 P=19 " in capsys.readouterr().out
+
+    net.write_text("workload mixed\nlayer 1 14 14 8 8 3 1 a\nlayer 1 14 14 8 8 5 2 b\n")
+    assert main(["dse", "--workload", str(net), "--outdir", str(tmp_path / "mixed")]) == 1
+    assert "sweep r=3 does not match a 5x5 layer" in capsys.readouterr().err
+    assert not (tmp_path / "mixed").exists()
 
 
-def test_outdir_env_override(tmp_path, monkeypatch):
-    override = tmp_path / "env_dir"
-    monkeypatch.setenv("WINOCONV_OUTDIR", str(override))
-    assert main(["report", "--workload", "vgg16d", "--outdir", str(tmp_path / "flag")]) == 0
-    assert (override / "table2.csv").exists()
-    assert not (tmp_path / "flag").exists()
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(re.sub(r"[\[\]]", "", line))[1:]
+                for line in block.splitlines() if line.startswith("winoconv ")]
+    assert sorted(argv[0] for argv in commands) \
+        == ["conv", "dse", "report", "simulate", "transform"]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -202,7 +202,6 @@ def test_evaluate_design_invariants():
     point = evaluate_design(vgg.shapes, params, hw, count_transform_ops(ts))
     assert point.p == hw.m_total // params.alpha**2
     assert point.throughput == pytest.approx(point.o_s / point.t_total)
-    assert point.mult_efficiency == pytest.approx(point.throughput / hw.m_total)
 
 
 def test_lut_total_linear_model():

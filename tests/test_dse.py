@@ -201,6 +201,24 @@ def test_table2_requires_vgg16d():
         table2_report(small)
 
 
+def test_table2_checks_the_layers_not_the_name():
+    # A one-layer workload named vgg16d wrote a table2.csv with 5 header and 9 row columns.
+    fake = Workload("vgg16d", (WorkloadLayer(LayerShape(1, 8, 8, 2, 2, 3), 1, "g1"),))
+    with pytest.raises(ValueError, match="builtin vgg16d workload, got 'vgg16d' with 1 layers"):
+        table2_report(fake)
+
+
+def test_sweep_r_must_match_every_layer(vgg):
+    # r=5 on VGG16-D's 3x3 layers priced F(m,5) transforms and recommended m=5.
+    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    with pytest.raises(ValueError, match="r=5 does not match a 3x3 layer of workload 'vgg16d'"):
+        SweepSpec(m_values=(2, 3), r=5, budgets=(700,), workload=vgg, hw=hw)
+    mixed = Workload("mixed", (WorkloadLayer(LayerShape(1, 8, 8, 2, 2, 3), 1, "a"),
+                               WorkloadLayer(LayerShape(1, 8, 8, 2, 2, 5), 2, "b")))
+    with pytest.raises(ValueError, match="sweep r=3 does not match a 5x5 layer"):
+        SweepSpec(m_values=(2, 3), r=3, budgets=(700,), workload=mixed, hw=hw)
+
+
 @pytest.mark.parametrize("freq_hz", [0.0, -200e6, float("nan"), float("inf")])
 def test_table2_rejects_bad_frequency(vgg, freq_hz):
     with pytest.raises(ValueError, match="clock frequency must be positive and finite"):

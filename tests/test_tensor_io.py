@@ -50,5 +50,9 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_tensor(path)
 
     path.write_bytes(b"\x00" * 400)
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(ValueError, match="header too long"):
+        load_tensor(path)
+
+    path.write_bytes(b"WTNS1 NCHW f32 1 1")  # no newline
+    with pytest.raises(ValueError, match="truncated header"):
         load_tensor(path)

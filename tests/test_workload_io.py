@@ -16,7 +16,7 @@ def test_builtin_vgg16d():
     assert w.name == "vgg16d"
     assert len(w.layers) == 13
     assert w.groups == ("conv1", "conv2", "conv3", "conv4", "conv5")
-    assert [len(w.group_layers(g)) for g in w.groups] == [2, 2, 3, 3, 3]
+    assert [sum(l.group == g for l in w.layers) for g in w.groups] == [2, 2, 3, 3, 3]
     first, last = w.layers[0].shape, w.layers[-1].shape
     assert (first.h, first.c, first.k) == (224, 3, 64)
     assert (last.h, last.c, last.k) == (14, 512, 512)
