@@ -1,4 +1,4 @@
-"""Per-layer timings of the convolution engine on the VGG16-D conv shapes.
+"""Per-layer timings of the convolution engine and the simulator on VGG16-D.
 
     python3 scripts/bench_layers.py --out BENCH_<n>.json
 
@@ -6,10 +6,17 @@ For each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
 input and kernels) and m = 2, 3, 4, records the best-of-3 wall time of
 precompute_filter_transforms and winograd_conv, the best-of-3 time of
 spatial_conv once per shape, and winograd_conv's maximum error relative to
-spatial_conv's largest output.  BLAS is pinned to one thread, and the host
-(nproc, numpy, BLAS) is recorded with the results.  The whole run takes
-about 10 s on a 2-vCPU host; the 224x224, 64->64 layer peaks near 780 MB
-RSS.  It imports winoconv from this checkout's src/.
+spatial_conv's largest output.
+
+Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
+4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer
+wall time and microseconds per issue cycle, and asserts that the summed
+trace cycles equal the summed cost_model.exact_cycles.
+
+BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) is recorded
+with the results.  The whole run takes about a minute on a 2-vCPU host; the
+224x224, 64->64 layer peaks near 780 MB RSS in spatial_conv.  It imports
+winoconv from this checkout's src/.
 """
 
 from __future__ import annotations
@@ -33,17 +40,24 @@ sys.path.insert(0, str(ROOT / "src"))
 from winoconv import (  # noqa: E402
     ConvSpec,
     FeatureMap,
+    HardwareConfig,
     KernelBank,
     MinimalParams,
+    engine_config_for,
+    exact_cycles,
     generate_transforms,
     load_workload,
     precompute_filter_transforms,
+    simulate_layer,
     spatial_conv,
     winograd_conv,
 )
+from winoconv.reference_data import SHARED_DESIGN_BUDGETS  # noqa: E402
 
 TILE_SIZES = (2, 3, 4)
 REPEATS = 3
+# Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
+VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
 
 def best_ms(fn) -> tuple[float, object]:
@@ -66,10 +80,14 @@ def host() -> dict:
     }
 
 
+def random_layer(layer, rng: np.random.Generator) -> tuple[FeatureMap, KernelBank]:
+    x = rng.standard_normal((layer.n, layer.c, layer.h, layer.w), dtype=np.float32)
+    g = rng.standard_normal((layer.k, layer.c, layer.r, layer.r), dtype=np.float32)
+    return FeatureMap(x), KernelBank(g)
+
+
 def bench_layer(layer, pad: int, rng: np.random.Generator) -> dict:
-    x = rng.standard_normal((layer.n, layer.c, layer.h, layer.w))
-    g = rng.standard_normal((layer.k, layer.c, layer.r, layer.r))
-    fmap, kernels = FeatureMap(x.astype(np.float32)), KernelBank(g.astype(np.float32))
+    fmap, kernels = random_layer(layer, rng)
     spec = ConvSpec(pad=pad)
     spatial_ms, ref = best_ms(lambda: spatial_conv(fmap, kernels, spec))
     scale = np.abs(ref.data).max()
@@ -86,6 +104,36 @@ def bench_layer(layer, pad: int, rng: np.random.Generator) -> dict:
     return row
 
 
+def bench_network(workload, rng: np.random.Generator) -> list[dict]:
+    """Simulate every layer once per Table 2 design; trace cycles must sum to exact_cycles."""
+    designs = []
+    for m, r, budget in SHARED_DESIGN_BUDGETS:
+        params = MinimalParams(m, r)
+        cfg = engine_config_for(params, HardwareConfig(m_total=budget, t_c=5e-9))
+        ts = generate_transforms(params)
+        rows, total_s = [], 0.0
+        for wl in workload.layers:
+            fmap, kernels = random_layer(wl.shape, rng)
+            start = perf_counter()
+            _, trace = simulate_layer(cfg, fmap, kernels, ConvSpec(pad=wl.pad), ts)
+            seconds = perf_counter() - start
+            total_s += seconds
+            rows.append({"group": wl.group, "h": wl.shape.h, "c": wl.shape.c, "k": wl.shape.k,
+                         "cycles": trace.cycles_elapsed, "idle_pe_slots": trace.idle_pe_slots,
+                         "simulate_s": round(seconds, 3),
+                         "us_per_issue_cycle": round(seconds / trace.issue_cycles * 1e6, 3)})
+        cycles = sum(row["cycles"] for row in rows)
+        exact = sum(exact_cycles(wl.shape, params, cfg.p, cfg.d_p) for wl in workload.layers)
+        assert cycles == exact == VGG16D_EXACT_CYCLES[m], \
+            f"m={m}: trace cycles {cycles}, exact_cycles {exact}, want {VGG16D_EXACT_CYCLES[m]}"
+        print(f"simulate m={m} @ {budget} (P={cfg.p}): {cycles} cycles = exact_cycles, "
+              f"{total_s:.1f} s", flush=True)
+        designs.append({"m": m, "multipliers": budget, "p": cfg.p, "d_p": cfg.d_p,
+                        "cycles": cycles, "exact_cycles": exact,
+                        "simulate_s": round(total_s, 3), "layers": rows})
+    return designs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
@@ -93,8 +141,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
+    vgg16d = load_workload("vgg16d")
     seen, layers = set(), []
-    for wl in load_workload("vgg16d").layers:
+    for wl in vgg16d.layers:
         key = (wl.shape, wl.pad)
         if key in seen:
             continue
@@ -106,7 +155,7 @@ def main(argv=None) -> int:
               flush=True)
         layers.append({"group": wl.group, **row})
     result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
-              "layers": layers}
+              "layers": layers, "simulate": bench_network(vgg16d, rng)}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -93,7 +93,9 @@ def cmd_conv(args) -> int:
 
 def cmd_dse(args) -> int:
     workload = load_workload(args.workload)
-    hw = HardwareConfig(m_total=max(args.budgets), t_c=clock_period(args.freq_mhz * 1e6))
+    # A template: run_sweep sets m_total per budget, and SweepSpec rejects an empty list.
+    hw = HardwareConfig(m_total=max(args.budgets, default=1),
+                        t_c=clock_period(args.freq_mhz * 1e6))
     spec = dse_mod.SweepSpec(
         m_values=tuple(args.m_values), r=workload.layers[0].shape.r,
         budgets=tuple(args.budgets), workload=workload, hw=hw,

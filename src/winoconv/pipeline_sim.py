@@ -17,10 +17,16 @@ own tile on every issue cycle, idle PEs included: its data-transform count is
 P x issue_cycles, which the trace records as inverse_transform_count.
 
 The modeled loop order is unchanged; execution batches it.  Every tile is
-data-transformed once, then one step per channel computes all of that
-channel's issue cycles (every tile position and PE slot) and adds each PE's
-inverse transform into its buffer, so channels accumulate in hardware order.
-The trace counters are summed from the sizes of the arrays each step computes.
+data-transformed once, and the filter transforms are laid out once per PE
+slot.  Then one step per channel computes all of that channel's issue cycles
+(every tile position and kernel group): one Hadamard multiply gives each
+cycle's alpha^2 x P products, and one stacked matmul applies kron(A^T, A^T)
+to all of them, one (m^2 x alpha^2) @ (alpha^2 x P) product per cycle.  A
+stacked matmul rounds each matrix as that product alone would; one GEMM over
+all cycles would not, since BLAS rounding depends on the matrix sizes.  Each
+step is added into the PE output buffers, so channels accumulate in hardware
+order.  The trace counters are summed from the sizes of the arrays each step
+computes; idle PE slots are the zero-kernel region of that array.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ class SimTrace:
     hadamard_mult_count: int = 0
     tiles_per_image: int = 0
     kernel_groups: int = 0
+    idle_pe_slots: int = 0  # (issue cycle, PE) pairs that ran with a zero kernel
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -91,38 +98,46 @@ def simulate_layer(
         raise ValueError("transform set does not match engine parameters")
 
     m, alpha = cfg.params.m, cfg.params.alpha
-    p = cfg.p
+    a2, p, k, c = alpha * alpha, cfg.p, kernels.k, kernels.c
     dtype = fmap.data.dtype
-    n_groups = ceil(kernels.k / p)
+    n_groups = ceil(k / p)
     ty, tx = d.shape[2:4]
+    n_tiles = fmap.n * ty * tx
 
-    # Filter transforms are precomputed before the run; idle PE slots in the
-    # last kernel group hold zero kernels.
-    v = np.zeros((n_groups * p, kernels.c, alpha, alpha), dtype=dtype)
-    v[: kernels.k] = precompute_filter_transforms(kernels, ts)
+    # Filter transforms are precomputed before the run and laid out per PE as
+    # (C, groups, alpha^2, P), copied once from the (alpha^2, K, C) precompute
+    # one kernel group at a time; idle PE slots in the last group hold zero kernels.
+    v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1).reshape(a2, k, c)
+    pe = np.zeros((c, n_groups, a2, p), dtype=dtype)
+    slots = pe.transpose(1, 2, 3, 0)  # (groups, alpha^2, P, C) view
+    for g in range(n_groups):
+        slots[g, :, : min(p, k - g * p)] = v[:, g * p : (g + 1) * p]
 
-    bt = ts.b.T.astype(dtype)
-    b = ts.b.astype(dtype)
-    at = ts.a.T.astype(dtype)
-    a = ts.a.astype(dtype)
+    # The shared data transform of every tile, channel-major: (C, tiles, alpha^2).
+    u = (ts.b.T.astype(dtype) @ d @ ts.b.astype(dtype)).transpose(1, 0, 2, 3, 4, 5)
+    u = u.reshape(c, n_tiles, a2)
+    kron_at = ts.kron_at.astype(dtype)
 
-    # The shared data transform of every tile, (N, C, Ty, Tx, alpha, alpha).
-    u = bt @ d @ b
     trace = SimTrace(tiles_per_image=ty * tx, kernel_groups=n_groups)
-    accum = np.zeros((fmap.n, ty, tx, n_groups * p, m, m), dtype=dtype)  # PE output buffers
-
-    for ci in range(fmap.c):
+    prod = np.empty((n_tiles, n_groups, a2, p), dtype=dtype)
+    y = np.empty((n_tiles, n_groups, m * m, p), dtype=dtype)
+    accum = np.zeros_like(y)  # PE output buffers
+    idle = prod[:, -1, :, k - (n_groups - 1) * p :]  # each step's zero-kernel PE slots
+    for ci in range(c):
         # every issue cycle of channel ci: all tile positions x all P-PE kernel groups
-        prod = u[:, ci, :, :, None] * v[:, ci]  # (N, Ty, Tx, groups*P, alpha, alpha)
-        accum += at @ prod @ a
-        issued = prod.size // (p * alpha * alpha)
+        np.multiply(u[ci, :, None, :, None], pe[ci], out=prod)
+        np.matmul(kron_at, prod, out=y)  # one (m^2 x alpha^2) @ (alpha^2 x P) per cycle
+        accum += y
+        issued = prod.size // (p * a2)
         trace.issue_cycles += issued
         trace.data_transform_invocations += issued
         trace.hadamard_mult_count += prod.size
-        trace.inverse_transform_count += prod.size // (alpha * alpha)
+        trace.inverse_transform_count += prod.size // a2
+        trace.idle_pe_slots += idle.size // a2
 
     trace.cycles_elapsed = trace.issue_cycles + cfg.d_p - 1
-    return untile(accum[:, :, :, : kernels.k].transpose(0, 3, 1, 4, 2, 5), h_out, w_out), trace
+    y = accum.reshape(fmap.n, ty, tx, n_groups, m, m, p).transpose(0, 3, 6, 1, 4, 2, 5)
+    return untile(y.reshape(fmap.n, n_groups * p, ty, m, tx, m)[:, :k], h_out, w_out), trace
 
 
 @dataclass(frozen=True)

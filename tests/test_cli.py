@@ -107,7 +107,7 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert lines == [
         '{"cycles_elapsed": 132, "issue_cycles": 128, "data_transform_invocations": 128, '
         '"inverse_transform_count": 512, "hadamard_mult_count": 18432, "tiles_per_image": 16, '
-        '"kernel_groups": 2}',
+        '"kernel_groups": 2, "idle_pe_slots": 0}',
         '{"simulated_cycles": 132, "analytical_cycles": 102.0, "gap_cycles": 30.0, '
         '"ceiling_overhead": 30.0, "consistent": true}',
     ]
@@ -127,6 +127,15 @@ def test_bad_frequency_is_an_error(tmp_path, capsys, sub, freq):
     outdir = tmp_path / "out"
     assert main(sub + ["--freq-mhz", freq, "--outdir", str(outdir)]) == 1
     assert "error: builtins.ValueError: clock frequency must be positive and finite" \
+        in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_dse_empty_budgets_is_an_error(tmp_path, capsys):
+    # max() of the empty list raised before SweepSpec could reject it
+    outdir = tmp_path / "out"
+    assert main(["dse", "--budgets", "", "--outdir", str(outdir)]) == 1
+    assert "error: builtins.ValueError: m_values and budgets must be nonempty" \
         in capsys.readouterr().err
     assert not outdir.exists()
 

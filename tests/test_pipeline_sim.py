@@ -214,7 +214,7 @@ def test_shape_mismatch_errors():
 def test_trace_json_round_trips():
     rng = np.random.default_rng(7)
     fmap, kern = random_case(rng, 1, 1, 4, 4, 1)
-    cfg = EngineConfig(MinimalParams(2, 3), p=1, d_p=4)
+    cfg = EngineConfig(MinimalParams(2, 3), p=2, d_p=4)
     _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
     blob = json.loads(trace.to_json())
     assert blob == {
@@ -223,15 +223,29 @@ def test_trace_json_round_trips():
         "inverse_transform_count": trace.inverse_transform_count,
         "hadamard_mult_count": trace.hadamard_mult_count,
         "tiles_per_image": trace.tiles_per_image, "kernel_groups": trace.kernel_groups,
+        "idle_pe_slots": trace.idle_pe_slots,
     }
+    assert trace.idle_pe_slots == trace.issue_cycles == 4  # one of two PEs idles
+
+
+def test_no_idle_pe_slots_when_p_divides_k():
+    rng = np.random.default_rng(8)
+    fmap, kern = random_case(rng, 2, 3, 7, 7, 6)
+    for p in (1, 2, 3, 6):
+        cfg = EngineConfig(MinimalParams(3, 3), p=p, d_p=4)
+        _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
+        assert trace.idle_pe_slots == 0
+        assert trace.inverse_transform_count == trace.issue_cycles * p
 
 
 def stepped_hardware_order(cfg, fmap, kern, spec):
     """The engine stepped one issue cycle at a time, in the modeled loop order.
 
     Batch, tile position, kernel group, channel: each cycle transforms one
-    input tile once, then every PE multiplies it with its filter transform
-    (zero for idle PEs), runs the inverse transform and accumulates over C.
+    input tile once, multiplies it with the P PEs' filter transforms (zero
+    for idle PEs) into one alpha^2 x P product, inverse-transforms all P
+    columns as one (m^2 x alpha^2) @ (alpha^2 x P) product and accumulates
+    over C.
     """
     ts = generate_transforms(cfg.params)
     m, alpha, r, p = cfg.params.m, cfg.params.alpha, cfg.params.r, cfg.p
@@ -241,25 +255,29 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
     ty, tx, groups = -(-h_out // m), -(-w_out // m), -(-k // p)
     ext = np.zeros((n, c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
     ext[:, :, spec.pad : spec.pad + h, spec.pad : spec.pad + w] = fmap.data
-    v = precompute_filter_transforms(kern, ts)
-    idle = np.zeros((alpha, alpha), dtype=dtype)
-    bt, b, at, a = (x.astype(dtype) for x in (ts.b.T, ts.b, ts.a.T, ts.a))
+    v = precompute_filter_transforms(kern, ts).reshape(k, c, alpha * alpha)
+    zero = np.zeros(alpha * alpha, dtype=dtype)
+    bt, b, kron_at = (x.astype(dtype) for x in (ts.b.T, ts.b, ts.kron_at))
 
     out = np.zeros((n, k, ty * m, tx * m), dtype=dtype)
-    cycles = 0
+    cycles = idle = 0
     for img in range(n):
         for y0 in range(0, ty * m, m):
             for x0 in range(0, tx * m, m):
                 for group in range(groups):
-                    accum = np.zeros((p, m, m), dtype=dtype)
+                    accum = np.zeros((m * m, p), dtype=dtype)
                     for ci in range(c):
                         cycles += 1
-                        u = bt @ ext[img, ci, y0 : y0 + alpha, x0 : x0 + alpha] @ b
+                        u = (bt @ ext[img, ci, y0 : y0 + alpha, x0 : x0 + alpha] @ b).ravel()
+                        prod = np.empty((alpha * alpha, p), dtype=dtype)
                         for pe in range(p):
                             kk = group * p + pe
-                            accum[pe] += at @ (u * (v[kk, ci] if kk < k else idle)) @ a
+                            idle += kk >= k
+                            prod[:, pe] = u * (v[kk, ci] if kk < k else zero)
+                        accum += kron_at @ prod
                     for pe in range(min(p, k - group * p)):
-                        out[img, group * p + pe, y0 : y0 + m, x0 : x0 + m] = accum[pe]
+                        out[img, group * p + pe, y0 : y0 + m, x0 : x0 + m] = \
+                            accum[:, pe].reshape(m, m)
     trace = SimTrace(
         cycles_elapsed=cycles + cfg.d_p - 1,
         issue_cycles=cycles,
@@ -268,6 +286,7 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
         hadamard_mult_count=cycles * p * alpha * alpha,
         tiles_per_image=ty * tx,
         kernel_groups=groups,
+        idle_pe_slots=idle,
     )
     return out[:, :, :h_out, :w_out], trace
 
