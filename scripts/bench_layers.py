@@ -6,7 +6,11 @@ For each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
 input and kernels) and m = 2, 3, 4, records the best-of-3 wall time of
 precompute_filter_transforms and winograd_conv, the best-of-3 time of
 spatial_conv once per shape, and winograd_conv's maximum error relative to
-spatial_conv's largest output.
+spatial_conv's largest output.  Next to each spatial_conv and winograd_conv
+time it records the minor page faults per call (the mean getrusage ru_minflt
+delta over the 3 calls).  As a BLAS-grade baseline it times a float32 im2col
++ one GEMM convolution (defined here, not in winoconv), checks it against
+spatial_conv, and records the best-m winograd_conv time over the im2col time.
 
 Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
 4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer
@@ -24,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -70,6 +75,24 @@ def best_ms(fn) -> tuple[float, object]:
     return min(times) * 1e3, out
 
 
+def timed(fn) -> tuple[float, float, object]:
+    """best_ms, the mean minor page faults per call, and the last call's result."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    ms, out = best_ms(fn)
+    return ms, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / REPEATS, out
+
+
+def im2col_conv(fmap: FeatureMap, kernels: KernelBank, pad: int) -> np.ndarray:
+    """Baseline: the (C*r*r, N*H_out*W_out) patch matrix, then one GEMM with the kernels."""
+    n, c, r, k = fmap.n, fmap.c, kernels.r, kernels.k
+    x = np.pad(fmap.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(x, (r, r), axis=(2, 3))
+    h_out, w_out = win.shape[2:4]
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * r * r, n * h_out * w_out)
+    y = kernels.data.reshape(k, c * r * r) @ cols
+    return np.ascontiguousarray(y.reshape(k, n, h_out, w_out).transpose(1, 0, 2, 3))
+
+
 def host() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
@@ -89,18 +112,25 @@ def random_layer(layer, rng: np.random.Generator) -> tuple[FeatureMap, KernelBan
 def bench_layer(layer, pad: int, rng: np.random.Generator) -> dict:
     fmap, kernels = random_layer(layer, rng)
     spec = ConvSpec(pad=pad)
-    spatial_ms, ref = best_ms(lambda: spatial_conv(fmap, kernels, spec))
+    spatial_ms, spatial_faults, ref = timed(lambda: spatial_conv(fmap, kernels, spec))
     scale = np.abs(ref.data).max()
+    im2col_ms, baseline = best_ms(lambda: im2col_conv(fmap, kernels, pad))
+    im2col_err = np.abs(baseline.astype(np.float64) - ref.data).max() / scale
+    assert im2col_err < 1e-4, f"im2col baseline off by {im2col_err:.3g}"
     row = {"h": layer.h, "w": layer.w, "c": layer.c, "k": layer.k, "r": layer.r, "pad": pad,
-           "spatial_ms": round(spatial_ms, 3), "m": {}}
+           "spatial_ms": round(spatial_ms, 3), "spatial_faults": round(spatial_faults, 1),
+           "im2col_ms": round(im2col_ms, 3), "m": {}}
     for m in TILE_SIZES:
         ts = generate_transforms(MinimalParams(m, layer.r))
         precompute_ms, _ = best_ms(lambda: precompute_filter_transforms(kernels, ts))
-        winograd_ms, out = best_ms(lambda: winograd_conv(fmap, kernels, spec, ts))
+        winograd_ms, winograd_faults, out = timed(lambda: winograd_conv(fmap, kernels, spec, ts))
         err = np.abs(out.data.astype(np.float64) - ref.data).max() / scale
         row["m"][str(m)] = {"filter_precompute_ms": round(precompute_ms, 3),
                             "winograd_ms": round(winograd_ms, 3),
+                            "winograd_faults": round(winograd_faults, 1),
                             "max_rel_err": float(f"{err:.3g}")}
+    best = min(t["winograd_ms"] for t in row["m"].values())
+    row["best_winograd_over_im2col"] = round(best / im2col_ms, 3)
     return row
 
 
@@ -150,9 +180,9 @@ def main(argv=None) -> int:
         seen.add(key)
         row = bench_layer(wl.shape, wl.pad, rng)
         print(f"{wl.group} {row['h']}x{row['w']} {row['c']}->{row['k']}: spatial "
-              f"{row['spatial_ms']:.1f} ms, winograd m=2/3/4 "
-              + "/".join(f"{row['m'][str(m)]['winograd_ms']:.1f}" for m in TILE_SIZES) + " ms",
-              flush=True)
+              f"{row['spatial_ms']:.1f} ms, im2col {row['im2col_ms']:.1f} ms, winograd m=2/3/4 "
+              + "/".join(f"{row['m'][str(m)]['winograd_ms']:.1f}" for m in TILE_SIZES)
+              + f" ms, best/im2col {row['best_winograd_over_im2col']:.2f}", flush=True)
         layers.append({"group": wl.group, **row})
     result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
               "layers": layers, "simulate": bench_network(vgg16d, rng)}

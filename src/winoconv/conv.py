@@ -16,8 +16,9 @@ alpha^2 tile positions (xi, nu) one GEMM
 
     M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx]
 
-and then one inverse transform per (image, kernel, output tile).  V is one
-GEMM kron(G, G) @ [r^2 x K*C], stored in that (alpha^2, K, C) layout.  The
+and then the inverse transform A^T M A of all (image, kernel, output tile)
+as two 1-D passes, A^T over xi and A over nu, on cache-sized blocks.  V is
+one GEMM kron(G, G) @ [r^2 x K*C], stored in that (alpha^2, K, C) layout.  The
 hardware order -- inverse transform per channel, then accumulation over C
 cycles -- is modeled by pipeline_sim.simulate_layer.  Both Winograd paths
 need floating-point input: the transforms have fractional entries.
@@ -221,11 +222,19 @@ def winograd_conv(
     v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1).reshape(alpha * alpha, k, c)
 
     n_tiles = n * ty * tx
-    # Transforms act on row-major flattened tiles: vec(X^T d X) = kron(X^T, X^T) vec(d).
+    kt = k * n_tiles
+    # The data transform acts on row-major flattened tiles: vec(B^T d B) = kron(B^T, B^T) vec(d).
     d = d.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, c * n_tiles)
     u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, n_tiles)
-    prod = np.matmul(v.astype(dtype, copy=False), u)  # (alpha^2, K, tiles), summed over C
+    prod = np.matmul(v.astype(dtype, copy=False), u).reshape(alpha, alpha, kt)  # summed over C
     if counter is not None:
         counter.add(prod.size * c)
-    y = ts.kron_at.astype(dtype) @ prod.reshape(alpha * alpha, k * n_tiles)
-    return untile(y.reshape(m, m, k, n, ty, tx).transpose(3, 2, 4, 0, 5, 1), h_out, w_out)
+    # A^T M A as two 1-D passes, Z = A^T M over xi then Z A over nu with the output column
+    # innermost for untile, on blocks of Z of 2^16 elements that stay in cache in between.
+    at, a = ts.at.astype(dtype), ts.a.astype(dtype)
+    y = np.empty((m, kt, m), dtype)
+    step = max(1, 2**16 // (alpha * m))
+    for t in range(0, kt, step):
+        z = np.matmul(at, prod[:, :, t : t + step].transpose(1, 0, 2))  # (nu, i, columns)
+        np.matmul(z.transpose(1, 2, 0), a, out=y[:, t : t + step])
+    return untile(y.reshape(m, k, n, ty, tx, m).transpose(2, 1, 3, 0, 4, 5), h_out, w_out)

@@ -83,6 +83,7 @@ class TransformSet:
     from them at construction for exact mode, like the float64 a, b and g.
     kron_bt, kron_at and kron_g are kron(X, X) for X = B^T, A^T, G (float64,
     built once, on first use): they apply X t X^T to row-major flattened tiles t.
+    Only pipeline_sim.simulate_layer reads kron_at, as its per-issue-cycle product.
     interpolation_points lists the finite synthesis points; the last evaluation
     point is always the point at infinity and is not stored.  Instances are
     immutable (every array is read-only), thread-safe, and compare and hash by
