@@ -52,6 +52,7 @@ from winoconv import (  # noqa: E402
     exact_cycles,
     generate_transforms,
     load_workload,
+    pipeline_depth,
     precompute_filter_transforms,
     simulate_layer,
     spatial_conv,
@@ -153,12 +154,12 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
                          "simulate_s": round(seconds, 3),
                          "us_per_issue_cycle": round(seconds / trace.issue_cycles * 1e6, 3)})
         cycles = sum(row["cycles"] for row in rows)
-        exact = sum(exact_cycles(wl.shape, params, cfg.p, cfg.d_p) for wl in workload.layers)
+        exact = sum(exact_cycles(wl.shape, params, cfg.p) for wl in workload.layers)
         assert cycles == exact == VGG16D_EXACT_CYCLES[m], \
             f"m={m}: trace cycles {cycles}, exact_cycles {exact}, want {VGG16D_EXACT_CYCLES[m]}"
         print(f"simulate m={m} @ {budget} (P={cfg.p}): {cycles} cycles = exact_cycles, "
               f"{total_s:.1f} s", flush=True)
-        designs.append({"m": m, "multipliers": budget, "p": cfg.p, "d_p": cfg.d_p,
+        designs.append({"m": m, "multipliers": budget, "p": cfg.p, "d_p": pipeline_depth(params),
                         "cycles": cycles, "exact_cycles": exact,
                         "simulate_s": round(total_s, 3), "layers": rows})
     return designs

@@ -15,7 +15,6 @@ from .cost_model import (
     TransformOpCounts,
     analytical_cycles,
     count_transform_ops,
-    default_pipeline_depth,
     evaluate_design,
     exact_cycles,
     implementation_transform_complexity,
@@ -23,6 +22,7 @@ from .cost_model import (
     lut_total,
     multiplication_complexity,
     pe_count,
+    pipeline_depth,
     spatial_ops,
     throughput,
     transform_complexity,

@@ -54,7 +54,10 @@ def cmd_transform(args) -> int:
     if args.points:
         from fractions import Fraction
 
-        points = [Fraction(p) for p in args.points.split(",")]
+        try:
+            points = [Fraction(p) for p in args.points.split(",")]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in --points {args.points}") from exc
     ts = generate_transforms(params, points)
     print(format_transforms(ts))
     if args.outdir:
@@ -119,8 +122,8 @@ def cmd_dse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # The clock sizes nothing: engine_config_for reads m_total and d_p only.
-    hw = HardwareConfig(m_total=args.multipliers, t_c=clock_period(FREQ_MHZ * 1e6), d_p=args.d_p)
+    # The clock sizes nothing: engine_config_for reads m_total only.
+    hw = HardwareConfig(m_total=args.multipliers, t_c=clock_period(FREQ_MHZ * 1e6))
     cfg = engine_config_for(MinimalParams(args.m, args.r), hw)
 
     rng = np.random.default_rng(args.seed)
@@ -202,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pad", type=int, default=1)
     p.add_argument("--multipliers", type=int, default=700,
                    help="multiplier budget; the array has budget // (m+r-1)^2 PEs")
-    p.add_argument("--d-p", type=int, default=None, help="pipeline depth override")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_simulate)

@@ -13,6 +13,7 @@ H x W output pixels, C input and K output channels:
     total transforms  O_t = T(D) + T(F) + T(I)
     amortized         O_T = (N*H*W*C*K / m^2) * (beta/P + delta)
     PE count          P = floor(m_total / alpha^2)
+    pipeline depth    D_p = 2 + max(1, ceil(log2 alpha))
     latency           T_t = (N*H*W*C*K / (m^2 * P) + D_p - 1) * t_c
     issued cycles     ceil(H/m) * ceil(W/m) * C * ceil(K/P) * N + D_p - 1
     spatial op count  O_S = 2 * N*H*W*C*K * r^2      (one MAC = 2 ops)
@@ -78,23 +79,16 @@ class TransformOpCounts:
 
 @dataclass(frozen=True)
 class HardwareConfig:
-    """Multiplier budget, clock and pipeline parameters of one accelerator build.
-
-    d_p of None selects the default pipeline depth for the tile size in use
-    (data transform + element-wise stage + inverse-transform adder tree).
-    """
+    """Multiplier budget and clock period of one accelerator build."""
 
     m_total: int
     t_c: float
-    d_p: int | None = None
 
     def __post_init__(self):
         if self.m_total < 1:
             raise ValueError(f"multiplier budget must be >= 1, got {self.m_total}")
         if not 0 < self.t_c < inf:
             raise ValueError(f"clock period must be positive and finite, got {self.t_c}")
-        if self.d_p is not None and self.d_p < 1:
-            raise ValueError(f"pipeline depth must be >= 1, got {self.d_p}")
 
 
 def clock_period(freq_hz: float) -> float:
@@ -133,13 +127,9 @@ class DesignPoint:
     throughput: float
 
 
-def default_pipeline_depth(params: MinimalParams) -> int:
+def pipeline_depth(params: MinimalParams) -> int:
     """Data transform (1) + element-wise stage (1) + inverse adder tree (ceil(log2 alpha))."""
     return 2 + max(1, ceil(log2(params.alpha)))
-
-
-def pipeline_depth(params: MinimalParams, hw: HardwareConfig) -> int:
-    return hw.d_p if hw.d_p is not None else default_pipeline_depth(params)
 
 
 def _product_ops(coeff_rows: Sequence[Sequence[Fraction]], n_vectors: int, convention: str) -> int:
@@ -241,24 +231,24 @@ def tile_grid(h_out: int, w_out: int, m: int) -> tuple[int, int]:
     return ceil(h_out / m), ceil(w_out / m)
 
 
-def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int, d_p: int) -> float:
+def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int) -> float:
     """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
     if p < 1:
         raise ValueError(f"PE count must be >= 1, got {p}")
-    return layer.nhwck / (params.m**2 * p) + d_p - 1
+    return layer.nhwck / (params.m**2 * p) + pipeline_depth(params) - 1
 
 
-def exact_cycles(layer: LayerShape, params: MinimalParams, p: int, d_p: int) -> int:
+def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
     """Cycle count the PE array issues: whole tiles and whole kernel groups."""
     if p < 1:
         raise ValueError(f"PE count must be >= 1, got {p}")
     ty, tx = tile_grid(layer.h, layer.w, params.m)
-    return ty * tx * layer.c * ceil(layer.k / p) * layer.n + d_p - 1
+    return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
 
 
 def layer_latency(layer: LayerShape, params: MinimalParams, p: int, hw: HardwareConfig) -> float:
     """Seconds to produce the layer's output map; fractional cycle counts."""
-    return analytical_cycles(layer, params, p, pipeline_depth(params, hw)) * hw.t_c
+    return analytical_cycles(layer, params, p) * hw.t_c
 
 
 def spatial_ops(layer: LayerShape) -> float:

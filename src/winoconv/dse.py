@@ -132,7 +132,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for m in ms:
         params = MinimalParams(m, spec.r)
         for budget in budgets:
-            hw = HardwareConfig(m_total=budget, t_c=spec.hw.t_c, d_p=spec.hw.d_p)
+            hw = HardwareConfig(m_total=budget, t_c=spec.hw.t_c)
             point = evaluate_design(spec.workload.shapes, params, hw, counts[m])
             points.append(point)
             rows.extend(_group_rows(spec.workload, point))
@@ -203,14 +203,13 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
         conv_ms = tuple(1e3 * row.latency_s for row in _group_rows(workload, point))
         power = SHARED_DESIGN_POWER_W.get(m)
         rows.append(Table2Row(
-            name=f"shared_transform_m{m}", m=m, r=r,
+            name=f"shared_transform_m{m}", m=m,
             multipliers=budget, pes=point.p, precision_bits=32,
             freq_mhz=freq_hz / 1e6,
             conv_ms=conv_ms, overall_ms=point.t_total * 1e3,
             gops=point.throughput / 1e9,
             gops_per_mult=point.throughput / 1e9 / budget,
             power_w=power, gops_per_w=SHARED_DESIGN_GOPS_PER_W.get(m),
-            computed=True,
         ))
     return Table2Report(groups=workload.groups, rows=tuple(rows))
 

@@ -8,7 +8,9 @@ accumulates the m x m partial result in its output buffer over C channel
 cycles.  Kernels are processed in groups of P (idle PEs compute with zero
 kernels when K is not a multiple of P); loop order is batch, tile position,
 kernel group, channel.  Double buffering is assumed ideal, so no stall
-cycles exist and the run takes cost_model.exact_cycles cycles.
+cycles exist and the run takes cost_model.exact_cycles cycles: the issue
+cycles plus the pipeline fill, cost_model.pipeline_depth(params) - 1, which
+the tile size fixes.
 
 Granularity is stage-synchronous ("one tile per stage per cycle"), not
 bit-accurate; that is enough to validate the latency model and the
@@ -54,13 +56,10 @@ from .transforms import MinimalParams, TransformSet, generate_transforms
 class EngineConfig:
     params: MinimalParams
     p: int
-    d_p: int
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"PE count must be >= 1, got {self.p}")
-        if self.d_p < 3:
-            raise ValueError(f"pipeline depth must cover the 3 stages, got {self.d_p}")
 
 
 @dataclass
@@ -80,7 +79,7 @@ class SimTrace:
 
 def expected_cycles(cfg: EngineConfig, layer: LayerShape) -> int:
     """Closed-form cycle count of simulate_layer for the same shapes."""
-    return exact_cycles(layer, cfg.params, cfg.p, cfg.d_p)
+    return exact_cycles(layer, cfg.params, cfg.p)
 
 
 def simulate_layer(
@@ -135,7 +134,7 @@ def simulate_layer(
         trace.inverse_transform_count += prod.size // a2
         trace.idle_pe_slots += idle.size // a2
 
-    trace.cycles_elapsed = trace.issue_cycles + cfg.d_p - 1
+    trace.cycles_elapsed = trace.issue_cycles + pipeline_depth(cfg.params) - 1
     y = accum.reshape(fmap.n, ty, tx, n_groups, m, m, p).transpose(0, 3, 6, 1, 4, 2, 5)
     return untile(y.reshape(fmap.n, n_groups * p, ty, m, tx, m)[:, :k], h_out, w_out), trace
 
@@ -165,7 +164,7 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
     """
     m = cfg.params.m
     simulated = expected_cycles(cfg, layer)
-    analytical = analytical_cycles(layer, cfg.params, cfg.p, cfg.d_p)
+    analytical = analytical_cycles(layer, cfg.params, cfg.p)
     ty, tx = tile_grid(layer.h, layer.w, m)
     overhead = (
         ty * tx * ceil(layer.k / cfg.p) - (layer.h * layer.w / (m * m)) * (layer.k / cfg.p)
@@ -180,4 +179,4 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
 
 def engine_config_for(params: MinimalParams, hw: HardwareConfig) -> EngineConfig:
     """Engine sized to a hardware budget: P from the multiplier count."""
-    return EngineConfig(params=params, p=pe_count(hw, params), d_p=pipeline_depth(params, hw))
+    return EngineConfig(params=params, p=pe_count(hw, params))

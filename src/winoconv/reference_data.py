@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Table2Row:
-    """One design on the VGG16-D conv layers: modeled at F(m, r) if computed, else published."""
+    """One design on the VGG16-D conv layers: modeled at tile size m, else published."""
 
     name: str
     multipliers: int
@@ -29,36 +29,37 @@ class Table2Row:
     power_w: float | None
     gops_per_w: float | None
     m: int | None = None
-    r: int | None = None
-    computed: bool = False
-    note: str = ""
+
+    @property
+    def computed(self) -> bool:
+        return self.m is not None
 
 
 # Prior published designs (static echo only).
 PRIOR_DESIGNS = (
+    # Older embedded implementation, fixed point.
     Table2Row(
         name="prior_zynq_16bit",
         multipliers=780, pes=None, precision_bits=16, freq_mhz=150.0,
         conv_ms=(31.29, 23.58, 39.29, 36.30, 32.95),
         overall_ms=163.4, gops=187.8, gops_per_mult=0.24,
         power_w=9.63, gops_per_w=19.50,
-        note="older embedded implementation, fixed point",
     ),
+    # Per-PE data transform, F(2x2,3x3), as published.
     Table2Row(
         name="prior_1d_engine",
         multipliers=256, pes=16, precision_bits=32, freq_mhz=200.0,
         conv_ms=(16.81, 24.08, 40.14, 40.14, 12.04),
         overall_ms=133.22, gops=230.4, gops_per_mult=0.90,
         power_w=8.04, gops_per_w=28.66,
-        note="per-PE data transform, F(2x2,3x3), as published",
     ),
+    # Normalized to the 688-multiplier budget of the F(2x2,3x3) build.
     Table2Row(
         name="prior_1d_engine_norm688",
         multipliers=688, pes=43, precision_bits=32, freq_mhz=200.0,
         conv_ms=(6.25, 8.96, 14.94, 14.94, 4.48),
         overall_ms=49.57, gops=619.2, gops_per_mult=0.90,
         power_w=21.61, gops_per_w=28.66,
-        note="normalized to the 688-multiplier budget of the F(2x2,3x3) build",
     ),
 )
 

@@ -193,7 +193,7 @@ def test_criterion_5_shared_transform_saving():
     kern = KernelBank(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
     per_p = {}
     for p in (4, 6, 8):
-        cfg = EngineConfig(params, p=p, d_p=4)
+        cfg = EngineConfig(params, p=p)
         _, trace = simulate_layer(cfg, fmap, kern, spec)
         per_p[p] = trace.data_transform_invocations
         # the reference design transforms every tile in each of the P PEs
@@ -205,7 +205,7 @@ def test_criterion_5_shared_transform_saving():
     # (divisible dims, K a multiple of P).
     p = 4
     kern8 = KernelBank(rng.standard_normal((8, 3, 3, 3)).astype(np.float32))
-    cfg = EngineConfig(params, p=p, d_p=4)
+    cfg = EngineConfig(params, p=p)
     _, trace = simulate_layer(cfg, fmap, kern8, spec)
     ts = generate_transforms(params)
     ops = count_transform_ops(ts)
@@ -243,7 +243,7 @@ def test_criterion_6_cycle_model():
         p = int(rng.integers(1, 5))
         fmap = FeatureMap(rng.standard_normal((n, c, h, w)).astype(np.float32))
         kern = KernelBank(rng.standard_normal((k, c, 3, 3)).astype(np.float32))
-        cfg = EngineConfig(MinimalParams(m, 3), p=p, d_p=5)
+        cfg = EngineConfig(MinimalParams(m, 3), p=p)
         _, trace = simulate_layer(cfg, fmap, kern, spec)
         layer = LayerShape(n=n, h=h, w=w, c=c, k=k, r=3)  # pad=1 keeps dims for r=3
         assert trace.cycles_elapsed == expected_cycles(cfg, layer)
@@ -252,7 +252,7 @@ def test_criterion_6_cycle_model():
         checked += 1
 
     # divisible dims and K % P == 0: the gap vanishes exactly
-    cfg = EngineConfig(MinimalParams(4, 3), p=4, d_p=5)
+    cfg = EngineConfig(MinimalParams(4, 3), p=4)
     layer = LayerShape(n=2, h=16, w=8, c=3, k=8, r=3)
     report = validate_against_analytical(cfg, layer)
     assert report.gap_cycles == 0 and report.ceiling_overhead == 0

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -37,8 +38,10 @@ def test_transform_custom_points(capsys):
     assert "points: 0, 1/2, -1/2, inf" in capsys.readouterr().out
 
 
-def test_transform_bad_points_is_error(capsys):
-    assert main(["transform", "--m", "2", "--r", "3", "--points", "0,1,1"]) == 1
+@pytest.mark.parametrize("points", ["0,1,1", "0,1,1/0"], ids=["repeated", "zero_denominator"])
+def test_transform_bad_points_is_error(capsys, points):
+    # 1/0 raised ZeroDivisionError out of Fraction with a traceback
+    assert main(["transform", "--m", "2", "--r", "3", "--points", points]) == 1
     assert "error:" in capsys.readouterr().err
 
 
@@ -177,10 +180,21 @@ def test_dse_takes_r_from_the_workload(tmp_path, capsys):
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = re.search(r"## CLI\n\n```\n(.*?)```", readme, re.S).group(1)
-    commands = [shlex.split(re.sub(r"[\[\]]", "", line))[1:]
-                for line in block.splitlines() if line.startswith("winoconv ")]
+    lines = [line for line in block.splitlines() if line.startswith("winoconv ")]
+    commands = [shlex.split(re.sub(r"[\[\]]", "", line))[1:] for line in lines]
     assert sorted(argv[0] for argv in commands) \
         == ["conv", "dse", "report", "simulate", "transform"]
     parser = build_parser()
-    for argv in commands:
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    for line, argv in zip(lines, commands):
         parser.parse_args(argv)
+        # every option of the subcommand is documented, optional ones in brackets
+        words = shlex.split(line)
+        for action in subparsers[argv[0]]._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                want = option if action.required else f"[{option}"
+                assert want in words, f"README line of {argv[0]} lacks {want}"
+    with pytest.raises(SystemExit) as exc:  # the tile size fixes the pipeline depth
+        parser.parse_args(["simulate", "--m", "2", "--d-p", "4"])
+    assert exc.value.code == 2

@@ -264,7 +264,7 @@ def test_integer_input_rejected():
     fmap = FeatureMap(rng.integers(-3, 4, (1, 2, 8, 8)).astype(np.int32))
     kern = KernelBank(rng.integers(-3, 4, (2, 2, 3, 3)).astype(np.int32))
     ts = generate_transforms(MinimalParams(2, 3))
-    cfg = EngineConfig(ts.params, p=2, d_p=4)
+    cfg = EngineConfig(ts.params, p=2)
     spec = ConvSpec(pad=1)
     with pytest.raises(ValueError, match="floating point"):
         precompute_filter_transforms(kern, ts)

@@ -6,7 +6,6 @@ from winoconv.cost_model import (
     TransformOpCounts,
     analytical_cycles,
     count_transform_ops,
-    default_pipeline_depth,
     evaluate_design,
     exact_cycles,
     implementation_transform_complexity,
@@ -14,6 +13,7 @@ from winoconv.cost_model import (
     lut_total,
     multiplication_complexity,
     pe_count,
+    pipeline_depth,
     spatial_ops,
     throughput,
     tile_grid,
@@ -138,10 +138,12 @@ def test_pe_count_nonincreasing_in_m():
     assert counts == sorted(counts, reverse=True)
 
 
-def test_default_pipeline_depth():
-    assert default_pipeline_depth(MinimalParams(2, 3)) == 4   # ceil(log2 4) = 2
-    assert default_pipeline_depth(MinimalParams(3, 3)) == 5
-    assert default_pipeline_depth(MinimalParams(4, 3)) == 5   # ceil(log2 6) = 3
+def test_pipeline_depth():
+    assert pipeline_depth(MinimalParams(2, 3)) == 4   # ceil(log2 4) = 2
+    assert pipeline_depth(MinimalParams(3, 3)) == 5
+    assert pipeline_depth(MinimalParams(4, 3)) == 5   # ceil(log2 6) = 3
+    with pytest.raises(TypeError):  # the tile size fixes the depth
+        HardwareConfig(700, 5e-9, d_p=5)
 
 
 def test_layer_latency_conv1_group():
@@ -154,10 +156,11 @@ def test_layer_latency_conv1_group():
 
 
 def test_layer_latency_single_tile_is_pipeline_depth():
-    hw = HardwareConfig(100, 5e-9, d_p=7)
+    hw = HardwareConfig(100, 5e-9)
     params = MinimalParams(2, 3)
     one_tile = LayerShape(n=1, h=2, w=2, c=1, k=1, r=3)
-    assert layer_latency(one_tile, params, 1, hw) == pytest.approx(7 * 5e-9)
+    # one issue cycle plus the fill of D_p - 1 cycles
+    assert layer_latency(one_tile, params, 1, hw) == pytest.approx(pipeline_depth(params) * 5e-9)
 
 
 def test_exact_cycles_pay_tile_and_kernel_group_ceilings():
@@ -165,22 +168,25 @@ def test_exact_cycles_pay_tile_and_kernel_group_ceilings():
     # 14 x 14 output gives 4 x 4 tiles; K = 8 on P = 3 gives 3 kernel groups
     assert tile_grid(14, 14, 4) == (4, 4)
     layer = LayerShape(n=2, h=14, w=14, c=5, k=8, r=3)
-    assert exact_cycles(layer, params, 3, 5) == 16 * 5 * 3 * 2 + 4
+    assert exact_cycles(layer, params, 3) == 16 * 5 * 3 * 2 + 4
     # whole tiles and whole kernel groups: the fractional count is exact
     whole = LayerShape(n=1, h=16, w=12, c=3, k=8, r=3)
-    assert exact_cycles(whole, params, 4, 5) == analytical_cycles(whole, params, 4, 5) == 76
+    assert exact_cycles(whole, params, 4) == analytical_cycles(whole, params, 4) == 76
     with pytest.raises(ValueError, match="PE count"):
-        exact_cycles(layer, params, 0, 5)
+        exact_cycles(layer, params, 0)
 
 
 def test_latency_scaling_invariants():
-    hw = HardwareConfig(1000, 5e-9, d_p=1)  # d_p - 1 = 0 isolates the cycle term
+    hw = HardwareConfig(1000, 5e-9)
     layer = LayerShape(1, 56, 56, 32, 32, 3)
+
+    def cycle_term(params, p):  # latency less the fill of D_p - 1 cycles
+        return layer_latency(layer, params, p, hw) - (pipeline_depth(params) - 1) * hw.t_c
+
     params = MinimalParams(2, 3)
-    assert layer_latency(layer, params, 8, hw) == pytest.approx(
-        2 * layer_latency(layer, params, 16, hw))
-    l2 = layer_latency(layer, MinimalParams(2, 3), 10, hw)
-    l4 = layer_latency(layer, MinimalParams(4, 3), 10, hw)
+    assert cycle_term(params, 8) == pytest.approx(2 * cycle_term(params, 16))
+    l2 = cycle_term(MinimalParams(2, 3), 10)
+    l4 = cycle_term(MinimalParams(4, 3), 10)
     assert l2 / l4 == pytest.approx(4.0)
 
 

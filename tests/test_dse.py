@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from winoconv.cost_model import HardwareConfig
+from winoconv.cost_model import HardwareConfig, pipeline_depth
 from winoconv.dse import (
     SweepSpec,
     recommend,
@@ -15,6 +15,7 @@ from winoconv.dse import (
     write_table2_csv,
     write_table2_reference_csv,
 )
+from winoconv.transforms import MinimalParams
 from winoconv.workload import Workload, WorkloadLayer, load_workload
 from winoconv.cost_model import LayerShape
 
@@ -33,7 +34,7 @@ def sweep(vgg):
 
 
 def test_sweep_m1_is_spatial_baseline(vgg):
-    hw = HardwareConfig(m_total=90, t_c=5e-9, d_p=1)
+    hw = HardwareConfig(m_total=90, t_c=5e-9)
     spec = SweepSpec(m_values=(1,), r=3, budgets=(90,), workload=vgg, hw=hw)
     result = run_sweep(spec)
     assert all(row.o_t == 0 for row in result.rows)
@@ -41,7 +42,8 @@ def test_sweep_m1_is_spatial_baseline(vgg):
     # with m = 1 every PE performs r^2 multiplications per output pixel
     p = 90 // 9
     total = sum(l.nhwck for l in vgg.shapes)
-    assert point.t_total == pytest.approx(total / p * 5e-9)
+    fill = len(vgg.shapes) * (pipeline_depth(MinimalParams(1, 3)) - 1) * 5e-9
+    assert point.t_total - fill == pytest.approx(total / p * 5e-9)
     assert point.throughput == pytest.approx(point.o_s / point.t_total)
 
 

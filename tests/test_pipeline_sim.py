@@ -17,6 +17,7 @@ from winoconv.cost_model import (
     count_transform_ops,
     implementation_transform_complexity,
     layer_latency,
+    pipeline_depth,
 )
 from winoconv.pipeline_sim import (
     EngineConfig,
@@ -42,23 +43,23 @@ def random_case(rng, n, c, h, w, k, r=3):
 
 def test_single_tile_latency_is_pipeline_depth():
     # m x m input with pad 1 and r = 3 produces exactly one m x m output tile
-    for m in (2, 3, 4):
-        cfg = EngineConfig(MinimalParams(m, 3), p=1, d_p=6)
+    for m, depth in ((2, 4), (3, 5), (4, 5)):
+        cfg = EngineConfig(MinimalParams(m, 3), p=1)
         fmap = FeatureMap(np.ones((1, 1, m, m), dtype=np.float32))
         kern = KernelBank(np.ones((1, 1, 3, 3), dtype=np.float32))
         _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
         assert trace.issue_cycles == 1
-        assert trace.cycles_elapsed == cfg.d_p
+        assert trace.cycles_elapsed == pipeline_depth(cfg.params) == depth
 
 
 def test_conv5_like_instance():
     rng = np.random.default_rng(0)
     fmap, kern = random_case(rng, 1, 4, 14, 14, 8)
-    cfg = EngineConfig(MinimalParams(4, 3), p=4, d_p=5)
+    cfg = EngineConfig(MinimalParams(4, 3), p=4)
     spec = ConvSpec(pad=1)
     out, trace = simulate_layer(cfg, fmap, kern, spec)
     assert trace.issue_cycles == 16 * 4 * 2  # tiles * channels * kernel groups
-    assert trace.cycles_elapsed == 128 + cfg.d_p - 1
+    assert trace.cycles_elapsed == 128 + pipeline_depth(cfg.params) - 1
     ts = generate_transforms(cfg.params)
     ref = winograd_conv(fmap, kern, spec, ts)
     assert rel_err(out.data, ref.data) < 1e-5
@@ -68,7 +69,7 @@ def test_conv5_like_instance():
 def test_zero_kernels_same_cycles():
     rng = np.random.default_rng(1)
     fmap, kern = random_case(rng, 1, 2, 8, 8, 3)
-    cfg = EngineConfig(MinimalParams(2, 3), p=2, d_p=4)
+    cfg = EngineConfig(MinimalParams(2, 3), p=2)
     spec = ConvSpec(pad=1)
     _, trace_a = simulate_layer(cfg, fmap, kern, spec)
     out, trace_b = simulate_layer(cfg, fmap, KernelBank(np.zeros_like(kern.data)), spec)
@@ -82,7 +83,7 @@ def test_shared_transform_invocations_independent_of_p():
     spec = ConvSpec(pad=1)
     invocations = []
     for p in (2, 4, 8):
-        cfg = EngineConfig(MinimalParams(2, 3), p=p, d_p=4)
+        cfg = EngineConfig(MinimalParams(2, 3), p=p)
         _, trace = simulate_layer(cfg, fmap, kern, spec)
         assert trace.data_transform_invocations == trace.issue_cycles
         # the reference design transforms every tile in each of the P PEs
@@ -96,7 +97,7 @@ def test_hadamard_count_and_per_pe_throughput():
     rng = np.random.default_rng(4)
     # divisible dims, K a multiple of P: all PEs stay busy
     fmap, kern = random_case(rng, 1, 3, 8, 8, 6)
-    cfg = EngineConfig(MinimalParams(2, 3), p=3, d_p=4)
+    cfg = EngineConfig(MinimalParams(2, 3), p=3)
     out, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
     tiles = 16
     assert trace.hadamard_mult_count == tiles * 3 * 2 * 3 * 16  # tiles*C*groups*P*alpha^2
@@ -106,7 +107,7 @@ def test_hadamard_count_and_per_pe_throughput():
     for m in (2, 3, 4):
         f1 = FeatureMap(rng.standard_normal((1, 1, 4 * m, 4 * m)).astype(np.float32))
         k1 = KernelBank(rng.standard_normal((3, 1, 3, 3)).astype(np.float32))
-        cfg = EngineConfig(MinimalParams(m, 3), p=3, d_p=4)
+        cfg = EngineConfig(MinimalParams(m, 3), p=3)
         out, trace = simulate_layer(cfg, f1, k1, ConvSpec(pad=1))
         assert out.data.size / (trace.issue_cycles * cfg.p) == m * m
 
@@ -124,14 +125,14 @@ def test_expected_cycles_formula_random_configs():
         p = int(rng.integers(1, 5))
         pad = 1
         fmap, kern = random_case(rng, n, c, h, w, k)
-        cfg = EngineConfig(MinimalParams(m, r), p=p, d_p=5)
+        cfg = EngineConfig(MinimalParams(m, r), p=p)
         _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=pad))
         layer = LayerShape(n=n, h=h, w=w, c=c, k=k, r=r)  # pad 1 keeps dims
         assert trace.cycles_elapsed == expected_cycles(cfg, layer)
 
 
 def test_validate_against_analytical_divisible_gap_zero():
-    cfg = EngineConfig(MinimalParams(4, 3), p=4, d_p=5)
+    cfg = EngineConfig(MinimalParams(4, 3), p=4)
     layer = LayerShape(n=1, h=16, w=16, c=3, k=8, r=3)
     report = validate_against_analytical(cfg, layer)
     assert report.gap_cycles == 0
@@ -140,7 +141,7 @@ def test_validate_against_analytical_divisible_gap_zero():
 
 
 def test_validate_against_analytical_partial_tiles():
-    cfg = EngineConfig(MinimalParams(4, 3), p=4, d_p=5)
+    cfg = EngineConfig(MinimalParams(4, 3), p=4)
     layer = LayerShape(n=1, h=14, w=14, c=4, k=8, r=3)
     report = validate_against_analytical(cfg, layer)
     # (16 - (14/4)^2) * C * ceil(K/P) * N with K divisible by P
@@ -151,7 +152,7 @@ def test_validate_against_analytical_partial_tiles():
 
 def test_validate_against_analytical_consistent_despite_rounding():
     # gap and overhead, about 3.7e5 cycles each, differ in the last bits
-    cfg = EngineConfig(MinimalParams(3, 3), p=1, d_p=5)
+    cfg = EngineConfig(MinimalParams(3, 3), p=1)
     layer = LayerShape(n=1, h=41, w=41, c=173, k=235, r=3)
     report = validate_against_analytical(cfg, layer)
     assert report.gap_cycles != report.ceiling_overhead
@@ -167,10 +168,9 @@ def test_analytical_cycles_price_the_dse_latency():
         params = MinimalParams(int(rng.integers(1, 7)), int(rng.choice([1, 3, 5])))
         layer = LayerShape(*(int(x) for x in rng.integers(1, 300, size=5)), r=params.r)
         p = int(rng.integers(1, 40))
-        d_p = int(rng.integers(3, 12))
         t_c = 1.0 / float(rng.uniform(50e6, 500e6))
-        cfg = EngineConfig(params, p=p, d_p=d_p)
-        hw = HardwareConfig(m_total=p * params.alpha**2, t_c=t_c, d_p=d_p)
+        cfg = EngineConfig(params, p=p)
+        hw = HardwareConfig(m_total=p * params.alpha**2, t_c=t_c)
         report = validate_against_analytical(cfg, layer)
         assert report.analytical_cycles * t_c == layer_latency(layer, params, p, hw)
 
@@ -178,32 +178,31 @@ def test_analytical_cycles_price_the_dse_latency():
 def test_batch_doubles_issue_cycles():
     rng = np.random.default_rng(6)
     spec = ConvSpec(pad=1)
-    cfg = EngineConfig(MinimalParams(2, 3), p=2, d_p=4)
+    cfg = EngineConfig(MinimalParams(2, 3), p=2)
     f1, kern = random_case(rng, 1, 2, 6, 6, 4)
     f2 = FeatureMap(np.concatenate([f1.data, f1.data], axis=0))
     _, t1 = simulate_layer(cfg, f1, kern, spec)
     _, t2 = simulate_layer(cfg, f2, kern, spec)
     assert t2.issue_cycles == 2 * t1.issue_cycles
-    assert t2.cycles_elapsed - (cfg.d_p - 1) == 2 * (t1.cycles_elapsed - (cfg.d_p - 1))
+    fill = pipeline_depth(cfg.params) - 1
+    assert t2.cycles_elapsed - fill == 2 * (t1.cycles_elapsed - fill)
 
 
 def test_engine_config_validation():
     with pytest.raises(ValueError, match="PE count"):
-        EngineConfig(MinimalParams(2, 3), p=0, d_p=4)
-    with pytest.raises(ValueError, match="3 stages"):
-        EngineConfig(MinimalParams(2, 3), p=1, d_p=2)
+        EngineConfig(MinimalParams(2, 3), p=0)
 
 
 def test_engine_config_for_budget():
     hw = HardwareConfig(m_total=684, t_c=5e-9)
     cfg = engine_config_for(MinimalParams(4, 3), hw)
-    assert cfg.p == 19 and cfg.d_p == 5
+    assert cfg == EngineConfig(MinimalParams(4, 3), p=19)
 
 
 def test_shape_mismatch_errors():
     fmap = FeatureMap(np.ones((1, 2, 6, 6), dtype=np.float32))
     kern = KernelBank(np.ones((1, 3, 3, 3), dtype=np.float32))
-    cfg = EngineConfig(MinimalParams(2, 3), p=1, d_p=4)
+    cfg = EngineConfig(MinimalParams(2, 3), p=1)
     with pytest.raises(ValueError, match="channel mismatch"):
         simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
     kern55 = KernelBank(np.ones((1, 2, 5, 5), dtype=np.float32))
@@ -214,7 +213,7 @@ def test_shape_mismatch_errors():
 def test_trace_json_round_trips():
     rng = np.random.default_rng(7)
     fmap, kern = random_case(rng, 1, 1, 4, 4, 1)
-    cfg = EngineConfig(MinimalParams(2, 3), p=2, d_p=4)
+    cfg = EngineConfig(MinimalParams(2, 3), p=2)
     _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
     blob = json.loads(trace.to_json())
     assert blob == {
@@ -232,7 +231,7 @@ def test_no_idle_pe_slots_when_p_divides_k():
     rng = np.random.default_rng(8)
     fmap, kern = random_case(rng, 2, 3, 7, 7, 6)
     for p in (1, 2, 3, 6):
-        cfg = EngineConfig(MinimalParams(3, 3), p=p, d_p=4)
+        cfg = EngineConfig(MinimalParams(3, 3), p=p)
         _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
         assert trace.idle_pe_slots == 0
         assert trace.inverse_transform_count == trace.issue_cycles * p
@@ -279,7 +278,7 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
                         out[img, group * p + pe, y0 : y0 + m, x0 : x0 + m] = \
                             accum[:, pe].reshape(m, m)
     trace = SimTrace(
-        cycles_elapsed=cycles + cfg.d_p - 1,
+        cycles_elapsed=cycles + pipeline_depth(cfg.params) - 1,
         issue_cycles=cycles,
         data_transform_invocations=cycles,
         inverse_transform_count=cycles * p,
@@ -307,7 +306,7 @@ def test_bit_identical_to_hardware_order_stepping():
         fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, int(rng.integers(1, 4)), h, w))
                           .astype(dtype))
         kern = KernelBank(rng.standard_normal((k, fmap.c, 3, 3)).astype(dtype))
-        cfg = EngineConfig(MinimalParams(m, 3), p=p, d_p=4 + i % 3)
+        cfg = EngineConfig(MinimalParams(m, 3), p=p)
         spec = ConvSpec(pad=pad)
         out, trace = simulate_layer(cfg, fmap, kern, spec)
         want, want_trace = stepped_hardware_order(cfg, fmap, kern, spec)
@@ -329,7 +328,7 @@ def test_measured_transform_counts_price_the_shared_design():
         h, w = m * int(rng.integers(1, 4)), m * int(rng.integers(1, 4))
         k = p * int(rng.integers(1, 3))
         fmap, kern = random_case(rng, n, c, h, w, k)
-        cfg = EngineConfig(params, p=p, d_p=5)
+        cfg = EngineConfig(params, p=p)
         _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1), ts)
         ops = count_transform_ops(ts)
         measured = ops.beta * trace.data_transform_invocations \
