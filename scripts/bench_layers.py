@@ -44,14 +44,14 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from winoconv import (  # noqa: E402
     ConvSpec,
+    EngineConfig,
     FeatureMap,
-    HardwareConfig,
     KernelBank,
     MinimalParams,
-    engine_config_for,
     exact_cycles,
     generate_transforms,
     load_workload,
+    pe_count,
     pipeline_depth,
     precompute_filter_transforms,
     simulate_layer,
@@ -140,7 +140,7 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
     designs = []
     for m, r, budget in SHARED_DESIGN_BUDGETS:
         params = MinimalParams(m, r)
-        cfg = engine_config_for(params, HardwareConfig(m_total=budget, t_c=5e-9))
+        cfg = EngineConfig(params, p=pe_count(budget, params))
         ts = generate_transforms(params)
         rows, total_s = [], 0.0
         for wl in workload.layers:

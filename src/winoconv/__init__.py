@@ -18,14 +18,10 @@ from .cost_model import (
     evaluate_design,
     exact_cycles,
     implementation_transform_complexity,
-    layer_latency,
+    layer_cost,
     lut_total,
-    multiplication_complexity,
     pe_count,
     pipeline_depth,
-    spatial_ops,
-    throughput,
-    transform_complexity,
 )
 from .dse import (
     SweepResult,

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import dse as dse_mod
 from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, spatial_conv, winograd_conv
-from .cost_model import HardwareConfig, LayerShape, clock_period
-from .pipeline_sim import engine_config_for, simulate_layer, validate_against_analytical
+from .cost_model import HardwareConfig, LayerShape, clock_period, pe_count
+from .pipeline_sim import EngineConfig, simulate_layer, validate_against_analytical
 from .tensor_io import load_tensor, save_tensor
 from .transforms import (
     MinimalParams,
@@ -122,9 +122,8 @@ def cmd_dse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # The clock sizes nothing: engine_config_for reads m_total only.
-    hw = HardwareConfig(m_total=args.multipliers, t_c=clock_period(FREQ_MHZ * 1e6))
-    cfg = engine_config_for(MinimalParams(args.m, args.r), hw)
+    params = MinimalParams(args.m, args.r)
+    cfg = EngineConfig(params, p=pe_count(args.multipliers, params))
 
     rng = np.random.default_rng(args.seed)
     fmap = FeatureMap(rng.standard_normal((args.n, args.c, args.height, args.width))

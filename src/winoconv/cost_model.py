@@ -1,7 +1,9 @@
 """Closed-form complexity, latency and throughput models for the PE array.
 
-evaluate_design prices each layer once (one LayerCost per layer); design
-totals, and in dse the group rows, figures and Table 2, are sums over it.
+layer_cost is the one per-layer evaluation: it returns a layer's O_m, O_t,
+O_S and latency T_t below as one LayerCost.  evaluate_design calls it once
+per layer; design totals, and in dse the group rows, figures and Table 2,
+are sums over those LayerCosts.
 
 Complexity conventions, with alpha = m + r - 1 and a layer of N images,
 H x W output pixels, C input and K output channels:
@@ -177,31 +179,6 @@ def count_transform_ops(ts: TransformSet, convention: str = "all_ops") -> Transf
     return TransformOpCounts(beta, gamma, delta)
 
 
-def multiplication_complexity(layer: LayerShape, params: MinimalParams) -> float:
-    """Element-wise stage multiplications; fractional tile counts."""
-    return layer.nhwck / params.m**2 * params.alpha**2
-
-
-@dataclass(frozen=True)
-class TransformComplexity:
-    t_data: float
-    t_filter: float
-    t_inverse: float
-    total: float
-
-
-def transform_complexity(
-    layer: LayerShape, params: MinimalParams, ops: TransformOpCounts
-) -> TransformComplexity:
-    """Per-layer transform op totals and their sum O_t."""
-    m2 = params.m**2
-    nhw = layer.n * layer.h * layer.w
-    t_data = ops.beta / m2 * nhw * layer.c
-    t_filter = ops.gamma * layer.c * layer.k
-    t_inverse = ops.delta / m2 * nhw * layer.k
-    return TransformComplexity(t_data, t_filter, t_inverse, t_data + t_filter + t_inverse)
-
-
 def implementation_transform_complexity(
     layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int
 ) -> float:
@@ -215,15 +192,15 @@ def implementation_transform_complexity(
     return layer.nhwck / params.m**2 * (ops.beta / p + ops.delta)
 
 
-def pe_count(hw: HardwareConfig, params: MinimalParams) -> int:
+def pe_count(m_total: int, params: MinimalParams) -> int:
     """Parallel PEs fitting the multiplier budget: floor(m_total / alpha^2)."""
     per_pe = params.alpha**2
-    if hw.m_total < per_pe:
+    if m_total < per_pe:
         raise ValueError(
-            f"budget of {hw.m_total} multipliers is below one PE "
+            f"budget of {m_total} multipliers is below one PE "
             f"({per_pe} needed for F({params.m},{params.r}))"
         )
-    return hw.m_total // per_pe
+    return m_total // per_pe
 
 
 def tile_grid(h_out: int, w_out: int, m: int) -> tuple[int, int]:
@@ -246,26 +223,24 @@ def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
     return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
 
 
-def layer_latency(layer: LayerShape, params: MinimalParams, p: int, hw: HardwareConfig) -> float:
-    """Seconds to produce the layer's output map; fractional cycle counts."""
-    return analytical_cycles(layer, params, p) * hw.t_c
-
-
-def spatial_ops(layer: LayerShape) -> float:
-    """Spatial-convolution op count, one multiply-accumulate = two ops."""
-    return 2.0 * layer.nhwck * layer.r**2
-
-
-def throughput(o_s: float, t_total: float) -> float:
-    """Operations per second."""
-    if t_total <= 0:
-        raise ValueError(f"total time must be > 0, got {t_total}")
-    return o_s / t_total
-
-
 def lut_total(p: int, per_pe: int, fixed: int = 0) -> int:
     """Linear logic-resource model: fixed block plus per-PE slope."""
     return fixed + p * per_pe
+
+
+def layer_cost(
+    layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int, t_c: float
+) -> LayerCost:
+    """O_m, O_t = T(D) + T(F) + T(I), O_S and T_t of one layer on P PEs; fractional tiles."""
+    m2 = params.m**2
+    nhw = layer.n * layer.h * layer.w
+    return LayerCost(
+        o_m=layer.nhwck / m2 * params.alpha**2,
+        o_t=ops.beta / m2 * nhw * layer.c + ops.gamma * layer.c * layer.k
+        + ops.delta / m2 * nhw * layer.k,
+        o_s=2.0 * layer.nhwck * layer.r**2,
+        latency_s=analytical_cycles(layer, params, p) * t_c,
+    )
 
 
 def evaluate_design(
@@ -274,21 +249,15 @@ def evaluate_design(
     hw: HardwareConfig,
     ops: TransformOpCounts,
 ) -> DesignPoint:
-    """Whole-workload DesignPoint: evaluates the per-layer models once per layer."""
-    p = pe_count(hw, params)
-    costs = tuple(
-        LayerCost(
-            o_m=multiplication_complexity(l, params),
-            o_t=transform_complexity(l, params, ops).total,
-            o_s=spatial_ops(l),
-            latency_s=layer_latency(l, params, p, hw),
-        )
-        for l in layers
-    )
+    """Whole-workload DesignPoint: one layer_cost per layer, totals summed in order."""
+    p = pe_count(hw.m_total, params)
+    costs = tuple(layer_cost(l, params, ops, p, hw.t_c) for l in layers)
+    if not costs:
+        raise ValueError("a design needs at least one layer")
     o_s = sum(c.o_s for c in costs)
     t_total = sum(c.latency_s for c in costs)
     return DesignPoint(
         params=params, hw=hw, p=p, layers=costs,
         o_m=sum(c.o_m for c in costs), o_t=sum(c.o_t for c in costs), o_s=o_s,
-        t_total=t_total, throughput=throughput(o_s, t_total),
+        t_total=t_total, throughput=o_s / t_total,
     )

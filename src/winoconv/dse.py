@@ -182,25 +182,24 @@ class Table2Report:
 def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
     """Per-group latency / throughput / efficiency comparison on VGG16-D.
 
-    Prior designs, then those of SHARED_DESIGN_BUDGETS.  Latency, throughput
-    and multiplier efficiency of the shared-transform designs are computed
-    from the analytical model (group latencies are run_sweep's group rows);
-    frequency, precision and power columns of prior designs are echoed from
-    the static reference rows and never derived.
+    Prior designs, then those of SHARED_DESIGN_BUDGETS.  Each shared-transform
+    design is read from a one-point run_sweep: its latency, throughput and
+    multiplier efficiency from the sweep's design point, its group latencies
+    from the sweep's group rows.  Frequency, precision and power columns of
+    prior designs are echoed from the static reference rows and never derived.
     """
     if workload != load_workload("vgg16d"):
         raise ValueError(
             f"the comparison table is defined for the builtin vgg16d workload, "
             f"got {workload.name!r} with {len(workload.layers)} layers"
         )
+    t_c = clock_period(freq_hz)
     rows = list(PRIOR_DESIGNS)
     for m, r, budget in SHARED_DESIGN_BUDGETS:
-        params = MinimalParams(m, r)
-        hw = HardwareConfig(m_total=budget, t_c=clock_period(freq_hz))
-        ts = generate_transforms(params)
-        counts = count_transform_ops(ts)
-        point = evaluate_design(workload.shapes, params, hw, counts)
-        conv_ms = tuple(1e3 * row.latency_s for row in _group_rows(workload, point))
+        hw = HardwareConfig(m_total=budget, t_c=t_c)
+        sweep = run_sweep(SweepSpec((m,), r, (budget,), workload, hw))
+        point = sweep.points[0]
+        conv_ms = tuple(1e3 * row.latency_s for row in sweep.rows)
         power = SHARED_DESIGN_POWER_W.get(m)
         rows.append(Table2Row(
             name=f"shared_transform_m{m}", m=m,

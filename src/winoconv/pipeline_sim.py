@@ -158,7 +158,7 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
     """Compare the simulator's cycle count with the fractional latency model.
 
     The analytical side is cost_model.analytical_cycles, the cycle count that
-    layer_latency prices.  The gap is exactly the ceiling overhead of partial
+    layer_cost prices.  The gap is exactly the ceiling overhead of partial
     tiles and partial kernel groups; it is zero when m divides both output
     dims and P divides K.
     """
@@ -179,4 +179,4 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
 
 def engine_config_for(params: MinimalParams, hw: HardwareConfig) -> EngineConfig:
     """Engine sized to a hardware budget: P from the multiplier count."""
-    return EngineConfig(params=params, p=pe_count(hw, params))
+    return EngineConfig(params=params, p=pe_count(hw.m_total, params))

@@ -41,12 +41,10 @@ class Workload:
             raise ValueError("workload name must be nonempty")
         if not self.layers:
             raise ValueError("workload must contain at least one layer")
-        seen: list[str] = []
-        for layer in self.layers:
-            if layer.group in seen and seen[-1] != layer.group:
-                raise ValueError(f"group {layer.group!r} is not contiguous")
-            if layer.group not in seen:
-                seen.append(layer.group)
+        groups = self.groups
+        for i, group in enumerate(groups):
+            if group in groups[:i]:
+                raise ValueError(f"group {group!r} is not contiguous")
 
     @property
     def groups(self) -> tuple[str, ...]:

@@ -9,15 +9,11 @@ from winoconv.cost_model import (
     evaluate_design,
     exact_cycles,
     implementation_transform_complexity,
-    layer_latency,
+    layer_cost,
     lut_total,
-    multiplication_complexity,
     pe_count,
     pipeline_depth,
-    spatial_ops,
-    throughput,
     tile_grid,
-    transform_complexity,
 )
 from winoconv.transforms import MinimalParams, generate_transforms
 from winoconv.workload import load_workload
@@ -64,41 +60,51 @@ def test_count_rejects_unknown_convention():
         count_transform_ops(ts, "made_up")
 
 
+def o_m(layer, params):
+    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1, 5e-9).o_m
+
+
+def o_t(layer, params, ops):
+    return layer_cost(layer, params, ops, 1, 5e-9).o_t
+
+
+def latency(layer, params, p, hw):
+    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), p, hw.t_c).latency_s
+
+
 def test_multiplication_complexity():
     layer = LayerShape(n=1, h=224, w=224, c=3, k=64, r=3)
-    assert multiplication_complexity(layer, MinimalParams(1, 3)) == layer.nhwck * 9
+    assert o_m(layer, MinimalParams(1, 3)) == layer.nhwck * 9
     # quadratic decay: ratio m=2 over m=1 is 16/36 for every layer
-    assert multiplication_complexity(layer, MinimalParams(2, 3)) \
-        / multiplication_complexity(layer, MinimalParams(1, 3)) == pytest.approx(16 / 36)
-    assert multiplication_complexity(layer, MinimalParams(4, 3)) \
-        == pytest.approx(224 * 224 * 3 * 64 / 16 * 36)
+    assert o_m(layer, MinimalParams(2, 3)) / o_m(layer, MinimalParams(1, 3)) \
+        == pytest.approx(16 / 36)
+    assert o_m(layer, MinimalParams(4, 3)) == pytest.approx(224 * 224 * 3 * 64 / 16 * 36)
 
 
 def test_multiplication_complexity_decay_invariant():
     layer = LayerShape(n=2, h=56, w=56, c=64, k=128, r=3)
-    vals = [multiplication_complexity(layer, MinimalParams(m, 3)) * m**2 / (m + 2) ** 2
-            for m in range(1, 7)]
+    vals = [o_m(layer, MinimalParams(m, 3)) * m**2 / (m + 2) ** 2 for m in range(1, 7)]
     assert all(v == pytest.approx(vals[0]) for v in vals)
 
 
 def test_transform_complexity():
     layer = LayerShape(n=1, h=6, w=6, c=2, k=4, r=3)
     params = MinimalParams(2, 3)
-    ops = TransformOpCounts(32, 70, 24)
-    tc = transform_complexity(layer, params, ops)
-    assert tc.t_data == 32 / 4 * 36 * 2
-    assert tc.t_filter == 70 * 2 * 4
-    assert tc.t_inverse == 24 / 4 * 36 * 4
-    assert tc.total == tc.t_data + tc.t_filter + tc.t_inverse
+    # each transform alone: the other two counts are zero
+    t_data = o_t(layer, params, TransformOpCounts(32, 0, 0))
+    t_filter = o_t(layer, params, TransformOpCounts(0, 70, 0))
+    t_inverse = o_t(layer, params, TransformOpCounts(0, 0, 24))
+    assert t_data == 32 / 4 * 36 * 2
+    assert t_filter == 70 * 2 * 4
+    assert t_inverse == 24 / 4 * 36 * 4
+    assert o_t(layer, params, TransformOpCounts(32, 70, 24)) == t_data + t_filter + t_inverse
 
     # spatial case contributes nothing
-    z = transform_complexity(layer, MinimalParams(1, 3), TransformOpCounts(0, 0, 0))
-    assert z.total == 0
+    assert o_t(layer, MinimalParams(1, 3), TransformOpCounts(0, 0, 0)) == 0
 
     # one tile of each transform: h = w = m, n = c = k = 1
     one = LayerShape(n=1, h=2, w=2, c=1, k=1, r=3)
-    tc1 = transform_complexity(one, params, ops)
-    assert tc1.total == 32 + 70 + 24
+    assert o_t(one, params, TransformOpCounts(32, 70, 24)) == 32 + 70 + 24
 
 
 def test_transform_complexity_monotonic_in_m():
@@ -106,7 +112,7 @@ def test_transform_complexity_monotonic_in_m():
     totals = []
     for m in (2, 3, 4, 5):
         ts = generate_transforms(MinimalParams(m, 3))
-        totals.append(transform_complexity(layer, ts.params, count_transform_ops(ts)).total)
+        totals.append(o_t(layer, ts.params, count_transform_ops(ts)))
     assert totals == sorted(totals)
     assert totals[0] < totals[-1]
 
@@ -125,16 +131,15 @@ def test_implementation_transform_complexity():
 
 
 def test_pe_count_table():
-    assert pe_count(HardwareConfig(688, 5e-9), MinimalParams(2, 3)) == 43
-    assert pe_count(HardwareConfig(700, 5e-9), MinimalParams(3, 3)) == 28
-    assert pe_count(HardwareConfig(684, 5e-9), MinimalParams(4, 3)) == 19
+    assert pe_count(688, MinimalParams(2, 3)) == 43
+    assert pe_count(700, MinimalParams(3, 3)) == 28
+    assert pe_count(684, MinimalParams(4, 3)) == 19
     with pytest.raises(ValueError, match="below one PE"):
-        pe_count(HardwareConfig(15, 5e-9), MinimalParams(2, 3))
+        pe_count(15, MinimalParams(2, 3))
 
 
 def test_pe_count_nonincreasing_in_m():
-    hw = HardwareConfig(700, 5e-9)
-    counts = [pe_count(hw, MinimalParams(m, 3)) for m in range(1, 7)]
+    counts = [pe_count(700, MinimalParams(m, 3)) for m in range(1, 7)]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -149,9 +154,9 @@ def test_pipeline_depth():
 def test_layer_latency_conv1_group():
     hw = HardwareConfig(684, 5e-9)
     params = MinimalParams(4, 3)
-    p = pe_count(hw, params)
+    p = pe_count(hw.m_total, params)
     layers = [LayerShape(1, 224, 224, 3, 64, 3), LayerShape(1, 224, 224, 64, 64, 3)]
-    total_ms = sum(layer_latency(l, params, p, hw) for l in layers) * 1e3
+    total_ms = sum(latency(l, params, p, hw) for l in layers) * 1e3
     assert total_ms == pytest.approx(3.54, abs=0.01)
 
 
@@ -160,7 +165,7 @@ def test_layer_latency_single_tile_is_pipeline_depth():
     params = MinimalParams(2, 3)
     one_tile = LayerShape(n=1, h=2, w=2, c=1, k=1, r=3)
     # one issue cycle plus the fill of D_p - 1 cycles
-    assert layer_latency(one_tile, params, 1, hw) == pytest.approx(pipeline_depth(params) * 5e-9)
+    assert latency(one_tile, params, 1, hw) == pytest.approx(pipeline_depth(params) * 5e-9)
 
 
 def test_exact_cycles_pay_tile_and_kernel_group_ceilings():
@@ -181,7 +186,7 @@ def test_latency_scaling_invariants():
     layer = LayerShape(1, 56, 56, 32, 32, 3)
 
     def cycle_term(params, p):  # latency less the fill of D_p - 1 cycles
-        return layer_latency(layer, params, p, hw) - (pipeline_depth(params) - 1) * hw.t_c
+        return latency(layer, params, p, hw) - (pipeline_depth(params) - 1) * hw.t_c
 
     params = MinimalParams(2, 3)
     assert cycle_term(params, 8) == pytest.approx(2 * cycle_term(params, 16))
@@ -192,12 +197,16 @@ def test_latency_scaling_invariants():
 
 def test_spatial_ops_and_throughput():
     vgg = load_workload("vgg16d")
-    o_s = sum(spatial_ops(l) for l in vgg.shapes)
-    assert o_s == pytest.approx(30.69e9, rel=1e-3)
-    assert throughput(o_s, 28.05e-3) == pytest.approx(1094.3e9, rel=5e-3)
-    assert throughput(o_s, 28.05e-3) / 684 == pytest.approx(1.60e9, rel=5e-3)
-    with pytest.raises(ValueError):
-        throughput(1.0, 0.0)
+    params = MinimalParams(4, 3)
+    hw = HardwareConfig(684, 5e-9)
+    ops = count_transform_ops(generate_transforms(params))
+    point = evaluate_design(vgg.shapes, params, hw, ops)
+    assert point.o_s == pytest.approx(30.69e9, rel=1e-3)
+    assert point.t_total == pytest.approx(28.05e-3, abs=0.02e-3)
+    assert point.throughput == pytest.approx(1094.3e9, rel=5e-3)
+    assert point.throughput / 684 == pytest.approx(1.60e9, rel=5e-3)
+    with pytest.raises(ValueError, match="at least one layer"):
+        evaluate_design((), params, hw, ops)
 
 
 def test_evaluate_design_invariants():

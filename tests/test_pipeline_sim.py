@@ -14,9 +14,10 @@ from winoconv.conv import (
 from winoconv.cost_model import (
     HardwareConfig,
     LayerShape,
+    TransformOpCounts,
     count_transform_ops,
     implementation_transform_complexity,
-    layer_latency,
+    layer_cost,
     pipeline_depth,
 )
 from winoconv.pipeline_sim import (
@@ -170,9 +171,9 @@ def test_analytical_cycles_price_the_dse_latency():
         p = int(rng.integers(1, 40))
         t_c = 1.0 / float(rng.uniform(50e6, 500e6))
         cfg = EngineConfig(params, p=p)
-        hw = HardwareConfig(m_total=p * params.alpha**2, t_c=t_c)
         report = validate_against_analytical(cfg, layer)
-        assert report.analytical_cycles * t_c == layer_latency(layer, params, p, hw)
+        cost = layer_cost(layer, params, TransformOpCounts(0, 0, 0), p, t_c)
+        assert report.analytical_cycles * t_c == cost.latency_s
 
 
 def test_batch_doubles_issue_cycles():

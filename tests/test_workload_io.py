@@ -47,13 +47,9 @@ def test_parse_errors_carry_line_numbers():
         parse_workload("workload x\nlayer 1 8 8 1 1 3 1 g\nbogus\n")
     with pytest.raises(ValueError, match="duplicate 'workload'"):
         parse_workload("workload x\nworkload y\n")
-    with pytest.raises(ValueError, match="not contiguous"):
-        parse_workload(
-            "workload x\n"
-            "layer 1 8 8 1 1 3 1 a\n"
-            "layer 1 8 8 1 1 3 1 b\n"
-            "layer 1 8 8 1 1 3 1 a\n"
-        )
+    for labels in ("aba", "aabba"):
+        with pytest.raises(ValueError, match="group 'a' is not contiguous"):
+            parse_workload("workload x\n" + "".join(f"layer 1 8 8 1 1 3 1 {g}\n" for g in labels))
 
 
 def test_comments_and_blank_lines():
