@@ -231,10 +231,10 @@ def winograd_conv(
         counter.add(prod.size * c)
     # A^T M A as two 1-D passes, Z = A^T M over xi then Z A over nu with the output column
     # innermost for untile, on blocks of Z of 2^16 elements that stay in cache in between.
-    at, a = ts.at.astype(dtype), ts.a.astype(dtype)
+    at = ts.at.astype(dtype)
     y = np.empty((m, kt, m), dtype)
     step = max(1, 2**16 // (alpha * m))
     for t in range(0, kt, step):
         z = np.matmul(at, prod[:, :, t : t + step].transpose(1, 0, 2))  # (nu, i, columns)
-        np.matmul(z.transpose(1, 2, 0), a, out=y[:, t : t + step])
+        np.matmul(z.transpose(1, 2, 0), at.T, out=y[:, t : t + step])
     return untile(y.reshape(m, k, n, ty, tx, m).transpose(2, 1, 3, 0, 4, 5), h_out, w_out)

@@ -36,11 +36,10 @@ docstring for the two counting conventions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, inf, log2
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .transforms import MinimalParams, TransformSet
+from .transforms import MinimalParams, ScaledIntMatrix, TransformSet
 
 OP_CONVENTIONS = ("all_ops", "adds_only")
 
@@ -115,18 +114,19 @@ class DesignPoint:
     """One evaluated (m, r, hardware) configuration over a workload.
 
     `layers` holds one LayerCost per workload layer, in order; the totals
-    are in-order sums over it.
+    o_m, o_t, o_s and t_total are in-order sums over it, not stored.
     """
 
     params: MinimalParams
     hw: HardwareConfig
     p: int
     layers: tuple[LayerCost, ...]
-    o_m: float
-    o_t: float
-    o_s: float
-    t_total: float
-    throughput: float
+
+    o_m = property(lambda self: sum(c.o_m for c in self.layers))
+    o_t = property(lambda self: sum(c.o_t for c in self.layers))
+    o_s = property(lambda self: sum(c.o_s for c in self.layers))
+    t_total = property(lambda self: sum(c.latency_s for c in self.layers))
+    throughput = property(lambda self: self.o_s / self.t_total)
 
 
 def pipeline_depth(params: MinimalParams) -> int:
@@ -134,21 +134,22 @@ def pipeline_depth(params: MinimalParams) -> int:
     return 2 + max(1, ceil(log2(params.alpha)))
 
 
-def _product_ops(coeff_rows: Sequence[Sequence[Fraction]], n_vectors: int, convention: str) -> int:
-    """Ops to apply a constant matrix (given as rows of coefficients) to
-    n_vectors dense generic vectors, one output element per row per vector.
+def _product_ops(mat: ScaledIntMatrix, n_vectors: int, convention: str) -> int:
+    """Ops to apply an exact constant matrix to n_vectors dense generic vectors,
+    one output element per row per vector.
 
     Per output element: (nonzeros - 1) additions, plus one multiplication for
-    every coefficient not in {0, +1, -1} under 'all_ops'.  'adds_only' counts
-    only the additions: constant multiplications are folded into shift-and-add
-    logic and priced at zero.
+    every coefficient not in {0, +1, -1} under 'all_ops'; a coefficient is
+    +-1 exactly when its numerator's magnitude equals the denominator.
+    'adds_only' counts only the additions: constant multiplications are
+    folded into shift-and-add logic and priced at zero.
     """
     total = 0
-    for row in coeff_rows:
+    for row in mat.num:
         nonzero = [c for c in row if c != 0]
         ops = len(nonzero) - 1
         if convention == "all_ops":
-            ops += sum(1 for c in nonzero if abs(c) != 1)
+            ops += sum(1 for c in nonzero if abs(c) != mat.den)
         total += max(0, ops) * n_vectors
     return total
 
@@ -158,7 +159,7 @@ def count_transform_ops(ts: TransformSet, convention: str = "all_ops") -> Transf
 
     Each 2D transform is evaluated as two chained dense matrix products
     (B^T*d then *B; G*g then *G^T; A^T*M then *A) with no common-subexpression
-    reuse, on the exact rational matrices.  Multiplications by 0 drop the term;
+    reuse, on the exact matrices.  Multiplications by 0 drop the term;
     by +-1 they cost nothing.  Under 'all_ops' every other constant (powers of
     two included) costs one multiplication; 'adds_only' prices all constant
     multiplications at zero, modelling shift-and-add hardware, and depends only
@@ -171,11 +172,9 @@ def count_transform_ops(ts: TransformSet, convention: str = "all_ops") -> Transf
     if p.m == 1:
         return TransformOpCounts(0, 0, 0)
     alpha, r, m = p.alpha, p.r, p.m
-    bt = tuple(zip(*ts.b_exact))
-    at = tuple(zip(*ts.a_exact))
-    beta = _product_ops(bt, alpha, convention) * 2
-    gamma = _product_ops(ts.g_exact, r, convention) + _product_ops(ts.g_exact, alpha, convention)
-    delta = _product_ops(at, alpha, convention) + _product_ops(at, m, convention)
+    beta = _product_ops(ts.bt_int, alpha, convention) * 2
+    gamma = _product_ops(ts.g_int, r, convention) + _product_ops(ts.g_int, alpha, convention)
+    delta = _product_ops(ts.at_int, alpha, convention) + _product_ops(ts.at_int, m, convention)
     return TransformOpCounts(beta, gamma, delta)
 
 
@@ -231,7 +230,12 @@ def lut_total(p: int, per_pe: int, fixed: int = 0) -> int:
 def layer_cost(
     layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int, t_c: float
 ) -> LayerCost:
-    """O_m, O_t = T(D) + T(F) + T(I), O_S and T_t of one layer on P PEs; fractional tiles."""
+    """O_m, O_t = T(D) + T(F) + T(I), O_S and T_t of one layer on P PEs; fractional tiles.
+
+    Raises ValueError unless the layer's kernel size is the algorithm's r.
+    """
+    if layer.r != params.r:
+        raise ValueError(f"layer has r={layer.r}, F({params.m},{params.r}) needs r={params.r}")
     m2 = params.m**2
     nhw = layer.n * layer.h * layer.w
     return LayerCost(
@@ -249,15 +253,9 @@ def evaluate_design(
     hw: HardwareConfig,
     ops: TransformOpCounts,
 ) -> DesignPoint:
-    """Whole-workload DesignPoint: one layer_cost per layer, totals summed in order."""
+    """Whole-workload DesignPoint: one layer_cost per layer."""
     p = pe_count(hw.m_total, params)
     costs = tuple(layer_cost(l, params, ops, p, hw.t_c) for l in layers)
     if not costs:
         raise ValueError("a design needs at least one layer")
-    o_s = sum(c.o_s for c in costs)
-    t_total = sum(c.latency_s for c in costs)
-    return DesignPoint(
-        params=params, hw=hw, p=p, layers=costs,
-        o_m=sum(c.o_m for c in costs), o_t=sum(c.o_t for c in costs), o_s=o_s,
-        t_total=t_total, throughput=o_s / t_total,
-    )
+    return DesignPoint(params=params, hw=hw, p=p, layers=costs)

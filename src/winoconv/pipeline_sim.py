@@ -113,7 +113,8 @@ def simulate_layer(
         slots[g, :, : min(p, k - g * p)] = v[:, g * p : (g + 1) * p]
 
     # The shared data transform of every tile, channel-major: (C, tiles, alpha^2).
-    u = (ts.b.T.astype(dtype) @ d @ ts.b.astype(dtype)).transpose(1, 0, 2, 3, 4, 5)
+    bt = ts.bt.astype(dtype)
+    u = (bt @ d @ bt.T).transpose(1, 0, 2, 3, 4, 5)
     u = u.reshape(c, n_tiles, a2)
     kron_at = ts.kron_at.astype(dtype)
 

@@ -13,11 +13,12 @@ Nesting the 1D form gives the 2D algorithm on alpha x alpha input tiles:
 
 The constant matrices are synthesized from a set of distinct interpolation
 points via polynomial evaluation/interpolation (Cook-Toom), carried out in
-exact rational arithmetic.  Floating-point copies are derived at the end;
-conv.winograd_conv and pipeline_sim.simulate_layer apply them to whole
-layers.  Exact mode (winograd_1d_exact, winograd_2d_tile_exact) evaluates
-the algorithms on one tile, on integer numerators over one common
-denominator per matrix, and divides once per output.
+exact rational arithmetic.  A TransformSet keeps A^T, B^T and G once, exactly,
+as integer numerators over one common denominator each; the float64 copies
+are derived from those.  conv.winograd_conv and pipeline_sim.simulate_layer
+apply the floats to whole layers.  Exact mode (winograd_1d_exact,
+winograd_2d_tile_exact) evaluates the algorithms on one tile, on the integer
+numerators, and divides once per output.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-
-RationalMatrix = tuple[tuple[Fraction, ...], ...]
 
 
 class ScaledIntMatrix(NamedTuple):
@@ -76,47 +75,40 @@ class MinimalParams:
 class TransformSet:
     """Constant matrices of one minimal algorithm, exact and as float64.
 
-    a: inverse transform (alpha x m), b: data transform (alpha x alpha),
-    g: filter transform (alpha x r).  The *_exact fields hold the rational
-    matrices the floats were derived from; at_int, bt_int and g_int hold
-    A^T, B^T and G as integer numerators over one denominator each, derived
-    from them at construction for exact mode, like the float64 a, b and g.
+    at_int: inverse transform A^T (m x alpha), bt_int: data transform B^T
+    (alpha x alpha), g_int: filter transform G (alpha x r), each exact as
+    integer numerators over one common denominator, in the orientation the
+    algorithm applies them.  at, bt and g are the same matrices as float64,
+    each entry n / den correctly rounded, derived at construction.
     kron_bt, kron_at and kron_g are kron(X, X) for X = B^T, A^T, G (float64,
     built once, on first use): they apply X t X^T to row-major flattened tiles t.
     Only pipeline_sim.simulate_layer reads kron_at, as its per-issue-cycle product.
     interpolation_points lists the finite synthesis points; the last evaluation
     point is always the point at infinity and is not stored.  Instances are
     immutable (every array is read-only), thread-safe, and compare and hash by
-    params, exact matrices and points.
+    params, exact matrices and points.  Construction raises ValueError when a
+    nonzero entry overflows float64 or rounds to zero.
     """
 
     params: MinimalParams
-    a_exact: RationalMatrix
-    b_exact: RationalMatrix
-    g_exact: RationalMatrix
+    at_int: ScaledIntMatrix
+    bt_int: ScaledIntMatrix
+    g_int: ScaledIntMatrix
     interpolation_points: tuple[Fraction, ...]
-    a: np.ndarray = field(init=False, compare=False)
-    b: np.ndarray = field(init=False, compare=False)
-    g: np.ndarray = field(init=False, compare=False)
-    at_int: ScaledIntMatrix = field(init=False, repr=False, compare=False)
-    bt_int: ScaledIntMatrix = field(init=False, repr=False, compare=False)
-    g_int: ScaledIntMatrix = field(init=False, repr=False, compare=False)
+    at: np.ndarray = field(init=False, repr=False, compare=False)
+    bt: np.ndarray = field(init=False, repr=False, compare=False)
+    g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, mat in (("a", self.a_exact), ("b", self.b_exact), ("g", self.g_exact)):
-            object.__setattr__(self, name, _read_only(_to_float(mat)))
-        for name, mat in (("at_int", tuple(zip(*self.a_exact))),
-                          ("bt_int", tuple(zip(*self.b_exact))), ("g_int", self.g_exact)):
-            num, den = _scaled(mat)
-            object.__setattr__(self, name, ScaledIntMatrix(_freeze(num), den))
-
-    @property
-    def at(self) -> np.ndarray:
-        return self.a.T
-
-    @property
-    def bt(self) -> np.ndarray:
-        return self.b.T
+        for name in ("at", "bt", "g"):
+            num, den = getattr(self, f"{name}_int")
+            try:  # int true division rounds correctly at any integer size
+                x = np.array([[v / den for v in row] for row in num], dtype=np.float64)
+            except OverflowError:
+                x = None
+            if x is None or np.count_nonzero(x) != sum([v != 0 for row in num for v in row]):
+                raise ValueError(f"an entry of {name} overflows or underflows float64")
+            object.__setattr__(self, name, _read_only(x))
 
     kron_bt = cached_property(lambda self: _read_only(np.kron(self.bt, self.bt)))
     kron_at = cached_property(lambda self: _read_only(np.kron(self.at, self.at)))
@@ -151,30 +143,24 @@ def _times_linear(p: list[Fraction], a: Fraction) -> list[Fraction]:
     return [-a * p[0]] + [p[i - 1] - a * p[i] for i in range(1, len(p))] + [p[-1]]
 
 
-def _freeze(rows: Iterable[Iterable[Fraction]]) -> RationalMatrix:
-    return tuple(tuple(row) for row in rows)
-
-
-def _to_float(mat: RationalMatrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in mat], dtype=np.float64)
-
-
 def generate_transforms(
     params: MinimalParams, points: Sequence[Fraction | int] | None = None
 ) -> TransformSet:
-    """Synthesize the A, B, G matrices for F(m, r).
+    """Synthesize the A^T, B^T, G matrices for F(m, r).
 
     Uses m+r-2 distinct rational points plus the implicit point at infinity.
     Per finite point i the rows are built from the Lagrange basis polynomial
     L_i: the B^T row holds L_i's coefficients scaled to a primitive integer
     vector, the G row holds the Vandermonde powers of the point divided by
     the same scale (fractions end up in the filter transform, which is the
-    precomputable one), and the A row holds the plain Vandermonde powers.
-    The infinity row extracts leading coefficients.  With the default points
-    {0, 1, -1} this reproduces the classical F(2,3) matrices exactly.
+    precomputable one), and the A^T column holds the plain Vandermonde powers.
+    The infinity row extracts leading coefficients.  Synthesis runs on
+    Fractions; the result keeps each matrix as a ScaledIntMatrix.  With the
+    default points {0, 1, -1} this reproduces the classical F(2,3) matrices
+    exactly.
 
     m == 1 has no interpolation stage: the algorithm degenerates to a plain
-    dot product (B = G = I, A = column of ones).
+    dot product (B^T = G = I, A^T = row of ones).
     """
     m, r = params.m, params.r
     alpha = params.alpha
@@ -182,12 +168,8 @@ def generate_transforms(
     if m == 1:
         if points is not None:
             raise ValueError("F(1, r) is a plain dot product; it takes no points")
-        eye = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(r)) for i in range(r)
-        )
-        ones = tuple((Fraction(1),) for _ in range(r))
-        return TransformSet(params, a_exact=ones, b_exact=eye, g_exact=eye,
-                            interpolation_points=())
+        eye = ScaledIntMatrix(tuple([tuple([int(i == j) for j in range(r)]) for i in range(r)]), 1)
+        return TransformSet(params, ScaledIntMatrix(((1,) * r,), 1), eye, eye, ())
 
     if points is None:
         pts = list(default_points(alpha - 1))
@@ -202,7 +184,6 @@ def generate_transforms(
 
     bt_rows: list[list[Fraction]] = []
     g_rows: list[list[Fraction]] = []
-    a_rows: list[list[Fraction]] = []
     for i, ai in enumerate(pts):
         numer = [Fraction(1)]
         denom = Fraction(1)
@@ -217,23 +198,18 @@ def generate_transforms(
         scale = Fraction(lcm(*dens), gcd(*nums))  # positive, makes the row primitive
         bt_rows.append([c * scale for c in basis])
         g_rows.append([ai**j / scale for j in range(r)])
-        a_rows.append([ai**j for j in range(m)])
 
     # Point at infinity: the product's leading coefficient.  The row is the
-    # coefficient vector of prod(a_i - x); its sign is compensated in A.
+    # coefficient vector of prod(a_i - x); its sign is compensated in A^T.
     pi = [Fraction(1)]
     for ak in pts:
         pi = _times_linear(pi, ak)
     sign = Fraction(-1) ** (alpha - 1)
     bt_rows.append([sign * c for c in pi])
     g_rows.append([Fraction(0)] * (r - 1) + [Fraction(1)])
-    a_rows.append([Fraction(0)] * (m - 1) + [sign])
-
-    b_exact = _freeze(zip(*bt_rows))  # stored as B, not B^T
-    g_exact = _freeze(g_rows)
-    a_exact = _freeze(a_rows)
-    return TransformSet(params, a_exact=a_exact, b_exact=b_exact, g_exact=g_exact,
-                        interpolation_points=tuple(pts))
+    at_rows = [[ai**j for ai in pts] + [sign if j == m - 1 else 0] for j in range(m)]
+    return TransformSet(params, _scaled_matrix(at_rows), _scaled_matrix(bt_rows),
+                        _scaled_matrix(g_rows), tuple(pts))
 
 
 # Exact (rational) mode: same algorithms, evaluated on integer numerators
@@ -251,6 +227,12 @@ def _scaled(rows) -> tuple[list[list[int]], int]:
     """Rows of rationals as integer numerator rows over one common positive denominator."""
     den = lcm(*[v.denominator for row in rows for v in row])
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
+
+
+def _scaled_matrix(rows) -> ScaledIntMatrix:
+    """_scaled with tuple rows: the exact form a TransformSet keeps."""
+    num, den = _scaled(rows)
+    return ScaledIntMatrix(tuple([tuple(row) for row in num]), den)
 
 
 def _scaled_input(x) -> tuple[list[list[int]], int]:
@@ -298,12 +280,20 @@ def winograd_2d_tile_exact(ts: TransformSet, d, g) -> tuple[tuple[Fraction, ...]
     return tuple([tuple([Fraction(x, den) for x in row]) for row in y])
 
 
+def _rationals(mat: ScaledIntMatrix) -> list[list[Fraction]]:
+    return [[Fraction(n, mat.den) for n in row] for row in mat.num]
+
+
 def export_transforms_csv(ts: TransformSet, directory) -> list[Path]:
-    """Write a.csv, b.csv, g.csv (row-major, exact rationals as 'p/q')."""
+    """Write a.csv, b.csv, g.csv (row-major, exact rationals as 'p/q').
+
+    The file format keeps A and B, so this is where A^T and B^T are transposed.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for name, mat in (("a", ts.a_exact), ("b", ts.b_exact), ("g", ts.g_exact)):
+    for name, mat in (("a", zip(*_rationals(ts.at_int))), ("b", zip(*_rationals(ts.bt_int))),
+                      ("g", _rationals(ts.g_int))):
         path = directory / f"{name}.csv"
         lines = [",".join(str(x) for x in row) for row in mat]
         path.write_text("\n".join(lines) + "\n")
@@ -325,7 +315,7 @@ def format_transforms(ts: TransformSet) -> str:
         if ts.interpolation_points else "(none: dot-product form)"
     return "\n".join([
         f"F({p.m}x{p.m}, {p.r}x{p.r})  alpha={p.alpha}  points: {pts}",
-        fmt(zip(*ts.b_exact), "B^T"),
-        fmt(ts.g_exact, "G"),
-        fmt(zip(*ts.a_exact), "A^T"),
+        fmt(_rationals(ts.bt_int), "B^T"),
+        fmt(_rationals(ts.g_int), "G"),
+        fmt(_rationals(ts.at_int), "A^T"),
     ])

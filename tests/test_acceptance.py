@@ -58,9 +58,9 @@ def test_criterion_1_transform_correctness():
         # 64-bit float, batched: 1D
         d = rng.standard_normal((TRIALS, alpha))
         g = rng.standard_normal((TRIALS, r))
-        u = d @ ts.b
+        u = d @ ts.bt.T
         v = g @ ts.g.T
-        y = (u * v) @ ts.a
+        y = (u * v) @ ts.at.T
         ref = np.zeros((TRIALS, m))
         for j in range(m):
             ref[:, j] = np.sum(d[:, j : j + r] * g, axis=1)
@@ -71,9 +71,9 @@ def test_criterion_1_transform_correctness():
         # 64-bit float, batched: 2D
         d2 = rng.standard_normal((TRIALS, alpha, alpha))
         g2 = rng.standard_normal((TRIALS, r, r))
-        u2 = np.einsum("ji,tjl,lo->tio", ts.b, d2, ts.b)
+        u2 = np.einsum("ji,tjl,lo->tio", ts.bt.T, d2, ts.bt.T)
         v2 = np.einsum("ij,tjl,ol->tio", ts.g, g2, ts.g)
-        y2 = np.einsum("ji,tjl,lo->tio", ts.a, u2 * v2, ts.a)
+        y2 = np.einsum("ji,tjl,lo->tio", ts.at.T, u2 * v2, ts.at.T)
         ref2 = np.zeros((TRIALS, m, m))
         for i in range(m):
             for j in range(m):

@@ -1,7 +1,9 @@
 """The winoconv names the benchmark harness (perfbench/) reads must exist.
 
-perfbench's own tests run the harness and are slow; this reads its sources
-with ast, so a deleted or renamed name fails here, in Tier-1.
+perfbench's own tests run the harness and are slow.  Here its sources are
+read with ast, so a deleted or renamed name fails in Tier-1, and its workload
+code runs once on a tiny spec, which also covers the attribute reads, checks
+and golden digests that ast cannot see.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 from winoconv import dse
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _resolves(module: str, name: str) -> bool:
@@ -34,3 +37,18 @@ def test_benchmark_imports_and_dse_reads_resolve():
                   and node.value.id == "dse" and not hasattr(dse, node.attr)):
                 missing.append(f"{source}: dse.{node.attr}")
     assert not missing
+
+
+def test_benchmark_workload_code_runs_clean(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+    recorder = importlib.import_module("recorder")
+    spec = wl.WorkloadSpec("tiny", conv=(6, 2, 3), sim=(4, 2, 3), spatial_reps=1,
+                           conv_sets=1, sim_sets=1, exact_rounds=1, dse_runs=1)
+    checks = recorder.Checks(known_defects=wl.KNOWN_DEFECTS)
+    rec = recorder.Recorder(trace=False)
+    inp = wl.setup(spec, 3, rec, checks, ROOT / "src", tmp_path)
+    wl.run_pass(spec, inp, rec, checks, wl.load_golden(), tmp_path)
+    wl.int32_probe(inp, rec, checks)
+    assert checks.attempted > 0
+    assert checks.failed == 0, checks.failures

@@ -38,9 +38,11 @@ def test_transform_custom_points(capsys):
     assert "points: 0, 1/2, -1/2, inf" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("points", ["0,1,1", "0,1,1/0"], ids=["repeated", "zero_denominator"])
+@pytest.mark.parametrize("points", ["0,1,1", "0,1,1/0", "1e400,1,-1"],
+                         ids=["repeated", "zero_denominator", "overflow"])
 def test_transform_bad_points_is_error(capsys, points):
-    # 1/0 raised ZeroDivisionError out of Fraction with a traceback
+    # 1/0 raised ZeroDivisionError out of Fraction with a traceback, and
+    # 1e400 an OverflowError out of float()
     assert main(["transform", "--m", "2", "--r", "3", "--points", points]) == 1
     assert "error:" in capsys.readouterr().err
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from winoconv.cost_model import (
@@ -217,6 +219,19 @@ def test_evaluate_design_invariants():
     point = evaluate_design(vgg.shapes, params, hw, count_transform_ops(ts))
     assert point.p == hw.m_total // params.alpha**2
     assert point.throughput == pytest.approx(point.o_s / point.t_total)
+    # the totals are derived from the per-layer costs, never stored beside them
+    assert [f.name for f in fields(point)] == ["params", "hw", "p", "layers"]
+    assert point.o_t == sum(c.o_t for c in point.layers)
+
+
+def test_layer_cost_rejects_a_kernel_size_other_than_r():
+    # priced o_m from alpha = m + 3 - 1 and o_s from r = 5, and evaluate_design summed it
+    layer = LayerShape(1, 4, 4, 1, 1, 5)
+    params = MinimalParams(2, 3)
+    with pytest.raises(ValueError, match="r=5"):
+        layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1, 5e-9)
+    with pytest.raises(ValueError, match="r=5"):
+        evaluate_design([layer], params, HardwareConfig(16, 5e-9), TransformOpCounts(0, 0, 0))
 
 
 def test_lut_total_linear_model():

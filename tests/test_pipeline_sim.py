@@ -257,7 +257,7 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
     ext[:, :, spec.pad : spec.pad + h, spec.pad : spec.pad + w] = fmap.data
     v = precompute_filter_transforms(kern, ts).reshape(k, c, alpha * alpha)
     zero = np.zeros(alpha * alpha, dtype=dtype)
-    bt, b, kron_at = (x.astype(dtype) for x in (ts.b.T, ts.b, ts.kron_at))
+    bt, b, kron_at = (x.astype(dtype) for x in (ts.bt, ts.bt.T, ts.kron_at))
 
     out = np.zeros((n, k, ty * m, tx * m), dtype=dtype)
     cycles = idle = 0

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from math import ulp
 
 from winoconv.conv import ConvSpec, FeatureMap, KernelBank, winograd_conv
 from winoconv.transforms import (
     MinimalParams,
     MultCounter,
+    ScaledIntMatrix,
     default_points,
     export_transforms_csv,
     generate_transforms,
@@ -48,21 +50,35 @@ def test_default_points_match_classical_sets():
 
 def test_f23_canonical_matrices():
     ts = generate_transforms(MinimalParams(2, 3))
-    bt = [[int(x) for x in row] for row in np.array(ts.b_exact).T.tolist()]
-    assert bt == [[1, 0, -1, 0], [0, 1, 1, 0], [0, -1, 1, 0], [0, 1, 0, -1]]
-    h = Fraction(1, 2)
-    assert [list(row) for row in ts.g_exact] == [
-        [1, 0, 0], [h, h, h], [h, -h, h], [0, 0, 1]]
-    at = [list(row) for row in zip(*ts.a_exact)]
-    assert at == [[1, 1, 1, 0], [0, 1, -1, -1]]
+    assert ts.bt_int == ScaledIntMatrix(
+        ((1, 0, -1, 0), (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, 0, -1)), 1)
+    assert ts.g_int == ScaledIntMatrix(((2, 0, 0), (1, 1, 1), (1, -1, 1), (0, 0, 2)), 2)
+    assert ts.at_int == ScaledIntMatrix(((1, 1, 1, 0), (0, 1, -1, -1)), 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_floats_are_the_exact_matrices_correctly_rounded(m):
+    sets = [generate_transforms(MinimalParams(m, r)) for r in range(1, 6)]
+    if m == 4:  # numerators up to 2^274: rounding num and den to float64 first misses 11 entries
+        point = Fraction(10**20 + 1, 3**30)
+        sets.append(generate_transforms(MinimalParams(4, 3), [0, Fraction(1, 3), -3, Fraction(5, 7), point]))
+    for ts in sets:
+        alpha, r = ts.params.alpha, ts.params.r
+        for x, exact, shape in ((ts.at, ts.at_int, (m, alpha)), (ts.bt, ts.bt_int, (alpha, alpha)),
+                                (ts.g, ts.g_int, (alpha, r))):
+            assert x.shape == shape and x.dtype == np.float64
+            rounded = np.array([[n / exact.den for n in row] for row in exact.num])
+            assert np.array_equal(x.view(np.int64), rounded.view(np.int64))
+            for f, n in zip(x.ravel().tolist(), np.ravel(exact.num).tolist()):
+                assert abs(Fraction(f) - Fraction(n, exact.den)) <= Fraction(ulp(f)) / 2
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_transform_shapes(m):
     ts = generate_transforms(MinimalParams(m, 3))
     alpha = m + 2
-    assert ts.a.shape == (alpha, m)
-    assert ts.b.shape == (alpha, alpha)
+    assert ts.at.shape == (m, alpha)
+    assert ts.bt.shape == (alpha, alpha)
     assert ts.g.shape == (alpha, 3)
     assert len(ts.interpolation_points) == alpha - 1
 
@@ -99,9 +115,9 @@ def test_all_integer_f53_point_set_also_passes():
 def test_f1r_degenerates_to_dot_product():
     for r in (1, 2, 3, 5):
         ts = generate_transforms(MinimalParams(1, r))
-        assert ts.a.shape == (r, 1)
-        assert np.array_equal(ts.a, np.ones((r, 1)))
-        assert np.array_equal(ts.b, np.eye(r))
+        assert ts.at.shape == (1, r)
+        assert np.array_equal(ts.at, np.ones((1, r)))
+        assert np.array_equal(ts.bt, np.eye(r))
         assert np.array_equal(ts.g, np.eye(r))
         d = np.arange(1.0, r * r + 1).reshape(r, r)
         g = np.linspace(-1, 1, r * r).reshape(r, r)
@@ -121,6 +137,11 @@ def test_generate_transforms_errors():
         generate_transforms(MinimalParams(2, 3), points=[0, 1])
     with pytest.raises(ValueError, match="dot product"):
         generate_transforms(MinimalParams(1, 3), points=[0, 1])
+    # entries beyond float64: 10^800 in A^T overflowed out of float(); 10^-400 in G became 0.0
+    with pytest.raises(ValueError, match="overflows or underflows float64"):
+        generate_transforms(MinimalParams(2, 3), points=[Fraction(10**400), 1, -1])
+    with pytest.raises(ValueError, match="overflows or underflows float64"):
+        generate_transforms(MinimalParams(2, 3), points=[Fraction(1, 10**200), 1, -1])
 
 
 def test_winograd_1d_examples():
@@ -235,7 +256,7 @@ def test_transform_set_is_frozen():
     with pytest.raises(AttributeError):
         ts.params = MinimalParams(3, 3)
     # the float matrices were writable: ts.g[0, 0] = 5 changed every later convolution
-    for name in ("a", "b", "g", "at", "bt", "kron_bt", "kron_at", "kron_g"):
+    for name in ("at", "bt", "g", "kron_bt", "kron_at", "kron_g"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(ts, name)[0, 0] = 5.0
     assert ts.g[0, 0] == 1.0
