@@ -17,7 +17,6 @@ from .cost_model import (
     count_transform_ops,
     evaluate_design,
     exact_cycles,
-    implementation_transform_complexity,
     layer_cost,
     lut_total,
     pe_count,

@@ -6,10 +6,13 @@ Both paths compute cross-correlation (no kernel flip): for stride 1,
 
 Layouts are fixed to N-C-H-W feature maps and K-C-r-r kernel banks.  Both
 Winograd paths (winograd_conv and pipeline_sim.simulate_layer) share one
-layer frame: tiles checks the operands and decomposes the padded input into
-overlapping alpha x alpha tiles with stride m, partial edge tiles zero-padded
-to alpha; untile reassembles the m x m output tiles and discards the excess
-output rows/columns.  The spatial path keeps its own padding, so a tiling bug
+front end, transformed_operands: it checks the operands, cuts the padded
+input into overlapping alpha x alpha tiles with stride m (partial edge tiles
+zero-padded to alpha), and returns their data transforms U, one GEMM
+kron(B^T, B^T) @ [alpha^2 x C*N*Ty*Tx], with the filter transforms V, one
+GEMM kron(G, G) @ [r^2 x K*C] laid out as (alpha^2, K, C).  untile
+reassembles the m x m output tiles and discards the excess output
+rows/columns.  The spatial path keeps its own padding, so a tiling bug
 cannot hide in the oracle too.  In winograd_conv channels are summed in the
 transformed domain (Lavin & Gray, arXiv:1509.09308): for each of the
 alpha^2 tile positions (xi, nu) one GEMM
@@ -17,8 +20,7 @@ alpha^2 tile positions (xi, nu) one GEMM
     M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx]
 
 and then the inverse transform A^T M A of all (image, kernel, output tile)
-as two 1-D passes, A^T over xi and A over nu, on cache-sized blocks.  V is
-one GEMM kron(G, G) @ [r^2 x K*C], stored in that (alpha^2, K, C) layout.  The
+as two 1-D passes, A^T over xi and A over nu, on cache-sized blocks.  The
 hardware order -- inverse transform per channel, then accumulation over C
 cycles -- is modeled by pipeline_sim.simulate_layer.  Both Winograd paths
 need floating-point input: the transforms have fractional entries.
@@ -176,25 +178,32 @@ def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.nd
     return v.reshape(alpha, alpha, k, c).transpose(2, 3, 0, 1)
 
 
-def tiles(
-    fmap: FeatureMap, kernels: KernelBank, spec: ConvSpec, m: int
-) -> tuple[np.ndarray, int, int]:
-    """The Winograd layer frame: check the operands, pad the map and cut it into tiles.
+def transformed_operands(
+    fmap: FeatureMap, kernels: KernelBank, spec: ConvSpec, ts: TransformSet
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int], tuple[int, int]]:
+    """The Winograd front end: check the operands, tile the padded map, transform both sides.
 
-    Returns (tiles, H_out, W_out): tiles is an (N, C, Ty, Tx, alpha, alpha) view of every
-    alpha x alpha tile at stride m, alpha = m + r - 1, in the map's dtype.  The padded map
-    is zero-extended so that partial edge tiles are full size.
+    Returns (U, V, (Ty, Tx), (H_out, W_out)), both in the map's dtype: U is the data
+    transform B^T d B of every alpha x alpha tile at stride m as (alpha^2, C, N*Ty*Tx),
+    tiles ordered (image, tile row, tile column); V is the filter precompute as
+    (alpha^2, K, C).  The padded map is zero-extended so that partial edge tiles are full size.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
     require_floating("feature map", fmap.data)
-    r = kernels.r
+    m, r, alpha, dtype = ts.params.m, kernels.r, ts.params.alpha, fmap.data.dtype
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
+    v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1)
+    v = v.reshape(alpha * alpha, kernels.k, kernels.c).astype(dtype, copy=False)
     ty, tx = tile_grid(h_out, w_out, m)
-    ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=fmap.data.dtype)
+    ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
     ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
-    win = np.lib.stride_tricks.sliding_window_view(ext, (m + r - 1, m + r - 1), axis=(2, 3))
-    return win[:, :, ::m, ::m], h_out, w_out
+    d = np.lib.stride_tricks.sliding_window_view(ext, (alpha, alpha), axis=(2, 3))[:, :, ::m, ::m]
+    # Row-major flattened tiles, one column each: vec(B^T d B) = kron(B^T, B^T) vec(d).
+    n_tiles = fmap.n * ty * tx
+    d = d.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, fmap.c * n_tiles)
+    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, fmap.c, n_tiles)
+    return u, v, (ty, tx), (h_out, w_out)
 
 
 def untile(y: np.ndarray, h_out: int, w_out: int) -> FeatureMap:
@@ -216,17 +225,10 @@ def winograd_conv(
     ValueError.
     """
     m, alpha = ts.params.m, ts.params.alpha
-    d, h_out, w_out = tiles(fmap, kernels, spec, m)
-    n, c, ty, tx = d.shape[:4]
-    k, dtype = kernels.k, fmap.data.dtype
-    v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1).reshape(alpha * alpha, k, c)
-
-    n_tiles = n * ty * tx
-    kt = k * n_tiles
-    # The data transform acts on row-major flattened tiles: vec(B^T d B) = kron(B^T, B^T) vec(d).
-    d = d.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, c * n_tiles)
-    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, n_tiles)
-    prod = np.matmul(v.astype(dtype, copy=False), u).reshape(alpha, alpha, kt)  # summed over C
+    u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)
+    k, c, n, dtype = kernels.k, kernels.c, fmap.n, fmap.data.dtype
+    kt = k * n * ty * tx
+    prod = np.matmul(v, u).reshape(alpha, alpha, kt)  # summed over C
     if counter is not None:
         counter.add(prod.size * c)
     # A^T M A as two 1-D passes, Z = A^T M over xi then Z A over nu with the output column

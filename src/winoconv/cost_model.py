@@ -1,7 +1,7 @@
 """Closed-form complexity, latency and throughput models for the PE array.
 
 layer_cost is the one per-layer evaluation: it returns a layer's O_m, O_t,
-O_S and latency T_t below as one LayerCost.  evaluate_design calls it once
+O_S, latency T_t and O_T below as one LayerCost.  evaluate_design calls it once
 per layer; design totals, and in dse the group rows, figures and Table 2,
 are sums over those LayerCosts.
 
@@ -21,10 +21,9 @@ H x W output pixels, C input and K output channels:
     spatial op count  O_S = 2 * N*H*W*C*K * r^2      (one MAC = 2 ops)
     throughput        O_S / T_t
 
-implementation_transform_complexity computes O_T, the one normalization of
-the beta/gamma/delta counts this module keeps: the shared-design transform
-cost, with the filter transform precomputed and the data transform shared
-by P PEs.
+O_T is the transform cost of the shared design: the filter transform is
+precomputed and excluded, and the data transform is computed once per cycle
+and shared by all P PEs, dividing its cost by P.
 
 Tile counts are fractional (H*W/m^2) in this analytical model; exact_cycles
 counts the whole tiles and kernel groups the PE array issues, and the
@@ -103,10 +102,11 @@ def clock_period(freq_hz: float) -> float:
 class LayerCost:
     """Closed-form costs of one layer under one design."""
 
-    o_m: float        # element-wise multiplications
-    o_t: float        # transform ops T(D) + T(F) + T(I)
-    o_s: float        # spatial op count
+    o_m: float         # element-wise multiplications
+    o_t: float         # transform ops T(D) + T(F) + T(I)
+    o_s: float         # spatial op count
     latency_s: float
+    o_t_shared: float  # amortized transform ops O_T of the shared-data-transform design
 
 
 @dataclass(frozen=True)
@@ -178,19 +178,6 @@ def count_transform_ops(ts: TransformSet, convention: str = "all_ops") -> Transf
     return TransformOpCounts(beta, gamma, delta)
 
 
-def implementation_transform_complexity(
-    layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int
-) -> float:
-    """Amortized transform cost of the shared-data-transform design.
-
-    The filter transform is precomputed and excluded; the data transform is
-    computed once per cycle and shared by all P PEs, dividing its cost by P.
-    """
-    if p < 1:
-        raise ValueError(f"PE count must be >= 1, got {p}")
-    return layer.nhwck / params.m**2 * (ops.beta / p + ops.delta)
-
-
 def pe_count(m_total: int, params: MinimalParams) -> int:
     """Parallel PEs fitting the multiplier budget: floor(m_total / alpha^2)."""
     per_pe = params.alpha**2
@@ -230,9 +217,9 @@ def lut_total(p: int, per_pe: int, fixed: int = 0) -> int:
 def layer_cost(
     layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int, t_c: float
 ) -> LayerCost:
-    """O_m, O_t = T(D) + T(F) + T(I), O_S and T_t of one layer on P PEs; fractional tiles.
+    """O_m, O_t = T(D) + T(F) + T(I), O_S, T_t and O_T of one layer on P PEs; fractional tiles.
 
-    Raises ValueError unless the layer's kernel size is the algorithm's r.
+    Raises ValueError unless the layer's kernel size is the algorithm's r and P >= 1.
     """
     if layer.r != params.r:
         raise ValueError(f"layer has r={layer.r}, F({params.m},{params.r}) needs r={params.r}")
@@ -244,6 +231,7 @@ def layer_cost(
         + ops.delta / m2 * nhw * layer.k,
         o_s=2.0 * layer.nhwck * layer.r**2,
         latency_s=analytical_cycles(layer, params, p) * t_c,
+        o_t_shared=layer.nhwck / m2 * (ops.beta / p + ops.delta),
     )
 
 

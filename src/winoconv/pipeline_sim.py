@@ -18,14 +18,15 @@ shared-transform economy.  In the reference design every PE transforms its
 own tile on every issue cycle, idle PEs included: its data-transform count is
 P x issue_cycles, which the trace records as inverse_transform_count.
 
-The modeled loop order is unchanged; execution batches it.  Every tile is
-data-transformed once, and the filter transforms are laid out once per PE
-slot.  Then one step per channel computes all of that channel's issue cycles
-(every tile position and kernel group): one Hadamard multiply gives each
-cycle's alpha^2 x P products, and one stacked matmul applies kron(A^T, A^T)
-to all of them, one (m^2 x alpha^2) @ (alpha^2 x P) product per cycle.  A
-stacked matmul rounds each matrix as that product alone would; one GEMM over
-all cycles would not, since BLAS rounding depends on the matrix sizes.  Each
+The modeled loop order is unchanged; execution batches it.  The shared
+front end, conv.transformed_operands, data-transforms every tile once and
+returns the filter transforms, which are laid out once per PE slot.  Then
+one step per channel computes all of that channel's issue cycles (every
+tile position and kernel group): one Hadamard multiply gives each cycle's
+alpha^2 x P products, and one stacked matmul applies kron(A^T, A^T) to all
+of them, one (m^2 x alpha^2) @ (alpha^2 x P) product per cycle.  A stacked
+matmul rounds each matrix as that product alone would; one GEMM over all
+cycles would not, since BLAS rounding depends on the matrix sizes.  Each
 step is added into the PE output buffers, so channels accumulate in hardware
 order.  The trace counters are summed from the sizes of the arrays each step
 computes; idle PE slots are the zero-kernel region of that array.
@@ -39,7 +40,7 @@ from math import ceil, isclose
 
 import numpy as np
 
-from .conv import ConvSpec, FeatureMap, KernelBank, precompute_filter_transforms, tiles, untile
+from .conv import ConvSpec, FeatureMap, KernelBank, transformed_operands, untile
 from .cost_model import (
     HardwareConfig,
     LayerShape,
@@ -90,32 +91,26 @@ def simulate_layer(
     ts: TransformSet | None = None,
 ) -> tuple[FeatureMap, SimTrace]:
     """Run the engine over one layer; returns the output map and the trace."""
-    d, h_out, w_out = tiles(fmap, kernels, spec, cfg.params.m)
     if ts is None:
         ts = generate_transforms(cfg.params)
     elif ts.params != cfg.params:
         raise ValueError("transform set does not match engine parameters")
+    u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)
 
     m, alpha = cfg.params.m, cfg.params.alpha
     a2, p, k, c = alpha * alpha, cfg.p, kernels.k, kernels.c
     dtype = fmap.data.dtype
     n_groups = ceil(k / p)
-    ty, tx = d.shape[2:4]
     n_tiles = fmap.n * ty * tx
 
     # Filter transforms are precomputed before the run and laid out per PE as
-    # (C, groups, alpha^2, P), copied once from the (alpha^2, K, C) precompute
-    # one kernel group at a time; idle PE slots in the last group hold zero kernels.
-    v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1).reshape(a2, k, c)
+    # (C, groups, alpha^2, P), copied once from V one kernel group at a time;
+    # idle PE slots in the last group hold zero kernels.
     pe = np.zeros((c, n_groups, a2, p), dtype=dtype)
     slots = pe.transpose(1, 2, 3, 0)  # (groups, alpha^2, P, C) view
     for g in range(n_groups):
         slots[g, :, : min(p, k - g * p)] = v[:, g * p : (g + 1) * p]
-
-    # The shared data transform of every tile, channel-major: (C, tiles, alpha^2).
-    bt = ts.bt.astype(dtype)
-    u = (bt @ d @ bt.T).transpose(1, 0, 2, 3, 4, 5)
-    u = u.reshape(c, n_tiles, a2)
+    u = u.transpose(1, 2, 0)  # the shared data transform of every tile: (C, tiles, alpha^2)
     kron_at = ts.kron_at.astype(dtype)
 
     trace = SimTrace(tiles_per_image=ty * tx, kernel_groups=n_groups)

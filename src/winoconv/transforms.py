@@ -87,7 +87,10 @@ class TransformSet:
     point is always the point at infinity and is not stored.  Instances are
     immutable (every array is read-only), thread-safe, and compare and hash by
     params, exact matrices and points.  Construction raises ValueError when a
-    nonzero entry overflows float64 or rounds to zero.
+    matrix's shape does not match params, when it is not in lowest terms over a
+    positive denominator (so equal sets compare equal, and a coefficient is +-1
+    exactly when its numerator's magnitude is the denominator), or when a nonzero
+    entry overflows float64 or rounds to zero.
     """
 
     params: MinimalParams
@@ -100,8 +103,13 @@ class TransformSet:
     g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("at", "bt", "g"):
+        m, r, alpha = self.params.m, self.params.r, self.params.alpha
+        for name, rows, cols in (("at", m, alpha), ("bt", alpha, alpha), ("g", alpha, r)):
             num, den = getattr(self, f"{name}_int")
+            if len(num) != rows or any(len(row) != cols for row in num):
+                raise ValueError(f"{name} must be {rows} x {cols} for F({m},{r})")
+            if den <= 0 or gcd(den, *[v for row in num for v in row]) != 1:
+                raise ValueError(f"{name} must be in lowest terms over a positive denominator")
             try:  # int true division rounds correctly at any integer size
                 x = np.array([[v / den for v in row] for row in num], dtype=np.float64)
             except OverflowError:

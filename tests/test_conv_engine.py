@@ -8,6 +8,7 @@ from winoconv.conv import (
     output_hw,
     precompute_filter_transforms,
     spatial_conv,
+    transformed_operands,
     winograd_conv,
 )
 from winoconv.cost_model import tile_grid
@@ -252,10 +253,35 @@ def test_precompute_filter_transforms():
                 for c in range(2):
                     np.testing.assert_allclose(v[k, c], ts.g @ kern.data[k, c] @ ts.g.T,
                                                rtol=1e-12)
-            # winograd_conv's (alpha^2, K, C) operand is a view, not a copy
+            # the front end's (alpha^2, K, C) V is a view of it when the dtypes match
             assert np.shares_memory(v, v.transpose(2, 3, 0, 1).reshape(a * a, 3, 2))
             v32 = precompute_filter_transforms(KernelBank(kern.data.astype(np.float32)), ts)
             assert v32.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-14)])
+def test_data_transform_matches_per_tile_reference(dtype, bound):
+    # U is one kron(B^T, B^T) GEMM over all tiles; check it against B^T d B of each
+    # tile in float64, and V against G g G^T of each kernel slice.
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        ts = generate_transforms(MinimalParams(m, 3))
+        a, pad = ts.params.alpha, m % 2
+        fmap, kern = random_case(rng, 2, 3, 2 * m + 3, 3 * m + 1, 4, 3, dtype)
+        u, v, (ty, tx), _ = transformed_operands(fmap, kern, ConvSpec(pad=pad), ts)
+        assert u.shape == (a * a, 3, 2 * ty * tx) and v.shape == (a * a, 4, 3)
+        assert u.dtype == v.dtype == dtype
+        ext = np.zeros((2, 3, ty * m + 2, tx * m + 2))
+        ext[:, :, pad : pad + fmap.h, pad : pad + fmap.w] = fmap.data
+        want = np.empty(u.shape)
+        for img in range(2):
+            for yi in range(ty):
+                for xi in range(tx):
+                    d = ext[img, :, yi * m : yi * m + a, xi * m : xi * m + a]
+                    want[:, :, (img * ty + yi) * tx + xi] = (ts.bt @ d @ ts.bt.T).reshape(3, -1).T
+        assert rel_err(u, want) <= bound, m
+        want = ts.g @ kern.data.astype(np.float64) @ ts.g.T  # (K, C, alpha, alpha)
+        assert rel_err(v, want.transpose(2, 3, 0, 1).reshape(a * a, 4, 3)) <= bound, m
 
 
 def test_integer_input_rejected():

@@ -10,7 +10,6 @@ from winoconv.cost_model import (
     count_transform_ops,
     evaluate_design,
     exact_cycles,
-    implementation_transform_complexity,
     layer_cost,
     lut_total,
     pe_count,
@@ -119,17 +118,17 @@ def test_transform_complexity_monotonic_in_m():
     assert totals[0] < totals[-1]
 
 
-def test_implementation_transform_complexity():
+def test_layer_cost_amortized_transform_cost():
     layer = LayerShape(n=1, h=8, w=8, c=3, k=5, r=3)
     params = MinimalParams(2, 3)
     ops = TransformOpCounts(32, 70, 24)
-    assert implementation_transform_complexity(layer, params, ops, p=1) \
+    assert layer_cost(layer, params, ops, 1, 1.0).o_t_shared \
         == pytest.approx(layer.nhwck / 4 * (32 + 24))
-    o16 = implementation_transform_complexity(layer, params, ops, p=16)
-    o32 = implementation_transform_complexity(layer, params, ops, p=32)
+    o16 = layer_cost(layer, params, ops, 16, 1.0).o_t_shared
+    o32 = layer_cost(layer, params, ops, 32, 1.0).o_t_shared
     assert o32 < o16
-    with pytest.raises(ValueError):
-        implementation_transform_complexity(layer, params, ops, p=0)
+    with pytest.raises(ValueError, match="PE count"):
+        layer_cost(layer, params, ops, 0, 1.0)
 
 
 def test_pe_count_table():

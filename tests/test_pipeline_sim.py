@@ -7,8 +7,8 @@ from winoconv.conv import (
     ConvSpec,
     FeatureMap,
     KernelBank,
-    precompute_filter_transforms,
     spatial_conv,
+    transformed_operands,
     winograd_conv,
 )
 from winoconv.cost_model import (
@@ -16,7 +16,6 @@ from winoconv.cost_model import (
     LayerShape,
     TransformOpCounts,
     count_transform_ops,
-    implementation_transform_complexity,
     layer_cost,
     pipeline_depth,
 )
@@ -241,42 +240,40 @@ def test_no_idle_pe_slots_when_p_divides_k():
 def stepped_hardware_order(cfg, fmap, kern, spec):
     """The engine stepped one issue cycle at a time, in the modeled loop order.
 
-    Batch, tile position, kernel group, channel: each cycle transforms one
-    input tile once, multiplies it with the P PEs' filter transforms (zero
-    for idle PEs) into one alpha^2 x P product, inverse-transforms all P
-    columns as one (m^2 x alpha^2) @ (alpha^2 x P) product and accumulates
-    over C.
+    Batch, tile position, kernel group, channel: each cycle reads one input
+    tile's data transform from the shared front end, multiplies it with the P
+    PEs' filter transforms (zero for idle PEs) into one alpha^2 x P product,
+    inverse-transforms all P columns as one (m^2 x alpha^2) @ (alpha^2 x P)
+    product and accumulates over C.  The data transform is not recomputed per
+    tile: a per-tile product cannot round as the front end's one large GEMM
+    does, and test_data_transform_matches_per_tile_reference checks U alone.
     """
     ts = generate_transforms(cfg.params)
-    m, alpha, r, p = cfg.params.m, cfg.params.alpha, cfg.params.r, cfg.p
-    n, c, h, w = fmap.data.shape
-    k, dtype = kern.k, fmap.data.dtype
-    h_out, w_out = h + 2 * spec.pad - r + 1, w + 2 * spec.pad - r + 1
-    ty, tx, groups = -(-h_out // m), -(-w_out // m), -(-k // p)
-    ext = np.zeros((n, c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
-    ext[:, :, spec.pad : spec.pad + h, spec.pad : spec.pad + w] = fmap.data
-    v = precompute_filter_transforms(kern, ts).reshape(k, c, alpha * alpha)
+    m, alpha, p = cfg.params.m, cfg.params.alpha, cfg.p
+    n, c, k, dtype = fmap.n, fmap.c, kern.k, fmap.data.dtype
+    u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kern, spec, ts)
+    groups = -(-k // p)
     zero = np.zeros(alpha * alpha, dtype=dtype)
-    bt, b, kron_at = (x.astype(dtype) for x in (ts.bt, ts.bt.T, ts.kron_at))
+    kron_at = ts.kron_at.astype(dtype)
 
     out = np.zeros((n, k, ty * m, tx * m), dtype=dtype)
     cycles = idle = 0
     for img in range(n):
-        for y0 in range(0, ty * m, m):
-            for x0 in range(0, tx * m, m):
+        for yi in range(ty):
+            for xi in range(tx):
+                tile = (img * ty + yi) * tx + xi
                 for group in range(groups):
                     accum = np.zeros((m * m, p), dtype=dtype)
                     for ci in range(c):
                         cycles += 1
-                        u = (bt @ ext[img, ci, y0 : y0 + alpha, x0 : x0 + alpha] @ b).ravel()
                         prod = np.empty((alpha * alpha, p), dtype=dtype)
                         for pe in range(p):
                             kk = group * p + pe
                             idle += kk >= k
-                            prod[:, pe] = u * (v[kk, ci] if kk < k else zero)
+                            prod[:, pe] = u[:, ci, tile] * (v[:, kk, ci] if kk < k else zero)
                         accum += kron_at @ prod
                     for pe in range(min(p, k - group * p)):
-                        out[img, group * p + pe, y0 : y0 + m, x0 : x0 + m] = \
+                        out[img, group * p + pe, yi * m : (yi + 1) * m, xi * m : (xi + 1) * m] = \
                             accum[:, pe].reshape(m, m)
     trace = SimTrace(
         cycles_elapsed=cycles + pipeline_depth(cfg.params) - 1,
@@ -336,7 +333,7 @@ def test_measured_transform_counts_price_the_shared_design():
             + ops.delta * trace.inverse_transform_count
         layer = LayerShape(n=n, h=h, w=w, c=c, k=k, r=3)  # pad 1 keeps dims
         assert measured == pytest.approx(
-            implementation_transform_complexity(layer, params, ops, p), rel=1e-12)
+            layer_cost(layer, params, ops, p, 1.0).o_t_shared, rel=1e-12)
 
 
 def test_vgg16d_conv5_1_at_paper_scale():

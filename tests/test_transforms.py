@@ -8,6 +8,7 @@ from winoconv.transforms import (
     MinimalParams,
     MultCounter,
     ScaledIntMatrix,
+    TransformSet,
     default_points,
     export_transforms_csv,
     generate_transforms,
@@ -269,6 +270,36 @@ def test_transform_sets_compare_and_hash_by_value():
     assert ts != generate_transforms(MinimalParams(4, 3))
     assert ts != generate_transforms(MinimalParams(3, 3), [0, 1, -1, Fraction(1, 2)])
     assert len({ts, same, generate_transforms(MinimalParams(1, 3))}) == 2
+
+
+def _times(x, f):
+    """The same rational matrix with numerators and denominator multiplied by f."""
+    return ScaledIntMatrix(tuple([tuple([f * v for v in row]) for row in x.num]), f * x.den)
+
+
+@pytest.mark.parametrize("case, match", [
+    # negated: same floats, but count_transform_ops counted every +-1 as a multiplication,
+    # (32, 70, 24) became (96, 84, 60)
+    ("negated", "lowest terms over a positive"),
+    ("doubled", "lowest terms"),  # compared unequal to the same matrices
+    ("zero_den", "lowest terms over a positive"),  # was a ZeroDivisionError traceback
+    ("wrong_params", "must be 3 x 5 for F\\(3,3\\)"),  # F(2,3) gave a 2 x 4 A^T for F(3,3)
+])
+def test_transform_set_rejects_malformed_matrices(case, match):
+    ts = generate_transforms(MinimalParams(2, 3))
+    mats = ts.at_int, ts.bt_int, ts.g_int
+    params = ts.params
+    if case == "negated":
+        mats = tuple([_times(x, -1) for x in mats])
+    elif case == "doubled":
+        mats = tuple([_times(x, 2) for x in mats])
+    elif case == "zero_den":
+        mats = (mats[0], mats[1], mats[2]._replace(den=0))
+    else:
+        params = MinimalParams(3, 3)
+    with pytest.raises(ValueError, match=match):
+        TransformSet(params, *mats, ts.interpolation_points)
+    assert TransformSet(ts.params, ts.at_int, ts.bt_int, ts.g_int, ts.interpolation_points) == ts
 
 
 @pytest.mark.parametrize("m", range(1, 7))
