@@ -118,7 +118,7 @@ def test_transform_complexity_monotonic_in_m():
     assert totals[0] < totals[-1]
 
 
-def test_layer_cost_amortized_transform_cost():
+def test_implementation_transform_complexity():
     layer = LayerShape(n=1, h=8, w=8, c=3, k=5, r=3)
     params = MinimalParams(2, 3)
     ops = TransformOpCounts(32, 70, 24)
