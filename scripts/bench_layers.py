@@ -6,11 +6,14 @@ For each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
 input and kernels) and m = 2, 3, 4, records the best-of-3 wall time of
 precompute_filter_transforms and winograd_conv, the best-of-3 time of
 spatial_conv once per shape, and winograd_conv's maximum error relative to
-spatial_conv's largest output.  Next to each spatial_conv and winograd_conv
-time it records the minor page faults per call (the mean getrusage ru_minflt
-delta over the 3 calls).  As a BLAS-grade baseline it times a float32 im2col
-+ one GEMM convolution (defined here, not in winoconv), checks it against
-spatial_conv, and records the best-m winograd_conv time over the im2col time.
+spatial_conv's largest output.  Each best time has the median of the same 3
+calls next to it (*_median_ms): on a shared host the best of 3 alone moved
+up to 3x between runs of identical code.  Next to each spatial_conv and
+winograd_conv time it records the minor page faults per call (the mean
+getrusage ru_minflt delta over the 3 calls).  As a BLAS-grade baseline it
+times a float32 im2col + one GEMM convolution (defined here, not in
+winoconv), checks it against spatial_conv, and records the best-m
+winograd_conv time over the im2col time.
 
 Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
 4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer
@@ -66,21 +69,22 @@ REPEATS = 3
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
 
-def best_ms(fn) -> tuple[float, object]:
-    """Fastest of REPEATS calls in ms, and the last call's result."""
+def best_ms(fn) -> tuple[float, float, object]:
+    """Fastest and median of REPEATS calls in ms, and the last call's result."""
     times = []
     for _ in range(REPEATS):
         start = perf_counter()
         out = fn()
         times.append(perf_counter() - start)
-    return min(times) * 1e3, out
+    return min(times) * 1e3, float(np.median(times)) * 1e3, out
 
 
-def timed(fn) -> tuple[float, float, object]:
-    """best_ms, the mean minor page faults per call, and the last call's result."""
+def timed(fn) -> tuple[float, float, float, object]:
+    """best_ms, with the mean minor page faults per call before the last call's result."""
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    ms, out = best_ms(fn)
-    return ms, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / REPEATS, out
+    ms, median_ms, out = best_ms(fn)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / REPEATS
+    return ms, median_ms, faults, out
 
 
 def im2col_conv(fmap: FeatureMap, kernels: KernelBank, pad: int) -> np.ndarray:
@@ -113,21 +117,28 @@ def random_layer(layer, rng: np.random.Generator) -> tuple[FeatureMap, KernelBan
 def bench_layer(layer, pad: int, rng: np.random.Generator) -> dict:
     fmap, kernels = random_layer(layer, rng)
     spec = ConvSpec(pad=pad)
-    spatial_ms, spatial_faults, ref = timed(lambda: spatial_conv(fmap, kernels, spec))
+    spatial_ms, spatial_median_ms, spatial_faults, ref = timed(
+        lambda: spatial_conv(fmap, kernels, spec))
     scale = np.abs(ref.data).max()
-    im2col_ms, baseline = best_ms(lambda: im2col_conv(fmap, kernels, pad))
+    im2col_ms, im2col_median_ms, baseline = best_ms(lambda: im2col_conv(fmap, kernels, pad))
     im2col_err = np.abs(baseline.astype(np.float64) - ref.data).max() / scale
     assert im2col_err < 1e-4, f"im2col baseline off by {im2col_err:.3g}"
     row = {"h": layer.h, "w": layer.w, "c": layer.c, "k": layer.k, "r": layer.r, "pad": pad,
-           "spatial_ms": round(spatial_ms, 3), "spatial_faults": round(spatial_faults, 1),
-           "im2col_ms": round(im2col_ms, 3), "m": {}}
+           "spatial_ms": round(spatial_ms, 3), "spatial_median_ms": round(spatial_median_ms, 3),
+           "spatial_faults": round(spatial_faults, 1),
+           "im2col_ms": round(im2col_ms, 3), "im2col_median_ms": round(im2col_median_ms, 3),
+           "m": {}}
     for m in TILE_SIZES:
         ts = generate_transforms(MinimalParams(m, layer.r))
-        precompute_ms, _ = best_ms(lambda: precompute_filter_transforms(kernels, ts))
-        winograd_ms, winograd_faults, out = timed(lambda: winograd_conv(fmap, kernels, spec, ts))
+        precompute_ms, precompute_median_ms, _ = best_ms(
+            lambda: precompute_filter_transforms(kernels, ts))
+        winograd_ms, winograd_median_ms, winograd_faults, out = timed(
+            lambda: winograd_conv(fmap, kernels, spec, ts))
         err = np.abs(out.data.astype(np.float64) - ref.data).max() / scale
         row["m"][str(m)] = {"filter_precompute_ms": round(precompute_ms, 3),
+                            "filter_precompute_median_ms": round(precompute_median_ms, 3),
                             "winograd_ms": round(winograd_ms, 3),
+                            "winograd_median_ms": round(winograd_median_ms, 3),
                             "winograd_faults": round(winograd_faults, 1),
                             "max_rel_err": float(f"{err:.3g}")}
     best = min(t["winograd_ms"] for t in row["m"].values())

@@ -47,6 +47,6 @@ from .transforms import (
     winograd_1d_exact,
     winograd_2d_tile_exact,
 )
-from .workload import Workload, WorkloadLayer, load_workload, save_workload
+from .workload import Workload, WorkloadLayer, load_workload
 
 __version__ = "0.1.0"

@@ -160,8 +160,12 @@ def require_floating(what: str, data: np.ndarray) -> None:
         raise ValueError(f"{what} must be floating point, got {data.dtype}")
 
 
-def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.ndarray:
-    """G g G^T of every (k, c) kernel slice as one GEMM, in the kernels' dtype.
+def precompute_filter_transforms(
+    kernels: KernelBank, ts: TransformSet, dtype: np.dtype | None = None
+) -> np.ndarray:
+    """G g G^T of every (k, c) kernel slice as one GEMM, in the kernels' dtype or dtype if wider.
+
+    The wider precision keeps a float64 map's accuracy when its kernels are float32.
 
     Returns (K, C, alpha, alpha) as a view of an (alpha^2, K, C) array.
     """
@@ -171,9 +175,10 @@ def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.nd
         )
     require_floating("kernel bank", kernels.data)
     k, c, r, alpha = kernels.k, kernels.c, kernels.r, ts.params.alpha
+    dtype = kernels.data.dtype if dtype is None else np.promote_types(dtype, kernels.data.dtype)
     # Rows padded by 16 elements: a row stride of a multiple of 4 KiB (as at K*C = 512*512)
     # makes the rows share cache sets, and the GEMM ran 3x slower.
-    v = np.empty((alpha * alpha, k * c + 16), kernels.data.dtype)[:, : k * c]
+    v = np.empty((alpha * alpha, k * c + 16), dtype)[:, : k * c]
     np.matmul(ts.kron_g.astype(v.dtype), kernels.data.reshape(k * c, r * r).T, out=v)
     return v.reshape(alpha, alpha, k, c).transpose(2, 3, 0, 1)
 
@@ -193,7 +198,7 @@ def transformed_operands(
     require_floating("feature map", fmap.data)
     m, r, alpha, dtype = ts.params.m, kernels.r, ts.params.alpha, fmap.data.dtype
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    v = precompute_filter_transforms(kernels, ts).transpose(2, 3, 0, 1)
+    v = precompute_filter_transforms(kernels, ts, dtype).transpose(2, 3, 0, 1)
     v = v.reshape(alpha * alpha, kernels.k, kernels.c).astype(dtype, copy=False)
     ty, tx = tile_grid(h_out, w_out, m)
     ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)

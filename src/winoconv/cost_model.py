@@ -2,7 +2,7 @@
 
 layer_cost is the one per-layer evaluation: it returns a layer's O_m, O_t,
 O_S, latency T_t and O_T below as one LayerCost.  evaluate_design calls it once
-per layer; design totals, and in dse the group rows, figures and Table 2,
+per layer; design totals, and in dse the group sums, figures and Table 2,
 are sums over those LayerCosts.
 
 Complexity conventions, with alpha = m + r - 1 and a layer of N images,

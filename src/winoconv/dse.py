@@ -1,8 +1,9 @@
 """Design space exploration over output tile size and multiplier budget.
 
 run_sweep evaluates every (m, budget) pair of a SweepSpec against a workload
-with evaluate_design; group rows, totals, figures and Table 2 are all sums
-over slices of the per-layer costs it returns.  run_sweep also derives the
+with evaluate_design and keeps only the design points.  Group sums (through
+group_costs), totals, figures and Table 2 are all sums over slices of the
+per-layer costs of those points.  run_sweep also derives the
 percentage-change columns between consecutive tile sizes:
 
   - multiplication savings: 100 * (O_m(m) - O_m(m')) / O_m(m), of one layer
@@ -25,6 +26,7 @@ from pathlib import Path
 from .cost_model import (
     DesignPoint,
     HardwareConfig,
+    LayerCost,
     TransformOpCounts,
     clock_period,
     count_transform_ops,
@@ -63,18 +65,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    """Per layer-group complexity and latency of one (m, budget) point."""
-
-    m: int
-    budget: int
-    group: str
-    o_m: float
-    o_t: float
-    latency_s: float
-
-
-@dataclass(frozen=True)
 class Transition:
     """Percentage changes between consecutive swept tile sizes."""
 
@@ -95,25 +85,16 @@ class Transition:
 class SweepResult:
     spec: SweepSpec
     points: tuple[DesignPoint, ...]          # sorted by (m, budget)
-    rows: tuple[SweepRow, ...]               # one per (m, budget, group)
     transitions: tuple[Transition, ...]      # between consecutive m values
     op_counts: dict[int, TransformOpCounts]
 
 
-def _group_rows(workload: Workload, point: DesignPoint) -> tuple[SweepRow, ...]:
-    """Per-group sums of the point's per-layer costs, in workload group order."""
-    by_group = {g: [] for g in workload.groups}
+def group_costs(workload: Workload, point: DesignPoint) -> dict[str, list[LayerCost]]:
+    """The point's per-layer costs by workload group, groups and layers in workload order."""
+    by_group: dict[str, list[LayerCost]] = {g: [] for g in workload.groups}
     for layer, cost in zip(workload.layers, point.layers):
         by_group[layer.group].append(cost)
-    return tuple(
-        SweepRow(
-            m=point.params.m, budget=point.hw.m_total, group=group,
-            o_m=sum(c.o_m for c in costs),
-            o_t=sum(c.o_t for c in costs),
-            latency_s=sum(c.latency_s for c in costs),
-        )
-        for group, costs in by_group.items()
-    )
+    return by_group
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -128,14 +109,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         counts[m] = count_transform_ops(ts)
 
     points: list[DesignPoint] = []
-    rows: list[SweepRow] = []
     for m in ms:
         params = MinimalParams(m, spec.r)
         for budget in budgets:
             hw = HardwareConfig(m_total=budget, t_c=spec.hw.t_c)
-            point = evaluate_design(spec.workload.shapes, params, hw, counts[m])
-            points.append(point)
-            rows.extend(_group_rows(spec.workload, point))
+            points.append(evaluate_design(spec.workload.shapes, params, hw, counts[m]))
 
     # O_m of one layer does not depend on the budget; any layer gives the ratio.
     first_layer_om = {pt.params.m: pt.layers[0].o_m for pt in points}
@@ -152,8 +130,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         ))
 
     return SweepResult(
-        spec=spec, points=tuple(points), rows=tuple(rows),
-        transitions=tuple(transitions), op_counts=counts,
+        spec=spec, points=tuple(points), transitions=tuple(transitions), op_counts=counts,
     )
 
 
@@ -185,7 +162,7 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
     Prior designs, then those of SHARED_DESIGN_BUDGETS.  Each shared-transform
     design is read from a one-point run_sweep: its latency, throughput and
     multiplier efficiency from the sweep's design point, its group latencies
-    from the sweep's group rows.  Frequency, precision and power columns of
+    from that point's group_costs.  Frequency, precision and power columns of
     prior designs are echoed from the static reference rows and never derived.
     """
     if workload != load_workload("vgg16d"):
@@ -197,9 +174,9 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
     rows = list(PRIOR_DESIGNS)
     for m, r, budget in SHARED_DESIGN_BUDGETS:
         hw = HardwareConfig(m_total=budget, t_c=t_c)
-        sweep = run_sweep(SweepSpec((m,), r, (budget,), workload, hw))
-        point = sweep.points[0]
-        conv_ms = tuple(1e3 * row.latency_s for row in sweep.rows)
+        point = run_sweep(SweepSpec((m,), r, (budget,), workload, hw)).points[0]
+        conv_ms = tuple(1e3 * sum(c.latency_s for c in costs)
+                        for costs in group_costs(workload, point).values())
         power = SHARED_DESIGN_POWER_W.get(m)
         rows.append(Table2Row(
             name=f"shared_transform_m{m}", m=m,
@@ -230,9 +207,11 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
 
 def write_fig1_csv(result: SweepResult, path: str | Path):
     """Per-group multiplication complexity: m, group, O_m."""
-    budget0 = min(r.budget for r in result.rows)
+    budget0 = min(p.hw.m_total for p in result.points)
     _write_csv(path, ["m", "group", "o_m"],
-               ([row.m, row.group, _fmt(row.o_m)] for row in result.rows if row.budget == budget0))
+               ([pt.params.m, group, _fmt(sum(c.o_m for c in costs))]
+                for pt in result.points if pt.hw.m_total == budget0
+                for group, costs in group_costs(result.spec.workload, pt).items()))
 
 
 def write_fig2_csv(result: SweepResult, path: str | Path):

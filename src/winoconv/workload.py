@@ -134,16 +134,3 @@ def load_workload(name_or_path: str | Path) -> Workload:
         )
     return parse_workload(path.read_text(), source=str(path))
 
-
-def format_workload(workload: Workload) -> str:
-    lines = [f"workload {workload.name}", "# layer n h w c k r pad group"]
-    for layer in workload.layers:
-        s = layer.shape
-        lines.append(
-            f"layer {s.n} {s.h} {s.w} {s.c} {s.k} {s.r} {layer.pad} {layer.group}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def save_workload(workload: Workload, path: str | Path):
-    Path(path).write_text(format_workload(workload))

@@ -255,8 +255,14 @@ def test_precompute_filter_transforms():
                                                rtol=1e-12)
             # the front end's (alpha^2, K, C) V is a view of it when the dtypes match
             assert np.shares_memory(v, v.transpose(2, 3, 0, 1).reshape(a * a, 3, 2))
-            v32 = precompute_filter_transforms(KernelBank(kern.data.astype(np.float32)), ts)
+            kern32 = KernelBank(kern.data.astype(np.float32))
+            v32 = precompute_filter_transforms(kern32, ts)
             assert v32.dtype == np.float32
+            # a wider dtype computes at that precision; a narrower one changes nothing
+            assert np.array_equal(precompute_filter_transforms(kern32, ts, np.float64),
+                                  precompute_filter_transforms(
+                                      KernelBank(kern32.data.astype(np.float64)), ts))
+            assert precompute_filter_transforms(kern32, ts, np.float16).dtype == np.float32
 
 
 @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -319,7 +325,8 @@ def test_integer_input_rejected():
 
 
 @pytest.mark.parametrize("map_dtype,kernel_dtype", [(np.float32, np.float64),
-                                                    (np.float64, np.float32)])
+                                                    (np.float64, np.float32),
+                                                    (np.float64, np.float64)])
 def test_output_keeps_map_dtype(map_dtype, kernel_dtype):
     rng = np.random.default_rng(10)
     fmap, kern = random_case(rng, 1, 3, 9, 9, 4, 3, dtype=map_dtype)
@@ -329,6 +336,18 @@ def test_output_keeps_map_dtype(map_dtype, kernel_dtype):
     out = winograd_conv(fmap, kern, spec, ts)
     assert out.data.dtype == map_dtype
     assert rel_err(out.data, spatial_conv(fmap, kern, spec).data) < 1e-4
+    if map_dtype is np.float64:
+        # A float64 map computes in float64 whatever the kernels' dtype; a filter precompute
+        # in the kernels' float32 is 9.7e-7 off at m = 4.
+        fmap, kern = random_case(rng, 1, 16, 12, 12, 8, 3, dtype=np.float64)
+        kern = KernelBank(kern.data.astype(kernel_dtype))
+        ref = spatial_conv(fmap, kern, spec).data
+        for m in (2, 3, 4):
+            ts = generate_transforms(MinimalParams(m, 3))
+            sim, _ = simulate_layer(EngineConfig(ts.params, p=3), fmap, kern, spec, ts)
+            for out in (winograd_conv(fmap, kern, spec, ts), sim):
+                assert out.data.dtype == np.float64
+                assert rel_err(out.data, ref) < 1e-12
 
 
 # Measured max relative error of float32 winograd_conv on the layer below

@@ -5,6 +5,7 @@ import pytest
 from winoconv.cost_model import HardwareConfig, pipeline_depth
 from winoconv.dse import (
     SweepSpec,
+    group_costs,
     recommend,
     run_sweep,
     table2_report,
@@ -37,8 +38,8 @@ def test_sweep_m1_is_spatial_baseline(vgg):
     hw = HardwareConfig(m_total=90, t_c=5e-9)
     spec = SweepSpec(m_values=(1,), r=3, budgets=(90,), workload=vgg, hw=hw)
     result = run_sweep(spec)
-    assert all(row.o_t == 0 for row in result.rows)
     point = result.points[0]
+    assert all(sum(c.o_t for c in costs) == 0 for costs in group_costs(vgg, point).values())
     # with m = 1 every PE performs r^2 multiplications per output pixel
     p = 90 // 9
     total = sum(l.nhwck for l in vgg.shapes)
@@ -48,13 +49,16 @@ def test_sweep_m1_is_spatial_baseline(vgg):
 
 
 def test_sweep_row_structure(sweep, vgg):
-    # one row per (m, budget, group)
-    assert len(sweep.rows) == 5 * 3 * len(vgg.groups)
-    keys = {(r.m, r.budget, r.group) for r in sweep.rows}
-    assert len(keys) == len(sweep.rows)
-    # points sorted by (m, budget)
+    # one point per (m, budget), sorted by (m, budget)
     order = [(p.params.m, p.hw.m_total) for p in sweep.points]
-    assert order == sorted(order)
+    assert order == sorted(set(order)) and len(order) == 5 * 3
+    # every point has every workload group, in order, holding that group's layers in order
+    for point in sweep.points:
+        by_group = group_costs(vgg, point)
+        assert list(by_group) == list(vgg.groups)
+        assert [c for costs in by_group.values() for c in costs] == list(point.layers)
+        assert [len(costs) for costs in by_group.values()] == [
+            sum(l.group == g for l in vgg.layers) for g in vgg.groups]
 
 
 def test_transition_percentages(sweep):
@@ -254,14 +258,18 @@ def test_table2_group_latencies_are_sweep_rows(vgg):
                      budgets=tuple(r.multipliers for r in computed), workload=vgg, hw=hw)
     result = run_sweep(spec)
     for design in computed:
-        rows = [r for r in result.rows if (r.m, r.budget) == (design.m, design.multipliers)]
-        assert [r.group for r in rows] == list(report.groups)
-        assert design.conv_ms == tuple(1e3 * r.latency_s for r in rows)
+        [point] = [p for p in result.points
+                   if (p.params.m, p.hw.m_total) == (design.m, design.multipliers)]
+        by_group = group_costs(vgg, point)
+        assert list(by_group) == list(report.groups)
+        assert design.conv_ms == tuple(1e3 * sum(c.latency_s for c in costs)
+                                       for costs in by_group.values())
 
 
-def test_group_rows_sum_to_point_totals(sweep):
+def test_group_rows_sum_to_point_totals(sweep, vgg):
     for point in sweep.points:
-        rows = [r for r in sweep.rows if (r.m, r.budget) == (point.params.m, point.hw.m_total)]
-        assert sum(r.o_m for r in rows) == pytest.approx(point.o_m, rel=1e-12)
-        assert sum(r.o_t for r in rows) == pytest.approx(point.o_t, rel=1e-12)
-        assert sum(r.latency_s for r in rows) == pytest.approx(point.t_total, rel=1e-12)
+        groups = group_costs(vgg, point).values()
+        for field, total in (("o_m", point.o_m), ("o_t", point.o_t),
+                             ("latency_s", point.t_total)):
+            group_sums = [sum(getattr(c, field) for c in costs) for costs in groups]
+            assert sum(group_sums) == pytest.approx(total, rel=1e-12)

@@ -1,14 +1,7 @@
 import pytest
 
 from winoconv.cost_model import LayerShape
-from winoconv.workload import (
-    Workload,
-    WorkloadLayer,
-    format_workload,
-    load_workload,
-    parse_workload,
-    save_workload,
-)
+from winoconv.workload import Workload, WorkloadLayer, load_workload, parse_workload
 
 
 def test_builtin_vgg16d():
@@ -24,14 +17,21 @@ def test_builtin_vgg16d():
 
 
 def test_round_trip(tmp_path):
-    w = load_workload("vgg16d")
     path = tmp_path / "net.workload"
-    save_workload(w, path)
-    assert load_workload(path) == w
-
-    one = Workload("mini", (WorkloadLayer(LayerShape(2, 8, 6, 3, 4, 3), 1, "only"),))
-    text = format_workload(one)
-    assert parse_workload(text) == one
+    path.write_text(
+        "workload mini\n"
+        "# layer n h w c k r pad group\n"
+        "layer 1 16 16 3 8 3 1 stem\n"
+        "layer 2 8 6 8 8 3 1 body\n"
+        "layer 1 4 4 8 16 3 0 body\n"
+        "layer 1 4 4 16 4 1 0 head\n"
+    )
+    assert load_workload(path) == Workload("mini", (
+        WorkloadLayer(LayerShape(1, 16, 16, 3, 8, 3), 1, "stem"),
+        WorkloadLayer(LayerShape(2, 8, 6, 8, 8, 3), 1, "body"),
+        WorkloadLayer(LayerShape(1, 4, 4, 8, 16, 3), 0, "body"),
+        WorkloadLayer(LayerShape(1, 4, 4, 16, 4, 1), 0, "head"),
+    ))
 
 
 def test_parse_errors_carry_line_numbers():
