@@ -6,9 +6,12 @@ For each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
 input and kernels) and m = 2, 3, 4, records the best-of-3 wall time of
 precompute_filter_transforms and winograd_conv, the best-of-3 time of
 spatial_conv once per shape, and winograd_conv's maximum error relative to
-spatial_conv's largest output.  Each best time has the median of the same 3
-calls next to it (*_median_ms): on a shared host the best of 3 alone moved
-up to 3x between runs of identical code.  Next to each spatial_conv and
+spatial_conv's largest output.  The 3 calls of each entry come from
+REPEATS = 3 round-robin passes over all shapes, so a slow stretch of the
+host spreads over every shape rather than moving one shape's best and
+median together.  Each best time has the median of the same 3 calls next to
+it (*_median_ms): on a shared host the best of 3 alone moved up to 3x
+between runs of identical code.  Next to each spatial_conv and
 winograd_conv time it records the minor page faults per call (the mean
 getrusage ru_minflt delta over the 3 calls).  As a BLAS-grade baseline it
 times a float32 im2col + one GEMM convolution (defined here, not in
@@ -53,7 +56,6 @@ from winoconv import (  # noqa: E402
     MinimalParams,
     exact_cycles,
     generate_transforms,
-    load_workload,
     pe_count,
     pipeline_depth,
     precompute_filter_transforms,
@@ -61,7 +63,8 @@ from winoconv import (  # noqa: E402
     spatial_conv,
     winograd_conv,
 )
-from winoconv.reference_data import SHARED_DESIGN_BUDGETS  # noqa: E402
+from winoconv.reference_data import SHARED_DESIGNS  # noqa: E402
+from winoconv.workload import VGG16D  # noqa: E402
 
 TILE_SIZES = (2, 3, 4)
 REPEATS = 3
@@ -69,22 +72,10 @@ REPEATS = 3
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
 
-def best_ms(fn) -> tuple[float, float, object]:
-    """Fastest and median of REPEATS calls in ms, and the last call's result."""
-    times = []
-    for _ in range(REPEATS):
-        start = perf_counter()
-        out = fn()
-        times.append(perf_counter() - start)
-    return min(times) * 1e3, float(np.median(times)) * 1e3, out
-
-
-def timed(fn) -> tuple[float, float, float, object]:
-    """best_ms, with the mean minor page faults per call before the last call's result."""
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    ms, median_ms, out = best_ms(fn)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / REPEATS
-    return ms, median_ms, faults, out
+def timing(entry: str, seconds: list[float]) -> dict:
+    """The fastest and the median of an entry's timings, in ms."""
+    return {f"{entry}_ms": round(min(seconds) * 1e3, 3),
+            f"{entry}_median_ms": round(float(np.median(seconds)) * 1e3, 3)}
 
 
 def im2col_conv(fmap: FeatureMap, kernels: KernelBank, pad: int) -> np.ndarray:
@@ -114,42 +105,66 @@ def random_layer(layer, rng: np.random.Generator) -> tuple[FeatureMap, KernelBan
     return FeatureMap(x), KernelBank(g)
 
 
-def bench_layer(layer, pad: int, rng: np.random.Generator) -> dict:
+def layer_calls(layer, pad: int, rng: np.random.Generator) -> dict:
+    """One shape's timed calls by entry name, in run order; each returns an array."""
     fmap, kernels = random_layer(layer, rng)
     spec = ConvSpec(pad=pad)
-    spatial_ms, spatial_median_ms, spatial_faults, ref = timed(
-        lambda: spatial_conv(fmap, kernels, spec))
-    scale = np.abs(ref.data).max()
-    im2col_ms, im2col_median_ms, baseline = best_ms(lambda: im2col_conv(fmap, kernels, pad))
-    im2col_err = np.abs(baseline.astype(np.float64) - ref.data).max() / scale
-    assert im2col_err < 1e-4, f"im2col baseline off by {im2col_err:.3g}"
-    row = {"h": layer.h, "w": layer.w, "c": layer.c, "k": layer.k, "r": layer.r, "pad": pad,
-           "spatial_ms": round(spatial_ms, 3), "spatial_median_ms": round(spatial_median_ms, 3),
-           "spatial_faults": round(spatial_faults, 1),
-           "im2col_ms": round(im2col_ms, 3), "im2col_median_ms": round(im2col_median_ms, 3),
-           "m": {}}
+    calls = {"spatial": lambda: spatial_conv(fmap, kernels, spec).data,
+             "im2col": lambda: im2col_conv(fmap, kernels, pad)}
     for m in TILE_SIZES:
         ts = generate_transforms(MinimalParams(m, layer.r))
-        precompute_ms, precompute_median_ms, _ = best_ms(
-            lambda: precompute_filter_transforms(kernels, ts))
-        winograd_ms, winograd_median_ms, winograd_faults, out = timed(
-            lambda: winograd_conv(fmap, kernels, spec, ts))
-        err = np.abs(out.data.astype(np.float64) - ref.data).max() / scale
-        row["m"][str(m)] = {"filter_precompute_ms": round(precompute_ms, 3),
-                            "filter_precompute_median_ms": round(precompute_median_ms, 3),
-                            "winograd_ms": round(winograd_ms, 3),
-                            "winograd_median_ms": round(winograd_median_ms, 3),
-                            "winograd_faults": round(winograd_faults, 1),
-                            "max_rel_err": float(f"{err:.3g}")}
-    best = min(t["winograd_ms"] for t in row["m"].values())
-    row["best_winograd_over_im2col"] = round(best / im2col_ms, 3)
-    return row
+        calls[f"filter_precompute.{m}"] = lambda ts=ts: precompute_filter_transforms(kernels, ts)
+        calls[f"winograd.{m}"] = lambda ts=ts: winograd_conv(fmap, kernels, spec, ts).data
+    return calls
+
+
+def bench_layers(shapes, rng: np.random.Generator) -> list[dict]:
+    """Time every call of every (layer, pad) shape in REPEATS round-robin passes.
+
+    Each pass runs each call once, shape after shape, so a slow stretch of
+    the host spreads over all shapes instead of over one shape's repeats.
+    The first pass checks im2col and winograd_conv against spatial_conv.
+    """
+    calls = [layer_calls(layer, pad, rng) for layer, pad in shapes]
+    seconds = [{name: [] for name in c} for c in calls]
+    faults = [dict.fromkeys(c, 0) for c in calls]
+    errors: list[dict] = [{} for _ in calls]
+    for rep in range(REPEATS):
+        for i, shape_calls in enumerate(calls):
+            for name, fn in shape_calls.items():
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start = perf_counter()
+                out = fn()
+                seconds[i][name].append(perf_counter() - start)
+                faults[i][name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                if rep == 0 and name == "spatial":
+                    ref, scale = out, np.abs(out).max()
+                elif rep == 0 and not name.startswith("filter_precompute"):
+                    errors[i][name] = np.abs(out.astype(np.float64) - ref).max() / scale
+            assert errors[i]["im2col"] < 1e-4, f"im2col baseline off by {errors[i]['im2col']:.3g}"
+        print(f"pass {rep + 1}/{REPEATS} done", flush=True)
+
+    rows = []
+    for (layer, pad), secs, flt, err in zip(shapes, seconds, faults, errors):
+        row = {"h": layer.h, "w": layer.w, "c": layer.c, "k": layer.k, "r": layer.r, "pad": pad,
+               **timing("spatial", secs["spatial"]),
+               "spatial_faults": round(flt["spatial"] / REPEATS, 1),
+               **timing("im2col", secs["im2col"]),
+               "m": {str(m): {**timing("filter_precompute", secs[f"filter_precompute.{m}"]),
+                              **timing("winograd", secs[f"winograd.{m}"]),
+                              "winograd_faults": round(flt[f"winograd.{m}"] / REPEATS, 1),
+                              "max_rel_err": float(f"{err[f'winograd.{m}']:.3g}")}
+                     for m in TILE_SIZES}}
+        best = min(t["winograd_ms"] for t in row["m"].values())
+        row["best_winograd_over_im2col"] = round(best / row["im2col_ms"], 3)
+        rows.append(row)
+    return rows
 
 
 def bench_network(workload, rng: np.random.Generator) -> list[dict]:
     """Simulate every layer once per Table 2 design; trace cycles must sum to exact_cycles."""
     designs = []
-    for m, r, budget in SHARED_DESIGN_BUDGETS:
+    for m, r, budget, _, _ in SHARED_DESIGNS:
         params = MinimalParams(m, r)
         cfg = EngineConfig(params, p=pe_count(budget, params))
         ts = generate_transforms(params)
@@ -183,21 +198,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
-    vgg16d = load_workload("vgg16d")
-    seen, layers = set(), []
-    for wl in vgg16d.layers:
-        key = (wl.shape, wl.pad)
-        if key in seen:
-            continue
-        seen.add(key)
-        row = bench_layer(wl.shape, wl.pad, rng)
+    seen, distinct = set(), []
+    for wl in VGG16D.layers:
+        if (wl.shape, wl.pad) not in seen:
+            seen.add((wl.shape, wl.pad))
+            distinct.append(wl)
+    layers = []
+    for wl, row in zip(distinct, bench_layers([(wl.shape, wl.pad) for wl in distinct], rng)):
         print(f"{wl.group} {row['h']}x{row['w']} {row['c']}->{row['k']}: spatial "
               f"{row['spatial_ms']:.1f} ms, im2col {row['im2col_ms']:.1f} ms, winograd m=2/3/4 "
               + "/".join(f"{row['m'][str(m)]['winograd_ms']:.1f}" for m in TILE_SIZES)
               + f" ms, best/im2col {row['best_winograd_over_im2col']:.2f}", flush=True)
         layers.append({"group": wl.group, **row})
     result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
-              "layers": layers, "simulate": bench_network(vgg16d, rng)}
+              "layers": layers, "simulate": bench_network(VGG16D, rng)}
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

@@ -25,6 +25,7 @@ from . import dse as dse_mod
 from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, spatial_conv, winograd_conv
 from .cost_model import HardwareConfig, LayerShape, clock_period, pe_count
 from .pipeline_sim import EngineConfig, simulate_layer, validate_against_analytical
+from .reference_data import FREQ_HZ, SHARED_DESIGNS
 from .tensor_io import load_tensor, save_tensor
 from .transforms import (
     MinimalParams,
@@ -33,9 +34,7 @@ from .transforms import (
     format_transforms,
     generate_transforms,
 )
-from .workload import load_workload
-
-FREQ_MHZ = 200.0  # default clock of dse and report
+from .workload import VGG16D, load_workload
 
 
 def _outdir(args) -> Path:
@@ -49,16 +48,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def cmd_transform(args) -> int:
-    params = MinimalParams(args.m, args.r)
-    points = None
-    if args.points:
-        from fractions import Fraction
-
-        try:
-            points = [Fraction(p) for p in args.points.split(",")]
-        except ZeroDivisionError as exc:
-            raise ValueError(f"zero denominator in --points {args.points}") from exc
-    ts = generate_transforms(params, points)
+    ts = generate_transforms(MinimalParams(args.m, args.r),
+                             args.points.split(",") if args.points else None)
     print(format_transforms(ts))
     if args.outdir:
         written = export_transforms_csv(ts, _outdir(args))
@@ -147,16 +138,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = dse_mod.table2_report(load_workload("vgg16d"), freq_hz=args.freq_mhz * 1e6)
+    report = dse_mod.table2_report(VGG16D, freq_hz=args.freq_mhz * 1e6)
     outdir = _outdir(args)
     dse_mod.write_table2_csv(report, outdir / "table2.csv")
     dse_mod.write_table2_reference_csv(report, outdir / "table2_reference.csv")
-    header = ["design"] + [f"{g}_ms" for g in report.groups] + ["overall_ms", "gops", "gops/mult"]
-    print("  ".join(header))
-    for row in report.rows:
-        cells = [row.name] + [f"{v:.2f}" for v in row.conv_ms]
-        cells += [f"{row.overall_ms:.2f}", f"{row.gops:.1f}", f"{row.gops_per_mult:.2f}"]
-        print("  ".join(cells))
+    print((outdir / "table2.csv").read_text(), end="")
     print(f"wrote table2.csv and table2_reference.csv in {outdir}")
     return 0
 
@@ -187,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="vgg16d")
     p.add_argument("--m-values", type=_int_list, default=[1, 2, 3, 4, 5],
                    help="comma-separated tile sizes (default 1,2,3,4,5)")
-    p.add_argument("--budgets", type=_int_list, default=[688, 700, 684],
+    p.add_argument("--budgets", type=_int_list, default=[b for _, _, b, _, _ in SHARED_DESIGNS],
                    help="comma-separated multiplier budgets")
-    p.add_argument("--freq-mhz", type=float, default=FREQ_MHZ)
+    p.add_argument("--freq-mhz", type=float, default=FREQ_HZ / 1e6)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_dse)
 
@@ -209,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="vgg16d performance comparison table")
-    p.add_argument("--freq-mhz", type=float, default=FREQ_MHZ)
+    p.add_argument("--freq-mhz", type=float, default=FREQ_HZ / 1e6)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_report)
 

@@ -32,15 +32,9 @@ from .cost_model import (
     count_transform_ops,
     evaluate_design,
 )
-from .reference_data import (
-    PRIOR_DESIGNS,
-    SHARED_DESIGN_BUDGETS,
-    SHARED_DESIGN_GOPS_PER_W,
-    SHARED_DESIGN_POWER_W,
-    Table2Row,
-)
+from .reference_data import FREQ_HZ, PRIOR_DESIGNS, SHARED_DESIGNS, Table2Row
 from .transforms import MinimalParams, generate_transforms
-from .workload import Workload, load_workload
+from .workload import VGG16D, Workload
 
 
 @dataclass(frozen=True)
@@ -156,28 +150,27 @@ class Table2Report:
     rows: tuple[Table2Row, ...]
 
 
-def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
+def table2_report(workload: Workload, freq_hz: float = FREQ_HZ) -> Table2Report:
     """Per-group latency / throughput / efficiency comparison on VGG16-D.
 
-    Prior designs, then those of SHARED_DESIGN_BUDGETS.  Each shared-transform
+    Prior designs, then the SHARED_DESIGNS builds.  Each shared-transform
     design is read from a one-point run_sweep: its latency, throughput and
     multiplier efficiency from the sweep's design point, its group latencies
     from that point's group_costs.  Frequency, precision and power columns of
     prior designs are echoed from the static reference rows and never derived.
     """
-    if workload != load_workload("vgg16d"):
+    if workload != VGG16D:
         raise ValueError(
             f"the comparison table is defined for the builtin vgg16d workload, "
             f"got {workload.name!r} with {len(workload.layers)} layers"
         )
     t_c = clock_period(freq_hz)
     rows = list(PRIOR_DESIGNS)
-    for m, r, budget in SHARED_DESIGN_BUDGETS:
+    for m, r, budget, power_w, gops_per_w in SHARED_DESIGNS:
         hw = HardwareConfig(m_total=budget, t_c=t_c)
         point = run_sweep(SweepSpec((m,), r, (budget,), workload, hw)).points[0]
         conv_ms = tuple(1e3 * sum(c.latency_s for c in costs)
                         for costs in group_costs(workload, point).values())
-        power = SHARED_DESIGN_POWER_W.get(m)
         rows.append(Table2Row(
             name=f"shared_transform_m{m}", m=m,
             multipliers=budget, pes=point.p, precision_bits=32,
@@ -185,7 +178,7 @@ def table2_report(workload: Workload, freq_hz: float = 200e6) -> Table2Report:
             conv_ms=conv_ms, overall_ms=point.t_total * 1e3,
             gops=point.throughput / 1e9,
             gops_per_mult=point.throughput / 1e9 / budget,
-            power_w=power, gops_per_w=SHARED_DESIGN_GOPS_PER_W.get(m),
+            power_w=power_w, gops_per_w=gops_per_w,
         ))
     return Table2Report(groups=workload.groups, rows=tuple(rows))
 

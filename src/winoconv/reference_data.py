@@ -63,9 +63,14 @@ PRIOR_DESIGNS = (
     ),
 )
 
-# Synthesized power of the shared-transform builds (static echo only), keyed by m.
-SHARED_DESIGN_POWER_W = {2: 13.03, 3: 23.96, 4: 36.32}
-SHARED_DESIGN_GOPS_PER_W = {2: 41.34, 3: 37.87, 4: 30.13}
+# The three shared-transform builds evaluated on VGG16-D at FREQ_HZ:
+# (m, r, multiplier budget, power_w, gops_per_w); power and GOPS/W are echoed.
+SHARED_DESIGNS = (
+    (2, 3, 688, 13.03, 41.34),
+    (3, 3, 700, 23.96, 37.87),
+    (4, 3, 684, 36.32, 30.13),
+)
+FREQ_HZ = 200e6  # clock of the synthesized builds; default of dse and report
 
 # Logic-resource model.  Synthesis of the 19-PE F(4x4,3x3) builds showed the
 # per-PE slice-LUT slope below for each design style; the shared-transform
@@ -80,6 +85,3 @@ RESOURCE_UTILIZATION_19PE = {
     "shared_transform": {"registers": 76500, "luts": 107839, "dsps": 2736, "multipliers": 684},
     "available": {"registers": 607200, "luts": 303600, "dsps": 2800, "multipliers": 700},
 }
-
-# The three shared-transform builds evaluated on VGG16-D: (m, r, multiplier budget).
-SHARED_DESIGN_BUDGETS = ((2, 3, 688), (3, 3, 700), (4, 3, 684))

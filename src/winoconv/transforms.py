@@ -152,7 +152,7 @@ def _times_linear(p: list[Fraction], a: Fraction) -> list[Fraction]:
 
 
 def generate_transforms(
-    params: MinimalParams, points: Sequence[Fraction | int] | None = None
+    params: MinimalParams, points: Sequence[Fraction | int | str] | None = None
 ) -> TransformSet:
     """Synthesize the A^T, B^T, G matrices for F(m, r).
 
@@ -165,7 +165,8 @@ def generate_transforms(
     The infinity row extracts leading coefficients.  Synthesis runs on
     Fractions; the result keeps each matrix as a ScaledIntMatrix.  With the
     default points {0, 1, -1} this reproduces the classical F(2,3) matrices
-    exactly.
+    exactly.  Points may also be strings such as "1/2"; a zero denominator
+    is a ValueError.
 
     m == 1 has no interpolation stage: the algorithm degenerates to a plain
     dot product (B^T = G = I, A^T = row of ones).
@@ -182,7 +183,10 @@ def generate_transforms(
     if points is None:
         pts = list(default_points(alpha - 1))
     else:
-        pts = [Fraction(p) for p in points]
+        try:
+            pts = [Fraction(p) for p in points]
+        except ZeroDivisionError as exc:
+            raise ValueError(f"zero denominator in interpolation points {list(points)}") from exc
     if len(pts) != alpha - 1:
         raise ValueError(
             f"F({m},{r}) needs {alpha - 1} finite points (plus infinity), got {len(pts)}"

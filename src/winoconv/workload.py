@@ -6,8 +6,9 @@ File format (line oriented, '#' comments and blank lines ignored):
     layer <n> <h> <w> <c> <k> <r> <pad> <group>
 
 h and w are output spatial dims.  Group labels must be contiguous.  The
-builtin "vgg16d" holds the 13 convolutional layers of VGG-16 configuration D
-(all 3x3 kernels, pad 1, batch 1) in five groups conv1..conv5.
+builtin VGG16D, loaded as "vgg16d", holds the 13 convolutional layers of
+VGG-16 configuration D (all 3x3 kernels, pad 1, batch 1) in five groups
+conv1..conv5.
 """
 
 from __future__ import annotations
@@ -59,23 +60,17 @@ class Workload:
         return tuple(l.shape for l in self.layers)
 
 
-def _vgg16d() -> Workload:
-    # (h=w, c, k, group); all r=3, pad=1, n=1; h, w are output dims
-    table = [
+# (h=w, c, k, group); all r=3, pad=1, n=1; h, w are output dims
+VGG16D = Workload("vgg16d", tuple(
+    WorkloadLayer(LayerShape(n=1, h=s, w=s, c=c, k=k, r=3), pad=1, group=g)
+    for s, c, k, g in (
         (224, 3, 64, "conv1"), (224, 64, 64, "conv1"),
         (112, 64, 128, "conv2"), (112, 128, 128, "conv2"),
         (56, 128, 256, "conv3"), (56, 256, 256, "conv3"), (56, 256, 256, "conv3"),
         (28, 256, 512, "conv4"), (28, 512, 512, "conv4"), (28, 512, 512, "conv4"),
         (14, 512, 512, "conv5"), (14, 512, 512, "conv5"), (14, 512, 512, "conv5"),
-    ]
-    layers = tuple(
-        WorkloadLayer(LayerShape(n=1, h=s, w=s, c=c, k=k, r=3), pad=1, group=g)
-        for s, c, k, g in table
     )
-    return Workload("vgg16d", layers)
-
-
-BUILTIN_WORKLOADS = {"vgg16d": _vgg16d}
+))
 
 
 def parse_workload(text: str, source: str = "<string>") -> Workload:
@@ -122,15 +117,12 @@ def parse_workload(text: str, source: str = "<string>") -> Workload:
 
 
 def load_workload(name_or_path: str | Path) -> Workload:
-    """Resolve a builtin workload name or parse a workload file."""
+    """Return the builtin VGG16D for "vgg16d", else parse a workload file."""
     key = str(name_or_path)
-    if key in BUILTIN_WORKLOADS:
-        return BUILTIN_WORKLOADS[key]()
+    if key == VGG16D.name:
+        return VGG16D
     path = Path(name_or_path)
     if not path.exists():
-        raise ValueError(
-            f"unknown workload {key!r}: not a builtin "
-            f"({', '.join(sorted(BUILTIN_WORKLOADS))}) and no such file"
-        )
+        raise ValueError(f"unknown workload {key!r}: not the builtin vgg16d and no such file")
     return parse_workload(path.read_text(), source=str(path))
 

@@ -162,6 +162,7 @@ def test_report_subcommand(tmp_path, capsys):
     assert "shared_transform_m4" in out
     table = (tmp_path / "table2.csv").read_text()
     assert "28.046" in table
+    assert out == table + f"wrote table2.csv and table2_reference.csv in {tmp_path}\n"
     assert (tmp_path / "table2_reference.csv").exists()
 
 
@@ -200,3 +201,14 @@ def test_readme_cli_examples_parse():
     with pytest.raises(SystemExit) as exc:  # the tile size fixes the pipeline depth
         parser.parse_args(["simulate", "--m", "2", "--d-p", "4"])
     assert exc.value.code == 2
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    np.random.seed(0)  # the sketch draws from the global generator
+    namespace: dict = {}
+    exec(block, namespace)
+    y, out = namespace["y"], namespace["out"]
+    assert out.data.shape == y.data.shape == (1, 8, 14, 14)
+    assert np.max(np.abs(out.data - y.data)) <= 1e-4

@@ -138,6 +138,8 @@ def test_generate_transforms_errors():
         generate_transforms(MinimalParams(2, 3), points=[0, 1])
     with pytest.raises(ValueError, match="dot product"):
         generate_transforms(MinimalParams(1, 3), points=[0, 1])
+    with pytest.raises(ValueError, match="zero denominator"):
+        generate_transforms(MinimalParams(2, 3), points=["0", "1", "1/0"])
     # entries beyond float64: 10^800 in A^T overflowed out of float(); 10^-400 in G became 0.0
     with pytest.raises(ValueError, match="overflows or underflows float64"):
         generate_transforms(MinimalParams(2, 3), points=[Fraction(10**400), 1, -1])

@@ -6,6 +6,7 @@ from winoconv.workload import Workload, WorkloadLayer, load_workload, parse_work
 
 def test_builtin_vgg16d():
     w = load_workload("vgg16d")
+    assert w is load_workload("vgg16d")  # one constant, not rebuilt per call
     assert w.name == "vgg16d"
     assert len(w.layers) == 13
     assert w.groups == ("conv1", "conv2", "conv3", "conv4", "conv5")
