@@ -23,6 +23,12 @@ Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
 wall time and microseconds per issue cycle, and asserts that the summed
 trace cycles equal the summed cost_model.exact_cycles.
 
+Last, it times transform synthesis and the analytical CLI subcommands in the
+same REPEATS round-robin passes: generate_transforms for F(m, 3) at m = 1..8
+(each sample the mean of SYNTH_CALLS calls), then in-process
+`winoconv dse` and `winoconv report` with default arguments into a temporary
+directory, keeping the best and the median of each entry.
+
 BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) is recorded
 with the results.  The whole run takes about a minute on a 2-vCPU host; the
 224x224, 64->64 layer peaks near 780 MB RSS in spatial_conv.  It imports
@@ -32,10 +38,13 @@ winoconv from this checkout's src/.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import resource
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -63,11 +72,14 @@ from winoconv import (  # noqa: E402
     spatial_conv,
     winograd_conv,
 )
+from winoconv.cli import main as cli_main  # noqa: E402
 from winoconv.reference_data import SHARED_DESIGNS  # noqa: E402
 from winoconv.workload import VGG16D  # noqa: E402
 
 TILE_SIZES = (2, 3, 4)
 REPEATS = 3
+SYNTH_M = range(1, 9)
+SYNTH_CALLS = 100
 # Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
@@ -191,6 +203,31 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
     return designs
 
 
+def bench_synthesis_and_cli() -> dict:
+    """generate_transforms per m (r = 3) and the dse and report subcommands, REPEATS passes."""
+    def synthesize(params):
+        for _ in range(SYNTH_CALLS):
+            generate_transforms(params)
+
+    with tempfile.TemporaryDirectory() as outdir:
+        calls = {f"generate_transforms.{m}": lambda p=MinimalParams(m, 3): synthesize(p)
+                 for m in SYNTH_M}
+        for command in ("dse", "report"):
+            calls[command] = lambda c=command: cli_main([c, "--outdir", outdir])
+        seconds = {name: [] for name in calls}
+        for _ in range(REPEATS):
+            for name, fn in calls.items():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    start = perf_counter()
+                    status = fn()
+                    seconds[name].append(perf_counter() - start)
+                assert status in (None, 0), f"{name} exited with {status}"  # None: synthesis
+    per_call = {m: [t / SYNTH_CALLS for t in seconds[f"generate_transforms.{m}"]] for m in SYNTH_M}
+    return {"r": 3, "calls_per_sample": SYNTH_CALLS,
+            "m": {str(m): timing("generate_transforms", per_call[m]) for m in SYNTH_M},
+            "cli": {**timing("dse", seconds["dse"]), **timing("report", seconds["report"])}}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
@@ -211,7 +248,13 @@ def main(argv=None) -> int:
               + f" ms, best/im2col {row['best_winograd_over_im2col']:.2f}", flush=True)
         layers.append({"group": wl.group, **row})
     result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
-              "layers": layers, "simulate": bench_network(VGG16D, rng)}
+              "layers": layers, "simulate": bench_network(VGG16D, rng),
+              "synthesis": bench_synthesis_and_cli()}
+    synth = result["synthesis"]
+    print("generate_transforms m=1..8: "
+          + "/".join(f"{t['generate_transforms_ms'] * 1e3:.0f}" for t in synth["m"].values())
+          + f" us; dse {synth['cli']['dse_ms']:.1f} ms, report {synth['cli']['report_ms']:.1f} ms",
+          flush=True)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0
 

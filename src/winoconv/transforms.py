@@ -13,7 +13,7 @@ Nesting the 1D form gives the 2D algorithm on alpha x alpha input tiles:
 
 The constant matrices are synthesized from a set of distinct interpolation
 points via polynomial evaluation/interpolation (Cook-Toom), carried out in
-exact rational arithmetic.  A TransformSet keeps A^T, B^T and G once, exactly,
+exact integer arithmetic.  A TransformSet keeps A^T, B^T and G once, exactly,
 as integer numerators over one common denominator each; the float64 copies
 are derived from those.  conv.winograd_conv and pipeline_sim.simulate_layer
 apply the floats to whole layers.  Exact mode (winograd_1d_exact,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -146,9 +146,18 @@ def default_points(n: int) -> tuple[Fraction, ...]:
     return tuple(pts[:n])
 
 
-def _times_linear(p: list[Fraction], a: Fraction) -> list[Fraction]:
-    """p(x) * (x - a), coefficients in ascending order."""
-    return [-a * p[0]] + [p[i - 1] - a * p[i] for i in range(1, len(p))] + [p[-1]]
+def _divide_linear(poly: list[int], p: int, q: int) -> list[int]:
+    """poly(x) / (q x - p) by synthetic division from the top; exact when it divides poly."""
+    out = [0]
+    for c in reversed(poly[1:]):
+        out.append((c + p * out[-1]) // q)
+    return out[:0:-1]  # ascending, like poly
+
+
+def _lowest_terms(num: list[list[int]], den: int) -> ScaledIntMatrix:
+    """Integer rows over a positive denominator, divided by their one common gcd."""
+    g = gcd(den, *[v for row in num for v in row])
+    return ScaledIntMatrix(tuple([tuple([v // g for v in row]) for row in num]), den // g)
 
 
 def generate_transforms(
@@ -156,17 +165,20 @@ def generate_transforms(
 ) -> TransformSet:
     """Synthesize the A^T, B^T, G matrices for F(m, r).
 
-    Uses m+r-2 distinct rational points plus the implicit point at infinity.
-    Per finite point i the rows are built from the Lagrange basis polynomial
-    L_i: the B^T row holds L_i's coefficients scaled to a primitive integer
-    vector, the G row holds the Vandermonde powers of the point divided by
-    the same scale (fractions end up in the filter transform, which is the
-    precomputable one), and the A^T column holds the plain Vandermonde powers.
-    The infinity row extracts leading coefficients.  Synthesis runs on
-    Fractions; the result keeps each matrix as a ScaledIntMatrix.  With the
-    default points {0, 1, -1} this reproduces the classical F(2,3) matrices
-    exactly.  Points may also be strings such as "1/2"; a zero denominator
-    is a ValueError.
+    Uses m+r-2 distinct rational points a_i = p_i/q_i (lowest terms, q_i > 0)
+    plus the implicit point at infinity.  Per finite point i the rows come
+    from the Lagrange basis polynomial L_i = N_i / N_i(a_i), where N_i is the
+    master polynomial M(x) = prod_k (q_k x - p_k) over (q_i x - p_i): the B^T
+    row holds N_i's coefficients, a primitive integer vector (Gauss's lemma),
+    signed like N_i(a_i); the G row holds the Vandermonde powers of the point
+    over |N_i(a_i)| (fractions end up in the filter transform, which is the
+    precomputable one); the A^T column holds the plain Vandermonde powers.
+    The infinity row extracts leading coefficients.  Points are parsed as
+    Fractions; synthesis then runs on Python integers, building M once and
+    each N_i from it by exact synthetic division (O(alpha^2) operations), and
+    keeps each matrix as a ScaledIntMatrix.  With the default points {0, 1, -1}
+    this reproduces the classical F(2,3) matrices exactly.  Points may also
+    be strings such as "1/2"; a zero denominator is a ValueError.
 
     m == 1 has no interpolation stage: the algorithm degenerates to a plain
     dot product (B^T = G = I, A^T = row of ones).
@@ -194,34 +206,32 @@ def generate_transforms(
     if len(set(pts)) != len(pts):
         raise ValueError(f"interpolation points must be distinct, got {pts}")
 
-    bt_rows: list[list[Fraction]] = []
-    g_rows: list[list[Fraction]] = []
-    for i, ai in enumerate(pts):
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for k, ak in enumerate(pts):
-            if k == i:
-                continue
-            numer = _times_linear(numer, ak)
-            denom *= ai - ak
-        basis = [c / denom for c in numer] + [Fraction(0)]  # degree < alpha-1, padded
-        dens = [c.denominator for c in basis if c != 0]
-        nums = [abs(c.numerator) for c in basis if c != 0]
-        scale = Fraction(lcm(*dens), gcd(*nums))  # positive, makes the row primitive
-        bt_rows.append([c * scale for c in basis])
-        g_rows.append([ai**j / scale for j in range(r)])
+    pq = [(a.numerator, a.denominator) for a in pts]
+    master = [1]  # M(x), ascending
+    for p, q in pq:
+        master = [q * hi - p * lo for lo, hi in zip(master + [0], [0] + master)]
+    q_all = master[-1]  # prod q_k: M / q_all = prod (x - a_k), with leading coefficient 1
+    bt_rows, g_rows, e_abs = [], [], []
+    for i, (p, q) in enumerate(pq):
+        # q^(alpha-2) N_i(a_i), nonzero for distinct points
+        e = prod([qk * p - pk * q for k, (pk, qk) in enumerate(pq) if k != i])
+        scale = q_all if e > 0 else -q_all
+        bt_rows.append([scale * c for c in _divide_linear(master, p, q)] + [0])
+        g_rows.append([p**j * q ** (alpha - 2 - j) for j in range(r)])
+        e_abs.append(abs(e))
+    g_den = lcm(*e_abs)
+    g_rows = [[v * (g_den // e) for v in row] for row, e in zip(g_rows, e_abs)]
 
     # Point at infinity: the product's leading coefficient.  The row is the
     # coefficient vector of prod(a_i - x); its sign is compensated in A^T.
-    pi = [Fraction(1)]
-    for ak in pts:
-        pi = _times_linear(pi, ak)
-    sign = Fraction(-1) ** (alpha - 1)
-    bt_rows.append([sign * c for c in pi])
-    g_rows.append([Fraction(0)] * (r - 1) + [Fraction(1)])
-    at_rows = [[ai**j for ai in pts] + [sign if j == m - 1 else 0] for j in range(m)]
-    return TransformSet(params, _scaled_matrix(at_rows), _scaled_matrix(bt_rows),
-                        _scaled_matrix(g_rows), tuple(pts))
+    sign = (-1) ** (alpha - 1)
+    bt_rows.append([sign * c for c in master])
+    g_rows.append([0] * (r - 1) + [g_den])
+    at_den = lcm(*[q for _, q in pq]) ** (m - 1)
+    at_rows = [[p**j * q ** (m - 1 - j) * (at_den // q ** (m - 1)) for p, q in pq]
+               + [sign * at_den if j == m - 1 else 0] for j in range(m)]
+    return TransformSet(params, _lowest_terms(at_rows, at_den), _lowest_terms(bt_rows, q_all),
+                        _lowest_terms(g_rows, g_den), tuple(pts))
 
 
 # Exact (rational) mode: same algorithms, evaluated on integer numerators
@@ -235,21 +245,11 @@ def generate_transforms(
 # per tile, that fills the free lists (2000 tuples per size) with memory
 # the process keeps.
 
-def _scaled(rows) -> tuple[list[list[int]], int]:
-    """Rows of rationals as integer numerator rows over one common positive denominator."""
+def _scaled_input(x) -> tuple[list[list[int]], int]:
+    """Rows of anything Fraction() accepts as integer rows over one common positive denominator."""
+    rows = [[Fraction(v) for v in row] for row in x]
     den = lcm(*[v.denominator for row in rows for v in row])
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
-
-
-def _scaled_matrix(rows) -> ScaledIntMatrix:
-    """_scaled with tuple rows: the exact form a TransformSet keeps."""
-    num, den = _scaled(rows)
-    return ScaledIntMatrix(tuple([tuple(row) for row in num]), den)
-
-
-def _scaled_input(x) -> tuple[list[list[int]], int]:
-    """_scaled on caller rows whose entries are anything Fraction() accepts."""
-    return _scaled([[Fraction(v) for v in row] for row in x])
 
 
 def _matmul(rows, cols) -> list[list[int]]:

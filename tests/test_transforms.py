@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -132,19 +135,29 @@ def test_generate_transforms_errors():
         MinimalParams(0, 3)
     with pytest.raises(ValueError):
         MinimalParams(2, 0)
-    with pytest.raises(ValueError, match="distinct"):
-        generate_transforms(MinimalParams(2, 3), points=[0, 1, 1])
-    with pytest.raises(ValueError, match="finite points"):
-        generate_transforms(MinimalParams(2, 3), points=[0, 1])
-    with pytest.raises(ValueError, match="dot product"):
-        generate_transforms(MinimalParams(1, 3), points=[0, 1])
-    with pytest.raises(ValueError, match="zero denominator"):
-        generate_transforms(MinimalParams(2, 3), points=["0", "1", "1/0"])
-    # entries beyond float64: 10^800 in A^T overflowed out of float(); 10^-400 in G became 0.0
-    with pytest.raises(ValueError, match="overflows or underflows float64"):
-        generate_transforms(MinimalParams(2, 3), points=[Fraction(10**400), 1, -1])
-    with pytest.raises(ValueError, match="overflows or underflows float64"):
-        generate_transforms(MinimalParams(2, 3), points=[Fraction(1, 10**200), 1, -1])
+    f23 = MinimalParams(2, 3)
+    with pytest.raises(ValueError, match=r"^interpolation points must be distinct, got "
+                       r"\[Fraction\(0, 1\), Fraction\(1, 1\), Fraction\(1, 1\)\]$"):
+        generate_transforms(f23, points=[0, 1, 1])
+    with pytest.raises(ValueError, match="^interpolation points must be distinct"):
+        generate_transforms(f23, points=["1/2", 0, 0.5])  # equal once parsed
+    for points in ([0, 1], [0, 1, -1, 2]):
+        with pytest.raises(ValueError, match=rf"^F\(2,3\) needs 3 finite points \(plus infinity\), "
+                                             rf"got {len(points)}$"):
+            generate_transforms(f23, points=points)
+    for points in ([0, 1], []):
+        with pytest.raises(ValueError, match=r"^F\(1, r\) is a plain dot product; it takes no points$"):
+            generate_transforms(MinimalParams(1, 3), points=points)
+    with pytest.raises(ValueError, match=r"^zero denominator in interpolation points "
+                                         r"\['0', '1', '1/0'\]$"):
+        generate_transforms(f23, points=["0", "1", "1/0"])
+    # entries beyond float64: 10^800 in A^T overflowed out of float(); 10^-400 in G became 0.0.
+    # The integer synthesis must leave both to TransformSet's check, not raise
+    # OverflowError or ZeroDivisionError itself.
+    for points in ([Fraction(10**400), 1, -1], [Fraction(1, 10**200), 1, -1],
+                   [0, 1, Fraction(1, 10**400)], [0, Fraction(10**400, 3), -1]):
+        with pytest.raises(ValueError, match="^an entry of (at|g) overflows or underflows float64$"):
+            generate_transforms(f23, points=points)
 
 
 def test_winograd_1d_examples():
@@ -322,3 +335,52 @@ def test_kron_forms_equal_np_kron_and_are_cached(m, r):
         assert np.array_equal(kron, np.kron(x, x))
         assert getattr(ts, name) is kron
     assert outcomes() == before
+
+
+# sha256 of generate_transforms' exact output, (at_int, bt_int, g_int,
+# interpolation_points) per case, as recorded from the Fraction-based synthesis
+# that the integer synthesis replaced: the new code is checked against the old
+# output, not against its own formula.
+GOLDEN_CASES = [((m, r), None) for m in range(1, 9) for r in range(1, 6)] + [
+    ((5, 3), [0, 1, -1, 2, -2, 3]),
+    ((4, 3), [0, Fraction(1, 3), -3, Fraction(5, 7), Fraction(10**20 + 1, 3**30)]),
+    ((3, 3), [0, 1, -1, Fraction(1, 2)]),
+    ((2, 3), ["0", "1/2", "-1/2"]),
+    ((5, 3), [0, 1, -1, "1/2", "-3/4", 0.1]),  # non-unit denominators and a float
+]
+GOLDEN_SHA256 = "2e679a15b3af51ecc3926ee0d4d0893cd866e10d85f4308208b5d5da18f658d3"
+
+
+def test_generate_transforms_matches_recorded_golden_matrices():
+    def exact(ts):
+        return (ts.at_int.num, ts.at_int.den, ts.bt_int.num, ts.bt_int.den, ts.g_int.num,
+                ts.g_int.den, tuple([(p.numerator, p.denominator) for p in ts.interpolation_points]))
+
+    blob = repr([exact(generate_transforms(MinimalParams(*mr), pts)) for mr, pts in GOLDEN_CASES])
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_SHA256
+
+
+def random_points(rng, n, zero):
+    """n distinct rationals with numerators in [-9, 9] and denominators 1..7, 0 among them if zero."""
+    pts = {Fraction(0)} if zero else set()
+    while len(pts) < n:
+        pts.add(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+    return rng.sample(sorted(pts), n)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("r", range(1, 5))
+def test_exact_modes_on_random_rational_points(m, r):
+    rng = random.Random(100 * m + r)
+    alpha = m + r - 1
+    for trial in range(4):
+        points = random_points(rng, alpha - 1, zero=trial % 2 == 0)
+        ts = generate_transforms(MinimalParams(m, r), points)
+        assert ts.interpolation_points == tuple(points)
+        for _ in range(3):
+            d = [rng.randint(-9, 9) for _ in range(alpha)]
+            g = [rng.randint(-9, 9) for _ in range(r)]
+            assert list(winograd_1d_exact(ts, d, g)) == brute_conv1d(d, g)
+        d = [[rng.randint(-9, 9) for _ in range(alpha)] for _ in range(alpha)]
+        g = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(r)]
+        assert [list(row) for row in winograd_2d_tile_exact(ts, d, g)] == brute_conv2d(d, g)
