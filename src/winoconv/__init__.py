@@ -18,14 +18,12 @@ from .cost_model import (
     evaluate_design,
     exact_cycles,
     layer_cost,
-    lut_total,
     pe_count,
     pipeline_depth,
 )
 from .dse import (
     SweepResult,
     SweepSpec,
-    Table2Report,
     recommend,
     run_sweep,
     table2_report,

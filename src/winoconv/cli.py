@@ -7,9 +7,9 @@ Subcommands:
   simulate   cycle-level engine run on a random layer, JSON-lines trace
   report     performance comparison table on vgg16d (table2 CSV files)
 
-Files go to --outdir.  dse takes the kernel size r from the workload's
-layers, and simulate sizes its PE array from --multipliers.  Every
-randomized input takes an explicit --seed so runs are reproducible.
+Files go to --outdir.  dse and report run at the builds' one clock, FREQ_HZ.
+dse takes the kernel size r from the workload's layers, and simulate sizes its
+PE array from --multipliers.  Every randomized input takes an explicit --seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dse as dse_mod
 from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, spatial_conv, winograd_conv
-from .cost_model import HardwareConfig, LayerShape, clock_period, pe_count
+from .cost_model import HardwareConfig, LayerShape, pe_count
 from .pipeline_sim import EngineConfig, simulate_layer, validate_against_analytical
 from .reference_data import FREQ_HZ, SHARED_DESIGNS
 from .tensor_io import load_tensor, save_tensor
@@ -88,8 +88,7 @@ def cmd_conv(args) -> int:
 def cmd_dse(args) -> int:
     workload = load_workload(args.workload)
     # A template: run_sweep sets m_total per budget, and SweepSpec rejects an empty list.
-    hw = HardwareConfig(m_total=max(args.budgets, default=1),
-                        t_c=clock_period(args.freq_mhz * 1e6))
+    hw = HardwareConfig(m_total=max(args.budgets, default=1), t_c=1 / FREQ_HZ)
     spec = dse_mod.SweepSpec(
         m_values=tuple(args.m_values), r=workload.layers[0].shape.r,
         budgets=tuple(args.budgets), workload=workload, hw=hw,
@@ -138,10 +137,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = dse_mod.table2_report(VGG16D, freq_hz=args.freq_mhz * 1e6)
+    rows = dse_mod.table2_report(VGG16D)
     outdir = _outdir(args)
-    dse_mod.write_table2_csv(report, outdir / "table2.csv")
-    dse_mod.write_table2_reference_csv(report, outdir / "table2_reference.csv")
+    dse_mod.write_table2_csv(rows, outdir / "table2.csv")
+    dse_mod.write_table2_reference_csv(rows, outdir / "table2_reference.csv")
     print((outdir / "table2.csv").read_text(), end="")
     print(f"wrote table2.csv and table2_reference.csv in {outdir}")
     return 0
@@ -175,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated tile sizes (default 1,2,3,4,5)")
     p.add_argument("--budgets", type=_int_list, default=[b for _, _, b, _, _ in SHARED_DESIGNS],
                    help="comma-separated multiplier budgets")
-    p.add_argument("--freq-mhz", type=float, default=FREQ_HZ / 1e6)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_dse)
 
@@ -195,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", help="vgg16d performance comparison table")
-    p.add_argument("--freq-mhz", type=float, default=FREQ_HZ / 1e6)
     p.add_argument("--outdir", default="out")
     p.set_defaults(func=cmd_report)
 

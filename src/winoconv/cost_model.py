@@ -91,13 +91,6 @@ class HardwareConfig:
             raise ValueError(f"clock period must be positive and finite, got {self.t_c}")
 
 
-def clock_period(freq_hz: float) -> float:
-    """1 / freq_hz; raises ValueError unless the frequency is positive and finite."""
-    if not 0 < freq_hz < inf:
-        raise ValueError(f"clock frequency must be positive and finite, got {freq_hz} Hz")
-    return 1.0 / freq_hz
-
-
 @dataclass(frozen=True)
 class LayerCost:
     """Closed-form costs of one layer under one design."""
@@ -207,11 +200,6 @@ def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
         raise ValueError(f"PE count must be >= 1, got {p}")
     ty, tx = tile_grid(layer.h, layer.w, params.m)
     return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
-
-
-def lut_total(p: int, per_pe: int, fixed: int = 0) -> int:
-    """Linear logic-resource model: fixed block plus per-PE slope."""
-    return fixed + p * per_pe
 
 
 def layer_cost(

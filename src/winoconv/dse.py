@@ -28,7 +28,6 @@ from .cost_model import (
     HardwareConfig,
     LayerCost,
     TransformOpCounts,
-    clock_period,
     count_transform_ops,
     evaluate_design,
 )
@@ -144,43 +143,40 @@ def recommend(result: SweepResult) -> DesignPoint:
     return max(candidates, key=lambda p: (p.throughput, -p.params.m, -p.hw.m_total))
 
 
-@dataclass(frozen=True)
-class Table2Report:
-    groups: tuple[str, ...]
-    rows: tuple[Table2Row, ...]
+def table2_report(workload: Workload, freq_hz: float = FREQ_HZ) -> tuple[Table2Row, ...]:
+    """Per-group latency / throughput / efficiency comparison on VGG16-D, one row per design.
 
-
-def table2_report(workload: Workload, freq_hz: float = FREQ_HZ) -> Table2Report:
-    """Per-group latency / throughput / efficiency comparison on VGG16-D.
-
-    Prior designs, then the SHARED_DESIGNS builds.  Each shared-transform
-    design is read from a one-point run_sweep: its latency, throughput and
-    multiplier efficiency from the sweep's design point, its group latencies
-    from that point's group_costs.  Frequency, precision and power columns of
-    prior designs are echoed from the static reference rows and never derived.
+    Prior designs, then the SHARED_DESIGNS builds at their FREQ_HZ clock,
+    each read from a one-point run_sweep: latency, throughput and multiplier
+    efficiency from its design point, group latencies (in VGG16D.groups
+    order) from group_costs.  Frequency, precision and power are echoed from
+    the static reference data, never derived.  A workload other than VGG16D
+    or a freq_hz other than FREQ_HZ is a ValueError.
     """
     if workload != VGG16D:
         raise ValueError(
             f"the comparison table is defined for the builtin vgg16d workload, "
             f"got {workload.name!r} with {len(workload.layers)} layers"
         )
-    t_c = clock_period(freq_hz)
+    if freq_hz != FREQ_HZ:
+        raise ValueError(f"the comparison table is priced at the builds' "
+                         f"{FREQ_HZ / 1e6:g} MHz clock, got {freq_hz} Hz")
     rows = list(PRIOR_DESIGNS)
     for m, r, budget, power_w, gops_per_w in SHARED_DESIGNS:
-        hw = HardwareConfig(m_total=budget, t_c=t_c)
+        hw = HardwareConfig(m_total=budget, t_c=1 / FREQ_HZ)
         point = run_sweep(SweepSpec((m,), r, (budget,), workload, hw)).points[0]
         conv_ms = tuple(1e3 * sum(c.latency_s for c in costs)
                         for costs in group_costs(workload, point).values())
         rows.append(Table2Row(
             name=f"shared_transform_m{m}", m=m,
             multipliers=budget, pes=point.p, precision_bits=32,
-            freq_mhz=freq_hz / 1e6,
+            freq_mhz=FREQ_HZ / 1e6,
             conv_ms=conv_ms, overall_ms=point.t_total * 1e3,
             gops=point.throughput / 1e9,
             gops_per_mult=point.throughput / 1e9 / budget,
             power_w=power_w, gops_per_w=gops_per_w,
         ))
-    return Table2Report(groups=workload.groups, rows=tuple(rows))
+    return tuple(rows)
 
 
 def _fmt(x) -> str:
@@ -227,19 +223,20 @@ def write_fig6_csv(result: SweepResult, path: str | Path):
                ([pt.params.m, pt.hw.m_total, _fmt(pt.throughput / 1e9)] for pt in result.points))
 
 
-def write_table2_csv(report: Table2Report, path: str | Path):
-    header = ["design", *(f"{g}_ms" for g in report.groups), "overall_ms", "gops", "gops_per_mult"]
+def write_table2_csv(rows: tuple[Table2Row, ...], path: str | Path):
+    """Per-group and overall latency, GOPS and GOPS/multiplier per design."""
+    header = ["design", *(f"{g}_ms" for g in VGG16D.groups), "overall_ms", "gops", "gops_per_mult"]
     _write_csv(path, header,
                ([row.name] + [_fmt(round(v, 4)) for v in row.conv_ms]
                 + [_fmt(round(row.overall_ms, 4)), _fmt(round(row.gops, 2)),
                    _fmt(round(row.gops_per_mult, 4))]
-                for row in report.rows))
+                for row in rows))
 
 
-def write_table2_reference_csv(report: Table2Report, path: str | Path):
+def write_table2_reference_csv(rows: tuple[Table2Row, ...], path: str | Path):
     """Echoed static attributes (precision, frequency, power) per design."""
     _write_csv(path, ["design", "multipliers", "pes", "precision_bits", "freq_mhz",
                       "power_w", "gops_per_w", "computed"],
                ([row.name, row.multipliers, _fmt(row.pes), row.precision_bits,
                  _fmt(row.freq_mhz), _fmt(row.power_w), _fmt(row.gops_per_w), int(row.computed)]
-                for row in report.rows))
+                for row in rows))

@@ -2,10 +2,10 @@
 
 Table2Row is one design of the VGG16-D comparison, published or computed.
 Published measurements of prior FPGA accelerator implementations and of the
-synthesized builds of this architecture (frequency, power, logic resources)
-are not computed by this package: synthesis, clock and power numbers require
-an actual FPGA flow, so reports only echo them next to the quantities the
-models do derive.
+synthesized builds of this architecture (clock, power, registers, LUTs,
+DSPs) are not computed by this package: they require an actual FPGA flow,
+so they are echoed as published, never modeled, next to the quantities the
+models do derive.  The builds are priced at their one clock, FREQ_HZ.
 """
 
 from __future__ import annotations
@@ -70,18 +70,11 @@ SHARED_DESIGNS = (
     (3, 3, 700, 23.96, 37.87),
     (4, 3, 684, 36.32, 30.13),
 )
-FREQ_HZ = 200e6  # clock of the synthesized builds; default of dse and report
+FREQ_HZ = 200e6  # the builds' clock, the one clock of dse and report
 
-# Logic-resource model.  Synthesis of the 19-PE F(4x4,3x3) builds showed the
-# per-PE slice-LUT slope below for each design style; the shared-transform
-# build additionally pays one fixed block for the standalone data transform.
-LUT_PER_PE_SHARED = 5312
-LUT_PER_PE_REFERENCE = 12224
-LUT_SHARED_FIXED_BLOCK = 6911  # 19-PE total 107839 minus 19 * 5312
-
-# Synthesized resource utilization of the 19-PE F(4x4,3x3) builds (echo only).
+# Synthesized resource utilization of the 19-PE F(4x4,3x3) builds (echo only):
+# the shared-transform build's LUT total is 53.6% below the reference style's.
 RESOURCE_UTILIZATION_19PE = {
     "reference_style": {"registers": 97052, "luts": 232256, "dsps": 2736, "multipliers": 684},
     "shared_transform": {"registers": 76500, "luts": 107839, "dsps": 2736, "multipliers": 684},
-    "available": {"registers": 607200, "luts": 303600, "dsps": 2800, "multipliers": 700},
 }

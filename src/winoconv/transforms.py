@@ -178,7 +178,7 @@ def generate_transforms(
     each N_i from it by exact synthetic division (O(alpha^2) operations), and
     keeps each matrix as a ScaledIntMatrix.  With the default points {0, 1, -1}
     this reproduces the classical F(2,3) matrices exactly.  Points may also
-    be strings such as "1/2"; a zero denominator is a ValueError.
+    be strings such as "1/2"; a zero denominator or infinity is a ValueError.
 
     m == 1 has no interpolation stage: the algorithm degenerates to a plain
     dot product (B^T = G = I, A^T = row of ones).
@@ -199,6 +199,8 @@ def generate_transforms(
             pts = [Fraction(p) for p in points]
         except ZeroDivisionError as exc:
             raise ValueError(f"zero denominator in interpolation points {list(points)}") from exc
+        except OverflowError as exc:  # float("inf"): the point at infinity is implicit
+            raise ValueError(f"infinite value in interpolation points {list(points)}") from exc
     if len(pts) != alpha - 1:
         raise ValueError(
             f"F({m},{r}) needs {alpha - 1} finite points (plus infinity), got {len(pts)}"

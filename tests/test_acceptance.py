@@ -16,7 +16,6 @@ from winoconv.cost_model import (
     LayerShape,
     count_transform_ops,
     exact_cycles,
-    lut_total,
 )
 from winoconv.dse import SweepSpec, recommend, run_sweep, table2_report
 from winoconv.pipeline_sim import (
@@ -27,9 +26,6 @@ from winoconv.pipeline_sim import (
 )
 from winoconv.reference_data import (
     FREQ_HZ,
-    LUT_PER_PE_REFERENCE,
-    LUT_PER_PE_SHARED,
-    LUT_SHARED_FIXED_BLOCK,
     RESOURCE_UTILIZATION_19PE,
     SHARED_DESIGNS,
 )
@@ -144,8 +140,7 @@ def test_criterion_2_layer_oracle_equivalence():
 
 def test_criterion_3_performance_table():
     vgg = load_workload("vgg16d")
-    report = table2_report(vgg)
-    rows = {r.name: r for r in report.rows if r.computed}
+    rows = {r.name: r for r in table2_report(vgg) if r.computed}
 
     expected = {
         "shared_transform_m2": (43, (6.25, 8.96, 14.94, 14.94, 4.48), 49.57, 619.2, 0.90),
@@ -267,34 +262,29 @@ def test_criterion_6_cycle_model():
 
 
 def test_criterion_7_static_echo_and_lut_model():
-    # Registers, DSPs, frequency and power are static echoes, never computed.
+    # Registers, LUTs, DSPs, frequency and power are static echoes, never computed.
     ref = RESOURCE_UTILIZATION_19PE
+    assert set(ref) == {"reference_style", "shared_transform"}
     assert ref["reference_style"]["registers"] == 97052
     assert ref["shared_transform"]["registers"] == 76500
     assert ref["reference_style"]["dsps"] == ref["shared_transform"]["dsps"] == 2736
+    assert ref["reference_style"]["luts"] == 232256
+    assert ref["shared_transform"]["luts"] == 107839
 
-    # LUTs are checked only against the linear per-PE model, exact by construction.
-    assert lut_total(19, LUT_PER_PE_REFERENCE) == ref["reference_style"]["luts"] == 232256
-    assert lut_total(19, LUT_PER_PE_SHARED, fixed=LUT_SHARED_FIXED_BLOCK) \
-        == ref["shared_transform"]["luts"] == 107839
-    savings = 1 - 107839 / 232256
-    assert savings == pytest.approx(0.536, abs=0.002)
-
-    # The report carries the power rows through unchanged.
+    # The report carries the power rows through unchanged, at the one clock.
     echoed = {m: (power_w, gops_per_w) for m, _, _, power_w, gops_per_w in SHARED_DESIGNS}
-    report = table2_report(load_workload("vgg16d"))
-    for row in report.rows:
+    for row in table2_report(load_workload("vgg16d")):
         if row.computed:
             assert (row.power_w, row.gops_per_w) == echoed[row.m]
-    _ok(7, "registers/DSP/power echoed from static config; LUT totals follow the "
-           f"linear model (53.6% savings at 19 PEs); not derivable at desk scale")
+            assert row.freq_mhz == FREQ_HZ / 1e6 == 200.0
+    _ok(7, "registers/LUTs/DSPs/power echoed from static config at the 200 MHz clock; "
+           "not derivable at desk scale")
 
 
 def test_criterion_8_headline_claims():
     # The abstract's ratios, derived from the Table 2 rows.  Latency and GOPS
-    # are modeled; power and GOPS/W are echoed from synthesis, and LUTs come
-    # from the linear per-PE model fitted to it: none of these is modeled.
-    rows = {row.name: row for row in table2_report(VGG16D).rows}
+    # are modeled; power, GOPS/W and LUT totals are echoed from synthesis.
+    rows = {row.name: row for row in table2_report(VGG16D)}
     prior = rows["prior_1d_engine"]
     m2, m4 = rows["shared_transform_m2"], rows["shared_transform_m4"]
     assert m4.gops / prior.gops == pytest.approx(4.750, abs=5e-4)
@@ -309,8 +299,8 @@ def test_criterion_8_headline_claims():
     assert m2.gops_per_w / prior.gops_per_w == pytest.approx(1.442, abs=5e-4)
     assert (m4.multipliers, prior.multipliers) == (684, 256)
     assert m4.multipliers / prior.multipliers == pytest.approx(2.67, abs=5e-3)
-    logic = 1 - lut_total(19, LUT_PER_PE_SHARED, fixed=LUT_SHARED_FIXED_BLOCK) \
-        / lut_total(19, LUT_PER_PE_REFERENCE)
+    luts = {style: used["luts"] for style, used in RESOURCE_UTILIZATION_19PE.items()}
+    logic = 1 - luts["shared_transform"] / luts["reference_style"]
     assert logic == pytest.approx(0.5357, abs=5e-5)
 
     # Echoed power times echoed GOPS/W gives each row's GOPS within 0.1%, but
@@ -327,4 +317,4 @@ def test_criterion_8_headline_claims():
     _ok(8, f"throughput {m4.gops / prior.gops:.3f}x ({exact_gops / prior.gops:.3f}x on exact "
            f"cycles), power efficiency {m2.gops_per_w / prior.gops_per_w:.3f}x (echoed; "
            f"{m2.gops / m2.power_w / prior.gops_per_w:.3f}x from computed GOPS), multipliers "
-           f"{m4.multipliers / prior.multipliers:.2f}x, logic savings {logic:.2%} (LUT model)")
+           f"{m4.multipliers / prior.multipliers:.2f}x, logic savings {logic:.2%} (echoed LUTs)")

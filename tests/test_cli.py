@@ -126,13 +126,15 @@ def test_simulate_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sub", [["dse"], ["report"]])
-@pytest.mark.parametrize("freq", ["0", "nan"])
+@pytest.mark.parametrize("freq", ["0", "nan", "200"])
 def test_bad_frequency_is_an_error(tmp_path, capsys, sub, freq):
-    # 0 raised ZeroDivisionError; nan wrote fig CSVs full of nan and exited 0
+    # 0 raised ZeroDivisionError and nan wrote CSVs full of nan; the clock is now
+    # fixed at the builds' FREQ_HZ, so any --freq-mhz, 200 included, is a usage error.
     outdir = tmp_path / "out"
-    assert main(sub + ["--freq-mhz", freq, "--outdir", str(outdir)]) == 1
-    assert "error: builtins.ValueError: clock frequency must be positive and finite" \
-        in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(sub + ["--freq-mhz", freq, "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --freq-mhz {freq}" in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -11,7 +11,6 @@ from winoconv.cost_model import (
     evaluate_design,
     exact_cycles,
     layer_cost,
-    lut_total,
     pe_count,
     pipeline_depth,
     tile_grid,
@@ -231,13 +230,6 @@ def test_layer_cost_rejects_a_kernel_size_other_than_r():
         layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1, 5e-9)
     with pytest.raises(ValueError, match="r=5"):
         evaluate_design([layer], params, HardwareConfig(16, 5e-9), TransformOpCounts(0, 0, 0))
-
-
-def test_lut_total_linear_model():
-    assert lut_total(19, 12224) == 232256
-    assert lut_total(19, 5312, fixed=6911) == 107839
-    savings = 1 - 107839 / 232256
-    assert savings == pytest.approx(0.536, abs=0.002)
 
 
 def test_validation_errors():

@@ -151,6 +151,13 @@ def test_generate_transforms_errors():
     with pytest.raises(ValueError, match=r"^zero denominator in interpolation points "
                                          r"\['0', '1', '1/0'\]$"):
         generate_transforms(f23, points=["0", "1", "1/0"])
+    # float("inf") raised OverflowError out of Fraction; NaN already gave ValueError
+    for bad in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=rf"^infinite value in interpolation points "
+                                             rf"\[0, 1, {bad}\]$"):
+            generate_transforms(f23, points=[0, 1, bad])
+    with pytest.raises(ValueError):
+        generate_transforms(f23, points=[0, 1, float("nan")])
     # entries beyond float64: 10^800 in A^T overflowed out of float(); 10^-400 in G became 0.0.
     # The integer synthesis must leave both to TransformSet's check, not raise
     # OverflowError or ZeroDivisionError itself.
