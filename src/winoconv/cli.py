@@ -49,7 +49,7 @@ def _int_list(text: str) -> list[int]:
 
 def cmd_transform(args) -> int:
     ts = generate_transforms(MinimalParams(args.m, args.r),
-                             args.points.split(",") if args.points else None)
+                             args.points.split(",") if args.points is not None else None)
     print(format_transforms(ts))
     if args.outdir:
         written = export_transforms_csv(ts, _outdir(args))
@@ -127,12 +127,12 @@ def cmd_simulate(args) -> int:
     report = validate_against_analytical(cfg, layer)
 
     outdir = _outdir(args)
-    save_tensor(outdir / "simulated_output.wtns", out.data, "NCHW")
+    save_tensor(outdir / "simulated_output.npy", out.data, "NCHW")
     trace_path = outdir / "trace.jsonl"
     trace_path.write_text(trace.to_json() + "\n" + report.to_json() + "\n")
     print(trace.to_json())
     print(report.to_json())
-    print(f"wrote {trace_path} and {outdir / 'simulated_output.wtns'}")
+    print(f"wrote {trace_path} and {outdir / 'simulated_output.npy'}")
     return 0
 
 
@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("conv", help="run spatial and Winograd paths on tensor files")
-    p.add_argument("--input", required=True, help="NCHW tensor file")
-    p.add_argument("--kernels", required=True, help="KCRR tensor file")
-    p.add_argument("--output", required=True, help="output NCHW tensor file")
+    p.add_argument("--input", required=True, help="NCHW tensor file (.npy + layout record)")
+    p.add_argument("--kernels", required=True, help="KCRR tensor file (.npy + layout record)")
+    p.add_argument("--output", required=True, help="NCHW output file (.npy + layout record)")
     p.add_argument("--m", type=int, default=2, help="output tile size (default 2)")
     p.add_argument("--pad", type=int, default=0)
     p.set_defaults(func=cmd_conv)

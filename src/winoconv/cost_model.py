@@ -187,17 +187,23 @@ def tile_grid(h_out: int, w_out: int, m: int) -> tuple[int, int]:
     return ceil(h_out / m), ceil(w_out / m)
 
 
-def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int) -> float:
-    """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
+def _check_runnable(layer: LayerShape, params: MinimalParams, p: int):
+    """ValueError unless the layer's kernel size is the algorithm's r and P >= 1."""
+    if layer.r != params.r:
+        raise ValueError(f"layer has r={layer.r}, F({params.m},{params.r}) needs r={params.r}")
     if p < 1:
         raise ValueError(f"PE count must be >= 1, got {p}")
+
+
+def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int) -> float:
+    """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
+    _check_runnable(layer, params, p)
     return layer.nhwck / (params.m**2 * p) + pipeline_depth(params) - 1
 
 
 def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
     """Cycle count the PE array issues: whole tiles and whole kernel groups."""
-    if p < 1:
-        raise ValueError(f"PE count must be >= 1, got {p}")
+    _check_runnable(layer, params, p)
     ty, tx = tile_grid(layer.h, layer.w, params.m)
     return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
 
@@ -209,8 +215,6 @@ def layer_cost(
 
     Raises ValueError unless the layer's kernel size is the algorithm's r and P >= 1.
     """
-    if layer.r != params.r:
-        raise ValueError(f"layer has r={layer.r}, F({params.m},{params.r}) needs r={params.r}")
     m2 = params.m**2
     nhw = layer.n * layer.h * layer.w
     return LayerCost(

@@ -261,7 +261,7 @@ def test_criterion_6_cycle_model():
            "gap = 0 for divisible shapes and equals the ceiling overhead otherwise")
 
 
-def test_criterion_7_static_echo_and_lut_model():
+def test_criterion_7_static_echo_at_the_fixed_clock():
     # Registers, LUTs, DSPs, frequency and power are static echoes, never computed.
     ref = RESOURCE_UTILIZATION_19PE
     assert set(ref) == {"reference_style", "shared_transform"}

@@ -38,20 +38,20 @@ def test_transform_custom_points(capsys):
     assert "points: 0, 1/2, -1/2, inf" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("points", ["0,1,1", "0,1,1/0", "1e400,1,-1"],
-                         ids=["repeated", "zero_denominator", "overflow"])
+@pytest.mark.parametrize("points", ["0,1,1", "0,1,1/0", "1e400,1,-1", ""],
+                         ids=["repeated", "zero_denominator", "overflow", "empty"])
 def test_transform_bad_points_is_error(capsys, points):
-    # 1/0 raised ZeroDivisionError out of Fraction with a traceback, and
-    # 1e400 an OverflowError out of float()
+    # 1/0 raised ZeroDivisionError out of Fraction with a traceback, 1e400 an
+    # OverflowError out of float(), and "" fell back to the default points
     assert main(["transform", "--m", "2", "--r", "3", "--points", points]) == 1
     assert "error:" in capsys.readouterr().err
 
 
 def test_conv_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
-    inp = tmp_path / "in.wtns"
-    ker = tmp_path / "k.wtns"
-    out = tmp_path / "out.wtns"
+    inp = tmp_path / "in.npy"
+    ker = tmp_path / "k.npy"
+    out = tmp_path / "out.npy"
     save_tensor(inp, rng.standard_normal((1, 2, 8, 8)).astype(np.float32), "NCHW")
     save_tensor(ker, rng.standard_normal((3, 2, 3, 3)).astype(np.float32), "KCRR")
     assert main(["conv", "--input", str(inp), "--kernels", str(ker),
@@ -64,14 +64,24 @@ def test_conv_subcommand(tmp_path, capsys):
     assert err["max_rel_error"] < 1e-4
     arr, layout = load_tensor(out)
     assert layout == "NCHW" and arr.shape == (1, 3, 8, 8)
+    assert np.array_equal(np.load(out, allow_pickle=False), arr)
 
 
 def test_conv_rejects_wrong_layout(tmp_path, capsys):
-    path = tmp_path / "in.wtns"
+    path = tmp_path / "in.npy"
     save_tensor(path, np.ones((1, 1, 4, 4), dtype=np.float32), "KCRR")
     assert main(["conv", "--input", str(path), "--kernels", str(path),
                  "--output", str(tmp_path / "o")]) == 1
     assert "expected an NCHW tensor" in capsys.readouterr().err
+
+
+def test_conv_rejects_an_old_container_file(tmp_path, capsys):
+    path = tmp_path / "in.wtns"
+    path.write_bytes(b"WTNS1 NCHW f32 1 1 2 2\n" + b"\x00" * 16)
+    assert main(["conv", "--input", str(path), "--kernels", str(path),
+                 "--output", str(tmp_path / "o")]) == 1
+    assert "error: builtins.ValueError: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_dse_subcommand(tmp_path, capsys):
@@ -121,8 +131,9 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert trace["issue_cycles"] == 16 * 4 * 2
     assert trace["data_transform_invocations"] == trace["issue_cycles"]
     assert report["consistent"] is True
-    arr, _ = load_tensor(tmp_path / "simulated_output.wtns")
+    arr, _ = load_tensor(tmp_path / "simulated_output.npy")
     assert arr.shape == (1, 8, 14, 14)
+    assert np.array_equal(np.load(tmp_path / "simulated_output.npy", allow_pickle=False), arr)
 
 
 @pytest.mark.parametrize("sub", [["dse"], ["report"]])
@@ -154,8 +165,8 @@ def test_simulate_deterministic_with_seed(tmp_path):
                      "--outdir", str(tmp_path / sub)]) == 0
     assert (tmp_path / "a" / "trace.jsonl").read_bytes() \
         == (tmp_path / "b" / "trace.jsonl").read_bytes()
-    assert (tmp_path / "a" / "simulated_output.wtns").read_bytes() \
-        == (tmp_path / "b" / "simulated_output.wtns").read_bytes()
+    assert (tmp_path / "a" / "simulated_output.npy").read_bytes() \
+        == (tmp_path / "b" / "simulated_output.npy").read_bytes()
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -15,6 +15,7 @@ from winoconv.cost_model import (
     pipeline_depth,
     tile_grid,
 )
+from winoconv.pipeline_sim import EngineConfig, expected_cycles, validate_against_analytical
 from winoconv.transforms import MinimalParams, generate_transforms
 from winoconv.workload import load_workload
 
@@ -226,10 +227,22 @@ def test_layer_cost_rejects_a_kernel_size_other_than_r():
     # priced o_m from alpha = m + 3 - 1 and o_s from r = 5, and evaluate_design summed it
     layer = LayerShape(1, 4, 4, 1, 1, 5)
     params = MinimalParams(2, 3)
-    with pytest.raises(ValueError, match="r=5"):
+    with pytest.raises(ValueError, match=r"^layer has r=5, F\(2,3\) needs r=3$"):
         layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1, 5e-9)
     with pytest.raises(ValueError, match="r=5"):
         evaluate_design([layer], params, HardwareConfig(16, 5e-9), TransformOpCounts(0, 0, 0))
+
+
+@pytest.mark.parametrize("cycles", [
+    lambda layer, params: analytical_cycles(layer, params, 4),
+    lambda layer, params: exact_cycles(layer, params, 4),
+    lambda layer, params: expected_cycles(EngineConfig(params, 4), layer),
+    lambda layer, params: validate_against_analytical(EngineConfig(params, 4), layer),
+], ids=["analytical_cycles", "exact_cycles", "expected_cycles", "validate_against_analytical"])
+def test_cycle_counts_reject_a_kernel_size_other_than_r(cycles):
+    # validate_against_analytical reported a 5x5 layer on F(2,3) as consistent
+    with pytest.raises(ValueError, match=r"^layer has r=5, F\(2,3\) needs r=3$"):
+        cycles(LayerShape(1, 14, 14, 8, 8, 5), MinimalParams(2, 3))
 
 
 def test_validation_errors():

@@ -49,7 +49,7 @@ def test_sweep_m1_is_spatial_baseline(vgg):
     assert point.throughput == pytest.approx(point.o_s / point.t_total)
 
 
-def test_sweep_row_structure(sweep, vgg):
+def test_sweep_point_structure(sweep, vgg):
     # one point per (m, budget), sorted by (m, budget)
     order = [(p.params.m, p.hw.m_total) for p in sweep.points]
     assert order == sorted(set(order)) and len(order) == 5 * 3
@@ -251,7 +251,7 @@ def test_table2_csv_headers(tmp_path, vgg):
     assert float(by_name["shared_transform_m4"][5]) == 36.32
 
 
-def test_table2_group_latencies_are_sweep_rows(vgg):
+def test_table2_group_latencies_are_sweep_group_sums(vgg):
     hw = HardwareConfig(m_total=700, t_c=1 / FREQ_HZ)
     computed = [r for r in table2_report(vgg) if r.computed]
     spec = SweepSpec(m_values=tuple(r.m for r in computed), r=3,
