@@ -27,7 +27,11 @@ Last, it times transform synthesis and the analytical CLI subcommands in the
 same REPEATS round-robin passes: generate_transforms for F(m, 3) at m = 1..8
 (each sample the mean of SYNTH_CALLS calls), then in-process
 `winoconv dse` and `winoconv report` with default arguments into a temporary
-directory, keeping the best and the median of each entry.
+directory, then, each as a separate `python` process, a bare interpreter,
+`import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`, and
+`python -m winoconv.cli dse` and `report`, keeping the best and the median of
+each entry.  The process times are what a CLI user waits for, start-up and
+imports included.
 
 BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) is recorded
 with the results.  The whole run takes about a minute on a 2-vCPU host; the
@@ -43,6 +47,7 @@ import io
 import json
 import os
 import resource
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -204,16 +209,26 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
 
 
 def bench_synthesis_and_cli() -> dict:
-    """generate_transforms per m (r = 3) and the dse and report subcommands, REPEATS passes."""
+    """generate_transforms per m (r = 3) and the CLI subcommands, in and as processes."""
     def synthesize(params):
         for _ in range(SYNTH_CALLS):
             generate_transforms(params)
 
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cli = [sys.executable, "-m", "winoconv.cli"]
     with tempfile.TemporaryDirectory() as outdir:
         calls = {f"generate_transforms.{m}": lambda p=MinimalParams(m, 3): synthesize(p)
                  for m in SYNTH_M}
         for command in ("dse", "report"):
             calls[command] = lambda c=command: cli_main([c, "--outdir", outdir])
+        processes = {"bare": [sys.executable, "-c", "pass"],
+                     "import": [sys.executable, "-c", "import winoconv"],
+                     "transform": cli + ["transform", "--m", "4", "--r", "3"],
+                     "dse": cli + ["dse", "--outdir", outdir],
+                     "report": cli + ["report", "--outdir", outdir]}
+        for name, argv in processes.items():
+            calls[f"process.{name}"] = lambda a=argv: subprocess.run(
+                a, env=env, stdout=subprocess.DEVNULL).returncode
         seconds = {name: [] for name in calls}
         for _ in range(REPEATS):
             for name, fn in calls.items():
@@ -225,7 +240,9 @@ def bench_synthesis_and_cli() -> dict:
     per_call = {m: [t / SYNTH_CALLS for t in seconds[f"generate_transforms.{m}"]] for m in SYNTH_M}
     return {"r": 3, "calls_per_sample": SYNTH_CALLS,
             "m": {str(m): timing("generate_transforms", per_call[m]) for m in SYNTH_M},
-            "cli": {**timing("dse", seconds["dse"]), **timing("report", seconds["report"])}}
+            "cli": {**timing("dse", seconds["dse"]), **timing("report", seconds["report"])},
+            "process": {k: v for name in processes
+                        for k, v in timing(name, seconds[f"process.{name}"]).items()}}
 
 
 def main(argv=None) -> int:
@@ -254,6 +271,10 @@ def main(argv=None) -> int:
     print("generate_transforms m=1..8: "
           + "/".join(f"{t['generate_transforms_ms'] * 1e3:.0f}" for t in synth["m"].values())
           + f" us; dse {synth['cli']['dse_ms']:.1f} ms, report {synth['cli']['report_ms']:.1f} ms",
+          flush=True)
+    print("as processes, bare/import/transform/dse/report: "
+          + "/".join(f"{synth['process'][f'{name}_ms']:.0f}"
+                     for name in ("bare", "import", "transform", "dse", "report")) + " ms",
           flush=True)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0

@@ -10,6 +10,7 @@ Subcommands:
 Files go to --outdir.  dse and report run at the builds' one clock, FREQ_HZ.
 dse takes the kernel size r from the workload's layers, and simulate sizes its
 PE array from --multipliers.  Every randomized input takes an explicit --seed.
+conv and simulate import NumPy when they run; transform, dse and report never do.
 """
 
 from __future__ import annotations
@@ -19,14 +20,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dse as dse_mod
-from .conv import ConvSpec, FeatureMap, KernelBank, output_hw, spatial_conv, winograd_conv
 from .cost_model import HardwareConfig, LayerShape, pe_count
-from .pipeline_sim import EngineConfig, simulate_layer, validate_against_analytical
 from .reference_data import FREQ_HZ, SHARED_DESIGNS
-from .tensor_io import load_tensor, save_tensor
 from .transforms import (
     MinimalParams,
     MultCounter,
@@ -59,6 +55,10 @@ def cmd_transform(args) -> int:
 
 
 def cmd_conv(args) -> int:
+    import numpy as np
+    from .conv import ConvSpec, FeatureMap, KernelBank, spatial_conv, winograd_conv
+    from .tensor_io import load_tensor, save_tensor
+
     data, layout = load_tensor(args.input)
     if layout != "NCHW":
         raise ValueError(f"{args.input}: expected an NCHW tensor, got {layout}")
@@ -112,6 +112,11 @@ def cmd_dse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+    from .conv import ConvSpec, FeatureMap, KernelBank, output_hw
+    from .pipeline_sim import EngineConfig, simulate_layer, validate_against_analytical
+    from .tensor_io import save_tensor
+
     params = MinimalParams(args.m, args.r)
     cfg = EngineConfig(params, p=pe_count(args.multipliers, params))
 

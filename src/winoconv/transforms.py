@@ -23,15 +23,16 @@ numerators, and divides once per output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ScaledIntMatrix(NamedTuple):
@@ -79,18 +80,18 @@ class TransformSet:
     (alpha x alpha), g_int: filter transform G (alpha x r), each exact as
     integer numerators over one common denominator, in the orientation the
     algorithm applies them.  at, bt and g are the same matrices as float64,
-    each entry n / den correctly rounded, derived at construction.
-    kron_bt, kron_at and kron_g are kron(X, X) for X = B^T, A^T, G (float64,
-    built once, on first use): they apply X t X^T to row-major flattened tiles t.
+    each entry n / den correctly rounded, and kron_bt, kron_at and kron_g are
+    kron(X, X) for X = B^T, A^T, G: they apply X t X^T to row-major flattened
+    tiles t.  All six are built once, on first use, so NumPy loads only then.
     Only pipeline_sim.simulate_layer reads kron_at, as its per-issue-cycle product.
     interpolation_points lists the finite synthesis points; the last evaluation
     point is always the point at infinity and is not stored.  Instances are
     immutable (every array is read-only), thread-safe, and compare and hash by
-    params, exact matrices and points.  Construction raises ValueError when a
-    matrix's shape does not match params, when it is not in lowest terms over a
-    positive denominator (so equal sets compare equal, and a coefficient is +-1
-    exactly when its numerator's magnitude is the denominator), or when a nonzero
-    entry overflows float64 or rounds to zero.
+    params, exact matrices and points.  Construction checks in plain Python and
+    raises ValueError when a matrix's shape does not match params, when it
+    is not in lowest terms over a positive denominator (so equal sets compare
+    equal, and a coefficient is +-1 exactly when its numerator's magnitude is
+    the denominator), or when a nonzero entry overflows float64 or rounds to zero.
     """
 
     params: MinimalParams
@@ -98,9 +99,6 @@ class TransformSet:
     bt_int: ScaledIntMatrix
     g_int: ScaledIntMatrix
     interpolation_points: tuple[Fraction, ...]
-    at: np.ndarray = field(init=False, repr=False, compare=False)
-    bt: np.ndarray = field(init=False, repr=False, compare=False)
-    g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, r, alpha = self.params.m, self.params.r, self.params.alpha
@@ -111,16 +109,29 @@ class TransformSet:
             if den <= 0 or gcd(den, *[v for row in num for v in row]) != 1:
                 raise ValueError(f"{name} must be in lowest terms over a positive denominator")
             try:  # int true division rounds correctly at any integer size
-                x = np.array([[v / den for v in row] for row in num], dtype=np.float64)
+                lost = any(v != 0 and v / den == 0 for row in num for v in row)
             except OverflowError:
-                x = None
-            if x is None or np.count_nonzero(x) != sum([v != 0 for row in num for v in row]):
+                lost = True
+            if lost:
                 raise ValueError(f"an entry of {name} overflows or underflows float64")
-            object.__setattr__(self, name, _read_only(x))
 
-    kron_bt = cached_property(lambda self: _read_only(np.kron(self.bt, self.bt)))
-    kron_at = cached_property(lambda self: _read_only(np.kron(self.at, self.at)))
-    kron_g = cached_property(lambda self: _read_only(np.kron(self.g, self.g)))
+    at = cached_property(lambda self: _floats(self.at_int))
+    bt = cached_property(lambda self: _floats(self.bt_int))
+    g = cached_property(lambda self: _floats(self.g_int))
+    kron_bt = cached_property(lambda self: _kron(self.bt))
+    kron_at = cached_property(lambda self: _kron(self.at))
+    kron_g = cached_property(lambda self: _kron(self.g))
+
+
+def _floats(x: ScaledIntMatrix) -> np.ndarray:
+    """x as a read-only float64 array, each entry n / den correctly rounded."""
+    import numpy as np  # here, so that `import winoconv` and the analytic CLI never load it
+    return _read_only(np.array([[v / x.den for v in row] for row in x.num], dtype=np.float64))
+
+
+def _kron(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+    return _read_only(np.kron(x, x))
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:

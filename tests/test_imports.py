@@ -1,0 +1,70 @@
+"""`import winoconv` and the analytic CLI subcommands run without NumPy.
+
+The names exported from conv and pipeline_sim, the two modules that need
+NumPy, resolve on first access.  Each check that needs a fresh interpreter
+runs one in a subprocess with this checkout's src/ on its path.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import winoconv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, cwd: Path) -> str:
+    """Run code in a new interpreter that imports winoconv from src/; return its stdout."""
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    None,  # import winoconv alone
+    ["dse", "--outdir", "out"],
+    ["report", "--outdir", "out"],
+    ["transform", "--m", "4", "--r", "3", "--outdir", "out"],
+], ids=["import", "dse", "report", "transform"])
+def test_analytic_paths_do_not_load_numpy(tmp_path, argv):
+    run = "" if argv is None else f"from winoconv.cli import main\nassert main({argv!r}) == 0\n"
+    out = run_fresh("import sys\nimport winoconv\n" + run
+                    + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+                    + "print(sorted(m for m in sys.modules if m.startswith('winoconv.')))\n",
+                    tmp_path)
+    numpy_modules, loaded = out.splitlines()[-2:]
+    assert numpy_modules == "[]"
+    # the package is not lazy as a whole: everything dse and report use is loaded
+    for module in ("cost_model", "dse", "reference_data", "transforms", "workload"):
+        assert f"'winoconv.{module}'" in loaded
+    assert "'winoconv.conv'" not in loaded and "'winoconv.pipeline_sim'" not in loaded
+
+
+def test_lazy_names_are_the_submodules_objects():
+    for name, module in winoconv._LAZY.items():
+        value = getattr(winoconv, name)
+        assert value is getattr(importlib.import_module(f"winoconv.{module}"), name)
+        assert vars(winoconv)[name] is value  # stored: __getattr__ runs once per name
+
+
+def test_lazy_names_import_in_a_fresh_interpreter(tmp_path):
+    out = run_fresh("import sys\nfrom winoconv import simulate_layer, winograd_conv\n"
+                    "print(simulate_layer.__module__, winograd_conv.__module__, "
+                    "'numpy' in sys.modules)\n", tmp_path)
+    assert out.split() == ["winoconv.pipeline_sim", "winoconv.conv", "True"]
+
+
+def test_unknown_name_raises_the_standard_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'winoconv' has no attribute 'nope'$"):
+        winoconv.nope
+    assert not hasattr(winoconv, "nope")
+    with pytest.raises(ImportError, match=r"^cannot import name 'nope' from 'winoconv'"):
+        from winoconv import nope  # noqa: F401

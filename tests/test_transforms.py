@@ -285,6 +285,21 @@ def test_transform_set_is_frozen():
     assert ts.g[0, 0] == 1.0
 
 
+def test_float_copies_are_built_on_first_use():
+    ts, same = generate_transforms(MinimalParams(4, 3)), generate_transforms(MinimalParams(4, 3))
+    names = ("at", "bt", "g", "kron_bt", "kron_at", "kron_g")
+    # at, bt and g were built at construction, which made every `import winoconv` load NumPy
+    assert not set(names) & vars(ts).keys()
+    before = ts == same, hash(ts) == hash(same), hash(ts)
+    ts.at  # first use builds it
+    assert (ts == same, hash(ts) == hash(same), hash(ts)) == before
+    for name in names:
+        x = getattr(ts, name)
+        assert x.dtype == np.float64 and not x.flags.writeable and getattr(ts, name) is x
+    for x, exact in ((ts.at, ts.at_int), (ts.bt, ts.bt_int), (ts.g, ts.g_int)):
+        assert x.tolist() == [[n / exact.den for n in row] for row in exact.num]
+
+
 def test_transform_sets_compare_and_hash_by_value():
     # == compared the float arrays and raised "truth value ... is ambiguous"
     ts, same = generate_transforms(MinimalParams(3, 3)), generate_transforms(MinimalParams(3, 3))
