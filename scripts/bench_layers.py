@@ -23,20 +23,22 @@ Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
 wall time and microseconds per issue cycle, and asserts that the summed
 trace cycles equal the summed cost_model.exact_cycles.
 
-Last, it times transform synthesis and the analytical CLI subcommands in the
-same REPEATS round-robin passes: generate_transforms for F(m, 3) at m = 1..8
-(each sample the mean of SYNTH_CALLS calls), then in-process
-`winoconv dse` and `winoconv report` with default arguments into a temporary
-directory, then, each as a separate `python` process, a bare interpreter,
-`import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`, and
-`python -m winoconv.cli dse` and `report`, keeping the best and the median of
-each entry.  The process times are what a CLI user waits for, start-up and
+Last, it times transform synthesis and the analytical CLI subcommands in
+CLI_REPEATS = 9 round-robin passes of their own (3 passes put the `dse`
+process a third above the best of 9 on a shared host): generate_transforms
+for F(m, 3) at m = 1..8 (each sample the mean of SYNTH_CALLS calls), then
+in-process `winoconv dse` and `winoconv report` with default arguments into a
+temporary directory, then, each as a separate `python` process, a bare
+interpreter, `import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`,
+and `python -m winoconv.cli dse` and `report`, keeping the best and the median
+of each entry.  The process times are what a CLI user waits for, start-up and
 imports included.
 
-BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) is recorded
-with the results.  The whole run takes about a minute on a 2-vCPU host; the
-224x224, 64->64 layer peaks near 780 MB RSS in spatial_conv.  It imports
-winoconv from this checkout's src/.
+BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) and the
+process's peak RSS are recorded with the results.  The whole run takes about
+a minute on a 2-vCPU host and peaks at 400-430 MB RSS in spatial_conv on
+the 224x224, 64->64 layer, whose float64 patch matrix alone is 231 MB.  It
+imports winoconv from this checkout's src/.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ from winoconv.workload import VGG16D  # noqa: E402
 
 TILE_SIZES = (2, 3, 4)
 REPEATS = 3
+CLI_REPEATS = 9
 SYNTH_M = range(1, 9)
 SYNTH_CALLS = 100
 # Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
@@ -230,7 +233,7 @@ def bench_synthesis_and_cli() -> dict:
             calls[f"process.{name}"] = lambda a=argv: subprocess.run(
                 a, env=env, stdout=subprocess.DEVNULL).returncode
         seconds = {name: [] for name in calls}
-        for _ in range(REPEATS):
+        for _ in range(CLI_REPEATS):
             for name, fn in calls.items():
                 with contextlib.redirect_stdout(io.StringIO()):
                     start = perf_counter()
@@ -238,7 +241,7 @@ def bench_synthesis_and_cli() -> dict:
                     seconds[name].append(perf_counter() - start)
                 assert status in (None, 0), f"{name} exited with {status}"  # None: synthesis
     per_call = {m: [t / SYNTH_CALLS for t in seconds[f"generate_transforms.{m}"]] for m in SYNTH_M}
-    return {"r": 3, "calls_per_sample": SYNTH_CALLS,
+    return {"r": 3, "calls_per_sample": SYNTH_CALLS, "repeats": CLI_REPEATS,
             "m": {str(m): timing("generate_transforms", per_call[m]) for m in SYNTH_M},
             "cli": {**timing("dse", seconds["dse"]), **timing("report", seconds["report"])},
             "process": {k: v for name in processes
@@ -266,7 +269,8 @@ def main(argv=None) -> int:
         layers.append({"group": wl.group, **row})
     result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
               "layers": layers, "simulate": bench_network(VGG16D, rng),
-              "synthesis": bench_synthesis_and_cli()}
+              "synthesis": bench_synthesis_and_cli(),
+              "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     synth = result["synthesis"]
     print("generate_transforms m=1..8: "
           + "/".join(f"{t['generate_transforms_ms'] * 1e3:.0f}" for t in synth["m"].values())

@@ -116,11 +116,13 @@ def spatial_conv(
     spec: ConvSpec,
     counter: MultCounter | None = None,
 ) -> FeatureMap:
-    """Direct convolution; every output pixel is a triple sum in float64.
+    """Direct convolution as im2col and one float64 GEMM (Chellapilla et al. 2006).
 
-    Keeps the map's dtype.  Raises ValueError for complex operands, whose imaginary part
-    the float64 sum would drop, for a bool map, and for an integer map with float kernels,
-    which would truncate, or with a sum not exact in float64 or its dtype.
+    The r x r windows of the padded map are copied once into a float64 patch matrix
+    (N, C*r^2, H_out*W_out), rows ordered (c, u, v), which the (K, C*r^2) kernel matrix
+    multiplies.  Keeps the map's dtype.  Raises ValueError for complex operands, whose
+    imaginary part the float64 sum would drop, for a bool map, and for an integer map with
+    float kernels, which would truncate, or with a sum not exact in float64 or its dtype.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
@@ -131,27 +133,23 @@ def spatial_conv(
         raise ValueError("feature map must be numeric, got bool")
     if np.issubdtype(kernels.data.dtype, np.floating):
         require_floating("feature map", fmap.data)
-    r = kernels.r
+    n, c, k, r = fmap.n, fmap.c, kernels.k, kernels.r
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
     padded = np.pad(fmap.data, ((0, 0), (0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, (r, r), axis=(2, 3))
-    # windows: (N, C, H_out, W_out, r, r)
-    out64 = np.einsum(
-        "nchwuv,kcuv->nkhw",
-        windows.astype(np.float64),
-        kernels.data.astype(np.float64),
-        optimize=True,
-    )
+    cols = np.empty((n, c * r * r, h_out * w_out), np.float64)
+    cols.reshape(n, c, r, r, h_out, w_out)[...] = windows.transpose(0, 1, 4, 5, 2, 3)
+    g = kernels.data.reshape(k, c * r * r).astype(np.float64)
+    out64 = (g @ cols).reshape(n, k, h_out, w_out)
     if np.issubdtype(fmap.data.dtype, np.integer):
         # out64 is exact while sum |d|*|g| stays below 2^53; then check it fits the dtype
         info = np.iinfo(fmap.data.dtype)
-        bound = np.einsum("nchwuv,kcuv->nkhw", np.abs(windows.astype(np.float64)),
-                          np.abs(kernels.data.astype(np.float64)), optimize=True).max()
+        bound = (np.abs(g) @ np.abs(cols)).max()
         if bound > 2**53 - 1 or out64.min() < info.min or out64.max() > info.max:
             raise ValueError(f"integer sums leave the exact range of {fmap.data.dtype}")
     if counter is not None:
-        counter.add(fmap.n * fmap.c * h_out * w_out * r * r * kernels.k)
-    return FeatureMap(out64.astype(fmap.data.dtype))
+        counter.add(n * c * h_out * w_out * r * r * k)
+    return FeatureMap(out64.astype(fmap.data.dtype, copy=False))
 
 
 def require_floating(what: str, data: np.ndarray) -> None:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
+from numbers import Integral
 from operator import mul
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -259,8 +260,9 @@ def generate_transforms(
 # the process keeps.
 
 def _scaled_input(x) -> tuple[list[list[int]], int]:
-    """Rows of anything Fraction() accepts as integer rows over one common positive denominator."""
-    rows = [[Fraction(v) for v in row] for row in x]
+    """Rows of anything Fraction() accepts as Python-int rows over one positive denominator."""
+    rows = [[v if type(v) is int else int(v) if isinstance(v, Integral) else Fraction(v)
+             for v in row] for row in x]
     den = lcm(*[v.denominator for row in rows for v in row])
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
 

@@ -77,6 +77,28 @@ def test_spatial_matches_naive_6loop():
     assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("r, pad", [(r, pad) for r in (1, 3, 5) for pad in (0, 1, 2)])
+def test_spatial_matches_naive_over_batch_channels_and_shapes(r, pad):
+    # The patch matrix rows are (c, u, v) and each image has its own slab: a wrong row
+    # order needs C > 1 and r > 1 to show, mixed-up images N > 1.
+    rng = np.random.default_rng(10 * r + pad)
+    h, w, k = r + 1, r + 3, 3
+    for n in (1, 2):
+        for c in range(1, 5):
+            fmap, kern = random_case(rng, n, c, h, w, k, r, dtype=np.float64)
+            out = spatial_conv(fmap, kern, ConvSpec(pad=pad))
+            ref = naive_conv(fmap.data, kern.data, pad)
+            assert out.data.shape == ref.shape == (n, k, h + 2 * pad - r + 1, w + 2 * pad - r + 1)
+            assert out.data.dtype == np.float64
+            assert np.allclose(out.data, ref, rtol=0, atol=1e-12)
+            for dtype, hi in ((np.int8, 1), (np.int16, 3), (np.int32, 3), (np.int64, 3)):
+                d = FeatureMap(rng.integers(-hi, hi + 1, (n, c, h, w)).astype(dtype))
+                g = KernelBank(rng.integers(-hi, hi + 1, (k, c, r, r)).astype(dtype))
+                out = spatial_conv(d, g, ConvSpec(pad=pad))
+                assert out.data.dtype == dtype
+                assert np.array_equal(out.data, naive_conv(d.data, g.data, pad))
+
+
 def test_spatial_rejects_integer_map_with_float_kernels():
     # the int32 output would truncate 4.5 to 4
     kern = KernelBank(np.full((1, 1, 3, 3), 0.5, dtype=np.float32))

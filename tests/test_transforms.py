@@ -263,6 +263,25 @@ def test_exact_2d_bit_identical():
         winograd_2d_tile_exact(ts, [[1] * 4] * 4, [[1] * 3, [1] * 4, [1] * 3])
 
 
+@pytest.mark.parametrize("m", [2, 5])
+def test_exact_results_do_not_depend_on_entry_type(m):
+    # Python ints skip Fraction() and NumPy integers become ints; neither may change a result
+    rng = random.Random(m)
+    ts = generate_transforms(MinimalParams(m, 3))
+    alpha = m + 2
+    d = [[rng.randint(-9, 9) for _ in range(alpha)] for _ in range(alpha)]
+    g = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+    want_1d, want_2d = winograd_1d_exact(ts, d[0], g[0]), winograd_2d_tile_exact(ts, d, g)
+    assert list(want_1d) == brute_conv1d(d[0], g[0])
+    assert [list(row) for row in want_2d] == brute_conv2d(d, g)
+    for kind in (Fraction, str, np.int8, np.int64, lambda v: v if v % 2 else Fraction(v)):
+        dk = [[kind(v) for v in row] for row in d]
+        gk = [[kind(v) for v in row] for row in g]
+        y_1d, y_2d = winograd_1d_exact(ts, dk[0], gk[0]), winograd_2d_tile_exact(ts, dk, gk)
+        assert y_1d == want_1d and y_2d == want_2d
+        assert all(type(x) is Fraction for x in y_1d + sum(y_2d, ()))
+
+
 def test_csv_export_renders_exact_rationals(tmp_path):
     ts = generate_transforms(MinimalParams(2, 3))
     written = export_transforms_csv(ts, tmp_path)
