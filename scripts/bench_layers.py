@@ -18,6 +18,15 @@ times a float32 im2col + one GEMM convolution (defined here, not in
 winoconv), checks it against spatial_conv, and records the best-m
 winograd_conv time over the im2col time.
 
+Next, the fixed cost of one call on the benchmark's small layers: the conv
+layer and the sim layer of each perfbench workload (deep, wide, analytic;
+N = 1, pad 1, seeded float32), with spatial_conv, winograd_conv at m = 2, 3,
+4 and simulate_layer at m = 2, 3, 4 (P from 700 multipliers, as in the
+benchmark).  Each sample is the mean of FIXED_COST_CALLS calls, each result
+kept until the next call returns, in FIXED_COST_REPEATS round-robin passes;
+each entry records the best and median microseconds per call and the minor
+page faults per call.
+
 Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
 4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer
 wall time and microseconds per issue cycle, and asserts that the summed
@@ -69,6 +78,7 @@ from winoconv import (  # noqa: E402
     EngineConfig,
     FeatureMap,
     KernelBank,
+    LayerShape,
     MinimalParams,
     exact_cycles,
     generate_transforms,
@@ -83,19 +93,25 @@ from winoconv.cli import main as cli_main  # noqa: E402
 from winoconv.reference_data import SHARED_DESIGNS  # noqa: E402
 from winoconv.workload import VGG16D  # noqa: E402
 
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import MULTIPLIERS, WORKLOADS  # noqa: E402
+
 TILE_SIZES = (2, 3, 4)
 REPEATS = 3
 CLI_REPEATS = 9
 SYNTH_M = range(1, 9)
 SYNTH_CALLS = 100
+FIXED_COST_REPEATS = 9
+FIXED_COST_CALLS = 20
 # Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
 
-def timing(entry: str, seconds: list[float]) -> dict:
-    """The fastest and the median of an entry's timings, in ms."""
-    return {f"{entry}_ms": round(min(seconds) * 1e3, 3),
-            f"{entry}_median_ms": round(float(np.median(seconds)) * 1e3, 3)}
+def timing(entry: str, seconds: list[float], unit: str = "ms") -> dict:
+    """The fastest and the median of an entry's timings, in ms or us."""
+    scale = {"ms": 1e3, "us": 1e6}[unit]
+    return {f"{entry}_{unit}": round(min(seconds) * scale, 3),
+            f"{entry}_median_{unit}": round(float(np.median(seconds)) * scale, 3)}
 
 
 def im2col_conv(fmap: FeatureMap, kernels: KernelBank, pad: int) -> np.ndarray:
@@ -179,6 +195,47 @@ def bench_layers(shapes, rng: np.random.Generator) -> list[dict]:
         row["best_winograd_over_im2col"] = round(best / row["im2col_ms"], 3)
         rows.append(row)
     return rows
+
+
+def fixed_cost_calls(conv: tuple, sim: tuple, rng: np.random.Generator) -> dict:
+    """A benchmark workload's conv and sim layer calls by entry name; each returns an array."""
+    spec = ConvSpec(pad=1)
+    fmap, kernels = random_layer(LayerShape(1, conv[0], conv[0], conv[1], conv[2], 3), rng)
+    sim_fmap, sim_kernels = random_layer(LayerShape(1, sim[0], sim[0], sim[1], sim[2], 3), rng)
+    calls = {"spatial": lambda: spatial_conv(fmap, kernels, spec).data}
+    for m in TILE_SIZES:
+        params = MinimalParams(m, 3)
+        ts, cfg = generate_transforms(params), EngineConfig(params, pe_count(MULTIPLIERS, params))
+        calls[f"winograd.{m}"] = lambda ts=ts: winograd_conv(fmap, kernels, spec, ts).data
+        calls[f"simulate.{m}"] = lambda ts=ts, cfg=cfg: simulate_layer(
+            cfg, sim_fmap, sim_kernels, spec, ts)[0].data
+    return calls
+
+
+def bench_fixed_cost(rng: np.random.Generator) -> list[dict]:
+    """Per-call time and faults on the benchmark's layers, FIXED_COST_REPEATS round-robin passes."""
+    calls = {name: fixed_cost_calls(w.conv, w.sim, rng) for name, w in WORKLOADS.items()}
+    seconds = {wl: {name: [] for name in c} for wl, c in calls.items()}
+    faults = {wl: dict.fromkeys(c, 0) for wl, c in calls.items()}
+    for _ in range(FIXED_COST_REPEATS):
+        for wl, wl_calls in calls.items():
+            for name, fn in wl_calls.items():
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start = perf_counter()
+                for _ in range(FIXED_COST_CALLS):
+                    out = fn()  # kept until the next call returns, as in the benchmark
+                seconds[wl][name].append((perf_counter() - start) / FIXED_COST_CALLS)
+                faults[wl][name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    per_call = FIXED_COST_REPEATS * FIXED_COST_CALLS
+    return [{"workload": wl, "conv": list(w.conv), "sim": list(w.sim),
+             **timing("spatial", seconds[wl]["spatial"], "us"),
+             "spatial_faults": round(faults[wl]["spatial"] / per_call, 2),
+             "m": {str(m): {**timing("winograd", seconds[wl][f"winograd.{m}"], "us"),
+                            "winograd_faults": round(faults[wl][f"winograd.{m}"] / per_call, 2),
+                            **timing("simulate", seconds[wl][f"simulate.{m}"], "us"),
+                            "simulate_faults": round(faults[wl][f"simulate.{m}"] / per_call, 2)}
+                   for m in TILE_SIZES}}
+            for wl, w in WORKLOADS.items()]
 
 
 def bench_network(workload, rng: np.random.Generator) -> list[dict]:
@@ -267,8 +324,19 @@ def main(argv=None) -> int:
               + "/".join(f"{row['m'][str(m)]['winograd_ms']:.1f}" for m in TILE_SIZES)
               + f" ms, best/im2col {row['best_winograd_over_im2col']:.2f}", flush=True)
         layers.append({"group": wl.group, **row})
+    fixed_cost = bench_fixed_cost(rng)
+    for row in fixed_cost:
+        print(f"{row['workload']} conv {row['conv']}, sim {row['sim']}: spatial "
+              f"{row['spatial_us']:.1f} us, winograd m=2/3/4 "
+              + "/".join(f"{row['m'][str(m)]['winograd_us']:.1f}" for m in TILE_SIZES)
+              + " us, simulate m=2/3/4 "
+              + "/".join(f"{row['m'][str(m)]['simulate_us']:.1f}" for m in TILE_SIZES) + " us",
+              flush=True)
     result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
-              "layers": layers, "simulate": bench_network(VGG16D, rng),
+              "layers": layers,
+              "fixed_cost": {"repeats": FIXED_COST_REPEATS, "calls_per_sample": FIXED_COST_CALLS,
+                             "multipliers": MULTIPLIERS, "workloads": fixed_cost},
+              "simulate": bench_network(VGG16D, rng),
               "synthesis": bench_synthesis_and_cli(),
               "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     synth = result["synthesis"]

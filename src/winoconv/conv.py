@@ -1,34 +1,29 @@
 """Full-layer convolution: spatial reference path and tiled Winograd path.
 
-Both paths compute cross-correlation (no kernel flip): for stride 1,
+Both compute cross-correlation (no kernel flip) at stride 1 on N-C-H-W maps and
+K-C-r-r kernel banks: Y[i, k, x, y] = sum_c,u,v D[i, c, x+u, y+v] * G[k, c, u, v].
+Each path zero-pads the map into a buffer of its own, so that a tiling bug cannot
+hide in the oracle too, with np.zeros and one slice assignment, and reads it through
+one bounds-checked strided view, _windows: r x r windows at stride 1 for the patch
+matrix of spatial_conv, alpha x alpha tiles at stride m for transformed_operands.  That
+front end, shared by winograd_conv and pipeline_sim.simulate_layer, returns the
+data transforms U, one GEMM kron(B^T, B^T) @ [alpha^2 x C*N*Ty*Tx], and the
+filter transforms V, one GEMM kron(G, G) @ [r^2 x K*C], as (alpha^2, K, C).
+winograd_conv sums channels in the transformed domain (Lavin & Gray,
+arXiv:1509.09308), one GEMM per tile position (xi, nu),
 
-    Y[i, k, x, y] = sum_c sum_u sum_v D[i, c, x+u, y+v] * G[k, c, u, v]
+    M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx],
 
-Layouts are fixed to N-C-H-W feature maps and K-C-r-r kernel banks.  Both
-Winograd paths (winograd_conv and pipeline_sim.simulate_layer) share one
-front end, transformed_operands: it checks the operands, cuts the padded
-input into overlapping alpha x alpha tiles with stride m (partial edge tiles
-zero-padded to alpha), and returns their data transforms U, one GEMM
-kron(B^T, B^T) @ [alpha^2 x C*N*Ty*Tx], with the filter transforms V, one
-GEMM kron(G, G) @ [r^2 x K*C] laid out as (alpha^2, K, C).  untile
-reassembles the m x m output tiles and discards the excess output
-rows/columns.  The spatial path keeps its own padding, so a tiling bug
-cannot hide in the oracle too.  In winograd_conv channels are summed in the
-transformed domain (Lavin & Gray, arXiv:1509.09308): for each of the
-alpha^2 tile positions (xi, nu) one GEMM
-
-    M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx]
-
-and then the inverse transform A^T M A of all (image, kernel, output tile)
-as two 1-D passes, A^T over xi and A over nu, on cache-sized blocks.  The
-hardware order -- inverse transform per channel, then accumulation over C
-cycles -- is modeled by pipeline_sim.simulate_layer.  Both Winograd paths
-need floating-point input: the transforms have fractional entries.
+then applies A^T M A as two 1-D passes on cache-sized blocks; untile drops the
+excess output rows/columns.  simulate_layer models the hardware order instead:
+inverse transform per channel, then accumulation over C cycles.  The Winograd
+paths need floating-point input: the transforms have fractional entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -43,6 +38,10 @@ class ConvSpec:
     pad: int = 0
 
     def __post_init__(self):
+        try:  # a NumPy integer is stored as an int
+            object.__setattr__(self, "pad", index(self.pad))
+        except TypeError:
+            raise ValueError(f"pad must be an integer, got {self.pad!r}") from None
         if self.pad < 0:
             raise ValueError(f"pad must be >= 0, got {self.pad}")
 
@@ -110,6 +109,12 @@ def output_hw(h: int, w: int, r: int, pad: int) -> tuple[int, int]:
     return ho, wo
 
 
+def _windows(ext: np.ndarray, size: int, step: int, n_y: int, n_x: int) -> np.ndarray:
+    """(N, C, size, size, n_y, n_x) view of C-contiguous N-C-H-W ext's windows at stride step."""
+    return np.ndarray((*ext.shape[:2], size, size, n_y, n_x), ext.dtype, buffer=ext, offset=0,
+                      strides=(*ext.strides, step * ext.strides[2], step * ext.strides[3]))
+
+
 def spatial_conv(
     fmap: FeatureMap,
     kernels: KernelBank,
@@ -135,10 +140,10 @@ def spatial_conv(
         require_floating("feature map", fmap.data)
     n, c, k, r = fmap.n, fmap.c, kernels.k, kernels.r
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    padded = np.pad(fmap.data, ((0, 0), (0, 0), (spec.pad, spec.pad), (spec.pad, spec.pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (r, r), axis=(2, 3))
+    padded = np.zeros((n, c, fmap.h + 2 * spec.pad, fmap.w + 2 * spec.pad), fmap.data.dtype)
+    padded[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
     cols = np.empty((n, c * r * r, h_out * w_out), np.float64)
-    cols.reshape(n, c, r, r, h_out, w_out)[...] = windows.transpose(0, 1, 4, 5, 2, 3)
+    cols.reshape(n, c, r, r, h_out, w_out)[...] = _windows(padded, r, 1, h_out, w_out)
     g = kernels.data.reshape(k, c * r * r).astype(np.float64)
     out64 = (g @ cols).reshape(n, k, h_out, w_out)
     if np.issubdtype(fmap.data.dtype, np.integer):
@@ -201,10 +206,9 @@ def transformed_operands(
     ty, tx = tile_grid(h_out, w_out, m)
     ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
     ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
-    d = np.lib.stride_tricks.sliding_window_view(ext, (alpha, alpha), axis=(2, 3))[:, :, ::m, ::m]
     # Row-major flattened tiles, one column each: vec(B^T d B) = kron(B^T, B^T) vec(d).
     n_tiles = fmap.n * ty * tx
-    d = d.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, fmap.c * n_tiles)
+    d = _windows(ext, alpha, m, ty, tx).transpose(2, 3, 1, 0, 4, 5).reshape(alpha * alpha, -1)
     u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, fmap.c, n_tiles)
     return u, v, (ty, tx), (h_out, w_out)
 

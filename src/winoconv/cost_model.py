@@ -35,7 +35,7 @@ docstring for the two counting conventions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf, log2
+from math import ceil, inf
 from typing import Iterable
 
 from .transforms import MinimalParams, ScaledIntMatrix, TransformSet
@@ -123,8 +123,8 @@ class DesignPoint:
 
 
 def pipeline_depth(params: MinimalParams) -> int:
-    """Data transform (1) + element-wise stage (1) + inverse adder tree (ceil(log2 alpha))."""
-    return 2 + max(1, ceil(log2(params.alpha)))
+    """Data transform (1) + element-wise stage (1) + inverse adder tree (ceil(log2 alpha), exact)."""
+    return 2 + max(1, (params.alpha - 1).bit_length())
 
 
 def _product_ops(mat: ScaledIntMatrix, n_vectors: int, convention: str) -> int:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from numbers import Integral
-from operator import mul
+from operator import index, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -65,6 +65,11 @@ class MinimalParams:
     r: int
 
     def __post_init__(self):
+        try:  # NumPy integers are stored as ints
+            object.__setattr__(self, "m", index(self.m))
+            object.__setattr__(self, "r", index(self.r))
+        except TypeError:
+            raise ValueError(f"m and r must be integers, got m={self.m!r}, r={self.r!r}") from None
         if self.m < 1 or self.r < 1:
             raise ValueError(f"m and r must be >= 1, got m={self.m}, r={self.r}")
 

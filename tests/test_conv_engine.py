@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from winoconv import conv as conv_module, pipeline_sim
 from winoconv.conv import (
     ConvSpec,
     FeatureMap,
@@ -312,6 +314,85 @@ def test_data_transform_matches_per_tile_reference(dtype, bound):
         assert rel_err(v, want.transpose(2, 3, 0, 1).reshape(a * a, 4, 3)) <= bound, m
 
 
+def pad_window_spatial(d, g, pad):
+    """The im2col oracle with its patch matrix cut by np.pad and sliding_window_view."""
+    (n, c), (k, _, r, _) = d.shape[:2], g.shape
+    padded = np.pad(d, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = sliding_window_view(padded, (r, r), axis=(2, 3))
+    h_out, w_out = win.shape[2:4]
+    cols = np.empty((n, c * r * r, h_out * w_out))
+    cols.reshape(n, c, r, r, h_out, w_out)[...] = win.transpose(0, 1, 4, 5, 2, 3)
+    out = g.reshape(k, -1).astype(np.float64) @ cols
+    return out.reshape(n, k, h_out, w_out).astype(d.dtype, copy=False)
+
+
+def pad_window_operands(fmap, kernels, spec, ts):
+    """transformed_operands with its tiles cut by np.pad and sliding_window_view."""
+    m, r, alpha, dtype = ts.params.m, kernels.r, ts.params.alpha, fmap.data.dtype
+    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
+    ty, tx = tile_grid(h_out, w_out, m)
+    p = spec.pad
+    ext = np.pad(fmap.data, ((0, 0), (0, 0), (p, ty * m + r - 1 - p - fmap.h),
+                             (p, tx * m + r - 1 - p - fmap.w)))
+    tiles = sliding_window_view(ext, (alpha, alpha), axis=(2, 3))[:, :, ::m, ::m]
+    d = tiles.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, -1)
+    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, fmap.c, -1)
+    v = precompute_filter_transforms(kernels, ts, dtype).transpose(2, 3, 0, 1)
+    v = v.reshape(alpha * alpha, kernels.k, kernels.c).astype(dtype, copy=False)
+    return u, v, (ty, tx), (h_out, w_out)
+
+
+def layouts(x):
+    """x and four maps that are not C-contiguous; the last repeats image 0 and is read-only."""
+    n, c, h, w = x.shape
+    big = np.zeros((n, c + 1, h + 2, w + 3), x.dtype)
+    big[:, 1:, 1:-1, 2:-1] = x
+    return (x, np.ascontiguousarray(x[:, :, ::-1, ::-1])[:, :, ::-1, ::-1],
+            np.asfortranarray(x), big[:, 1:, 1:-1, 2:-1], np.broadcast_to(x[:1], x.shape))
+
+
+def assert_identical(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_strided_views_are_bit_identical_to_pad_and_sliding_window(r, monkeypatch):
+    # Both paths must copy the same elements in the same order into the same GEMMs.
+    rng = np.random.default_rng(r)
+    for pad in range(3):
+        spec = ConvSpec(pad=pad)
+        for n in (1, 2):
+            for dtype in (np.float32, np.float64, ">f4"):
+                fmap, kern = random_case(rng, n, 3, r + 2, r + 5, 4, r, dtype)
+                for x in layouts(fmap.data):
+                    x = FeatureMap(x)
+                    assert_identical(spatial_conv(x, kern, spec).data,
+                                     pad_window_spatial(x.data, kern.data, pad))
+                    for m in range(1, 6):
+                        ts = generate_transforms(MinimalParams(m, r))
+                        cfg = EngineConfig(ts.params, p=3)
+                        got = transformed_operands(x, kern, spec, ts)
+                        want = pad_window_operands(x, kern, spec, ts)
+                        assert got[2:] == want[2:]
+                        assert_identical(got[0], want[0])
+                        assert_identical(got[1], want[1])
+                        wino, (sim, trace) = (winograd_conv(x, kern, spec, ts),
+                                              simulate_layer(cfg, x, kern, spec, ts))
+                        with monkeypatch.context() as patch:
+                            patch.setattr(conv_module, "transformed_operands", pad_window_operands)
+                            patch.setattr(pipeline_sim, "transformed_operands", pad_window_operands)
+                            assert_identical(wino.data, winograd_conv(x, kern, spec, ts).data)
+                            want_sim, want_trace = simulate_layer(cfg, x, kern, spec, ts)
+                            assert_identical(sim.data, want_sim.data)
+                            assert trace.to_json() == want_trace.to_json()
+            for dtype in (np.int8, np.int32):
+                d = rng.integers(-3, 4, (n, 3, r + 2, r + 5)).astype(dtype)
+                g = KernelBank(rng.integers(-3, 4, (4, 3, r, r)).astype(dtype))
+                for x in layouts(d):
+                    assert_identical(spatial_conv(FeatureMap(x), g, spec).data,
+                                     pad_window_spatial(x, g.data, pad))
+
+
 def test_integer_input_rejected():
     # int32 would truncate the 1/2 entries of G in F(2,3); the result was off by tens
     rng = np.random.default_rng(6)
@@ -410,6 +491,11 @@ def test_shape_validation():
         KernelBank(np.ones((1, 1, 3, 2)))
     with pytest.raises(ValueError, match="pad"):
         ConvSpec(pad=-1)
+    # a fractional pad died with a TypeError inside np.pad or a slice
+    for pad in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^pad must be an integer, got {pad!r}$"):
+            ConvSpec(pad=pad)
+    assert ConvSpec(pad=np.int64(1)) == ConvSpec(pad=1) and type(ConvSpec(np.int8(1)).pad) is int
     with pytest.raises(ValueError, match="does not fit"):
         spatial_conv(FeatureMap(np.ones((1, 1, 2, 2))), KernelBank(np.ones((1, 1, 3, 3))),
                      ConvSpec(pad=0))

@@ -1,5 +1,6 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from winoconv.cost_model import (
@@ -150,6 +151,29 @@ def test_pipeline_depth():
     assert pipeline_depth(MinimalParams(4, 3)) == 5   # ceil(log2 6) = 3
     with pytest.raises(TypeError):  # the tile size fixes the depth
         HardwareConfig(700, 5e-9, d_p=5)
+
+
+def test_pipeline_depth_is_exact_at_every_alpha():
+    # float ceil(log2(2**e + 1)) is e for every e >= 49, one adder-tree level short
+    def brute(alpha):
+        levels = 0
+        while 2**levels < alpha:
+            levels += 1
+        return 2 + max(1, levels)
+
+    alphas = set(range(1, 1025)) | {2**e + d for e in range(10, 61) for d in (-1, 0, 1)}
+    for alpha in sorted(alphas):
+        assert pipeline_depth(MinimalParams(alpha, 1)) == brute(alpha), alpha
+
+
+def test_params_reject_non_integral_fields():
+    # MinimalParams(2.5, 3) was accepted, and pe_count(700, ...) returned 34.0
+    for m, r in ((2.5, 3), (2, 3.0), ("2", 3), (None, 3)):
+        with pytest.raises(ValueError, match=f"^m and r must be integers, got m={m!r}, r={r!r}$"):
+            MinimalParams(m, r)
+    params = MinimalParams(np.int64(3), np.int32(3))
+    assert params == MinimalParams(3, 3) and type(params.m) is type(params.r) is int
+    assert pe_count(700, params) == 28 and pipeline_depth(params) == 5
 
 
 def test_layer_latency_conv1_group():
