@@ -23,12 +23,11 @@ paths need floating-point input: the transforms have fractional entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
 from .cost_model import tile_grid
-from .transforms import MultCounter, TransformSet
+from .transforms import MultCounter, TransformSet, _checked_int
 
 
 @dataclass(frozen=True)
@@ -38,12 +37,13 @@ class ConvSpec:
     pad: int = 0
 
     def __post_init__(self):
-        try:  # a NumPy integer is stored as an int
-            object.__setattr__(self, "pad", index(self.pad))
-        except TypeError:
-            raise ValueError(f"pad must be an integer, got {self.pad!r}") from None
-        if self.pad < 0:
-            raise ValueError(f"pad must be >= 0, got {self.pad}")
+        object.__setattr__(self, "pad", _checked_int(self.pad, "pad", 0))
+
+
+def check_dense_4d(data: np.ndarray, what: str, axes: str):
+    """ValueError unless data is 4-D with no empty dimension."""
+    if data.ndim != 4 or min(data.shape) < 1:
+        raise ValueError(f"{what} must be 4D ({axes}) with no empty dimension, got {data.shape}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != 4:
-            raise ValueError(f"feature map must be 4D (N,C,H,W), got ndim={self.data.ndim}")
-        if min(self.data.shape) < 1:
-            raise ValueError(f"all feature-map dims must be >= 1, got {self.data.shape}")
+        check_dense_4d(self.data, "feature map", "N,C,H,W")
 
     @property
     def n(self) -> int:
@@ -82,12 +79,9 @@ class KernelBank:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.data.ndim != 4:
-            raise ValueError(f"kernel bank must be 4D (K,C,r,r), got ndim={self.data.ndim}")
+        check_dense_4d(self.data, "kernel bank", "K,C,r,r")
         if self.data.shape[2] != self.data.shape[3]:
             raise ValueError(f"kernels must be square, got {self.data.shape[2:]}")
-        if min(self.data.shape) < 1:
-            raise ValueError(f"all kernel-bank dims must be >= 1, got {self.data.shape}")
 
     @property
     def k(self) -> int:

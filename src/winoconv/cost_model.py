@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import ceil, inf
 from typing import Iterable
 
-from .transforms import MinimalParams, ScaledIntMatrix, TransformSet
+from .transforms import MinimalParams, ScaledIntMatrix, TransformSet, _checked_int
 
 OP_CONVENTIONS = ("all_ops", "adds_only")
 
@@ -55,9 +55,8 @@ class LayerShape:
     r: int
 
     def __post_init__(self):
-        for name in ("n", "h", "w", "c", "k", "r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"layer dim {name} must be >= 1, got {getattr(self, name)}")
+        for dim in ("n", "h", "w", "c", "k", "r"):
+            object.__setattr__(self, dim, _checked_int(getattr(self, dim), f"layer dim {dim}", 1))
 
     @property
     def nhwck(self) -> int:
@@ -73,8 +72,8 @@ class TransformOpCounts:
     delta: int
 
     def __post_init__(self):
-        if min(self.beta, self.gamma, self.delta) < 0:
-            raise ValueError("op counts must be >= 0")
+        for name in ("beta", "gamma", "delta"):
+            object.__setattr__(self, name, _checked_int(getattr(self, name), f"op count {name}", 0))
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,7 @@ class HardwareConfig:
     t_c: float
 
     def __post_init__(self):
-        if self.m_total < 1:
-            raise ValueError(f"multiplier budget must be >= 1, got {self.m_total}")
+        object.__setattr__(self, "m_total", _checked_int(self.m_total, "multiplier budget", 1))
         if not 0 < self.t_c < inf:
             raise ValueError(f"clock period must be positive and finite, got {self.t_c}")
 
@@ -173,7 +171,7 @@ def count_transform_ops(ts: TransformSet, convention: str = "all_ops") -> Transf
 
 def pe_count(m_total: int, params: MinimalParams) -> int:
     """Parallel PEs fitting the multiplier budget: floor(m_total / alpha^2)."""
-    per_pe = params.alpha**2
+    m_total, per_pe = _checked_int(m_total, "multiplier budget", 1), params.alpha**2
     if m_total < per_pe:
         raise ValueError(
             f"budget of {m_total} multipliers is below one PE "
@@ -187,23 +185,22 @@ def tile_grid(h_out: int, w_out: int, m: int) -> tuple[int, int]:
     return ceil(h_out / m), ceil(w_out / m)
 
 
-def _check_runnable(layer: LayerShape, params: MinimalParams, p: int):
-    """ValueError unless the layer's kernel size is the algorithm's r and P >= 1."""
+def _check_runnable(layer: LayerShape, params: MinimalParams, p: int) -> int:
+    """P as an int; ValueError unless the layer's kernel size is the algorithm's r and P >= 1."""
     if layer.r != params.r:
         raise ValueError(f"layer has r={layer.r}, F({params.m},{params.r}) needs r={params.r}")
-    if p < 1:
-        raise ValueError(f"PE count must be >= 1, got {p}")
+    return _checked_int(p, "PE count", 1)
 
 
 def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int) -> float:
     """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
-    _check_runnable(layer, params, p)
+    p = _check_runnable(layer, params, p)
     return layer.nhwck / (params.m**2 * p) + pipeline_depth(params) - 1
 
 
 def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
     """Cycle count the PE array issues: whole tiles and whole kernel groups."""
-    _check_runnable(layer, params, p)
+    p = _check_runnable(layer, params, p)
     ty, tx = tile_grid(layer.h, layer.w, params.m)
     return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
 

@@ -47,10 +47,9 @@ class SweepSpec:
     def __post_init__(self):
         if not self.m_values or not self.budgets:
             raise ValueError("m_values and budgets must be nonempty")
-        if min(self.m_values) < 1:
-            raise ValueError("all m values must be >= 1")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        params = [MinimalParams(m, self.r) for m in self.m_values]  # checks m and r
+        object.__setattr__(self, "m_values", tuple([p.m for p in params]))
+        object.__setattr__(self, "r", params[0].r)
         for layer in self.workload.shapes:
             if layer.r != self.r:
                 raise ValueError(f"sweep r={self.r} does not match a {layer.r}x{layer.r} "

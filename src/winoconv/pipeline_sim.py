@@ -50,7 +50,7 @@ from .cost_model import (
     pipeline_depth,
     tile_grid,
 )
-from .transforms import MinimalParams, TransformSet, generate_transforms
+from .transforms import MinimalParams, TransformSet, _checked_int, generate_transforms
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class EngineConfig:
     p: int
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"PE count must be >= 1, got {self.p}")
+        object.__setattr__(self, "p", _checked_int(self.p, "PE count", 1))
 
 
 @dataclass

@@ -13,14 +13,15 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.format import read_array
 
+from .conv import check_dense_4d
+
 LAYOUTS = ("NCHW", "KCRR")
 
 
 def _check(array: np.ndarray, layout, where: str):
     if layout not in LAYOUTS:
         raise ValueError(f"{where}layout must be one of {LAYOUTS}, got {layout!r}")
-    if array.ndim != 4 or min(array.shape) < 1:
-        raise ValueError(f"{where}tensor must be 4D with no empty dimension, got {array.shape}")
+    check_dense_4d(array, f"{where}tensor", layout)
     if array.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise ValueError(f"{where}unsupported dtype {array.dtype}; use native float32 or float64")
 

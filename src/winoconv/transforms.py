@@ -43,6 +43,18 @@ class ScaledIntMatrix(NamedTuple):
     den: int
 
 
+def _checked_int(value, label: str, low: int) -> int:
+    """The rule of every count and size field: value as an int (NumPy integers
+    included), or a ValueError naming label unless it is an integer >= low."""
+    try:
+        value = index(value)
+    except TypeError:
+        raise ValueError(f"{label} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{label} must be >= {low}, got {value}")
+    return value
+
+
 class MultCounter:
     """Instrumented counter for element-wise (Hadamard) multiplications."""
 
@@ -65,13 +77,8 @@ class MinimalParams:
     r: int
 
     def __post_init__(self):
-        try:  # NumPy integers are stored as ints
-            object.__setattr__(self, "m", index(self.m))
-            object.__setattr__(self, "r", index(self.r))
-        except TypeError:
-            raise ValueError(f"m and r must be integers, got m={self.m!r}, r={self.r!r}") from None
-        if self.m < 1 or self.r < 1:
-            raise ValueError(f"m and r must be >= 1, got m={self.m}, r={self.r}")
+        object.__setattr__(self, "m", _checked_int(self.m, "m", 1))
+        object.__setattr__(self, "r", _checked_int(self.r, "r", 1))
 
     @property
     def alpha(self) -> int:
@@ -95,9 +102,10 @@ class TransformSet:
     immutable (every array is read-only), thread-safe, and compare and hash by
     params, exact matrices and points.  Construction checks in plain Python and
     raises ValueError when a matrix's shape does not match params, when it
-    is not in lowest terms over a positive denominator (so equal sets compare
-    equal, and a coefficient is +-1 exactly when its numerator's magnitude is
-    the denominator), or when a nonzero entry overflows float64 or rounds to zero.
+    holds a non-integer, when it is not in lowest terms over a positive
+    denominator (so equal sets compare equal, and a coefficient is +-1 exactly
+    when its numerator's magnitude is the denominator), or when a nonzero
+    entry overflows float64 or rounds to zero.
     """
 
     params: MinimalParams
@@ -112,7 +120,12 @@ class TransformSet:
             num, den = getattr(self, f"{name}_int")
             if len(num) != rows or any(len(row) != cols for row in num):
                 raise ValueError(f"{name} must be {rows} x {cols} for F({m},{r})")
-            if den <= 0 or gcd(den, *[v for row in num for v in row]) != 1:
+            try:
+                common = gcd(den, *[v for row in num for v in row])
+            except TypeError:  # a float or Fraction entry
+                raise ValueError(
+                    f"{name} must be integer numerators over an integer denominator") from None
+            if den <= 0 or common != 1:
                 raise ValueError(f"{name} must be in lowest terms over a positive denominator")
             try:  # int true division rounds correctly at any integer size
                 lost = any(v != 0 and v / den == 0 for row in num for v in row)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cost_model import LayerShape
+from .transforms import _checked_int
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,7 @@ class WorkloadLayer:
     group: str
 
     def __post_init__(self):
-        if self.pad < 0:
-            raise ValueError(f"pad must be >= 0, got {self.pad}")
+        object.__setattr__(self, "pad", _checked_int(self.pad, "pad", 0))
         if not self.group:
             raise ValueError("layer group label must be nonempty")
 
@@ -77,37 +77,31 @@ def parse_workload(text: str, source: str = "<string>") -> Workload:
     name: str | None = None
     layers: list[WorkloadLayer] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "workload":
-            if name is not None:
-                raise ValueError(f"{source}:{lineno}: duplicate 'workload' record")
-            if len(fields) != 2:
-                raise ValueError(f"{source}:{lineno}: expected 'workload <name>'")
-            name = fields[1]
-        elif kind == "layer":
-            if name is None:
-                raise ValueError(f"{source}:{lineno}: 'layer' before 'workload' record")
-            if len(fields) != 9:
-                raise ValueError(
-                    f"{source}:{lineno}: expected 'layer n h w c k r pad group', "
-                    f"got {len(fields) - 1} fields"
-                )
-            try:
-                n, h, w, c, k, r, pad = (int(x) for x in fields[1:8])
-            except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: non-integer layer field: {exc}") from None
-            try:
-                layers.append(
-                    WorkloadLayer(LayerShape(n=n, h=h, w=w, c=c, k=k, r=r), pad=pad, group=fields[8])
-                )
-            except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: {exc}") from None
-        else:
-            raise ValueError(f"{source}:{lineno}: unknown record type {kind!r}")
+        try:
+            if fields[0] == "workload":
+                if name is not None:
+                    raise ValueError("duplicate 'workload' record")
+                if len(fields) != 2:
+                    raise ValueError("expected 'workload <name>'")
+                name = fields[1]
+            elif fields[0] == "layer":
+                if name is None:
+                    raise ValueError("'layer' before 'workload' record")
+                if len(fields) != 9:
+                    raise ValueError(
+                        f"expected 'layer n h w c k r pad group', got {len(fields) - 1} fields")
+                try:
+                    n, h, w, c, k, r, pad = (int(x) for x in fields[1:8])
+                except ValueError as exc:
+                    raise ValueError(f"non-integer layer field: {exc}") from None
+                layers.append(WorkloadLayer(LayerShape(n, h, w, c, k, r), pad, fields[8]))
+            else:
+                raise ValueError(f"unknown record type {fields[0]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from None
     if name is None:
         raise ValueError(f"{source}: missing 'workload <name>' record")
     try:

@@ -1,9 +1,11 @@
-"""The winoconv names the benchmark harness (perfbench/) reads must exist.
+"""The winoconv names the benchmark harness (perfbench/) and the layer harness
+(scripts/bench_layers.py) read must exist.
 
-perfbench's own tests run the harness and are slow.  Here its sources are
-read with ast, so a deleted or renamed name fails in Tier-1, and its workload
-code runs once on a tiny spec, which also covers the attribute reads, checks
-and golden digests that ast cannot see.
+perfbench's own tests run the harness and are slow, and nothing else imports
+the layer harness.  Here their sources are read with ast, so a deleted or
+renamed name fails in Tier-1, and the benchmark's workload code runs once on a
+tiny spec, which also covers the attribute reads, checks and golden digests
+that ast cannot see.
 """
 
 import ast
@@ -27,8 +29,10 @@ def _resolves(module: str, name: str) -> bool:
 
 def test_benchmark_imports_and_dse_reads_resolve():
     missing = []
-    for source in ("workloads.py", "record_golden.py"):
-        tree = ast.parse((PERFBENCH / source).read_text(), filename=source)
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "record_golden.py",
+                 ROOT / "scripts" / "bench_layers.py"):
+        source = path.name
+        tree = ast.parse(path.read_text(), filename=source)
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "winoconv":
                 missing += [f"{source}: from {node.module} import {alias.name}"

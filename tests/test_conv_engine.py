@@ -491,11 +491,6 @@ def test_shape_validation():
         KernelBank(np.ones((1, 1, 3, 2)))
     with pytest.raises(ValueError, match="pad"):
         ConvSpec(pad=-1)
-    # a fractional pad died with a TypeError inside np.pad or a slice
-    for pad in (1.5, 1.0, "1", None):
-        with pytest.raises(ValueError, match=f"^pad must be an integer, got {pad!r}$"):
-            ConvSpec(pad=pad)
-    assert ConvSpec(pad=np.int64(1)) == ConvSpec(pad=1) and type(ConvSpec(np.int8(1)).pad) is int
     with pytest.raises(ValueError, match="does not fit"):
         spatial_conv(FeatureMap(np.ones((1, 1, 2, 2))), KernelBank(np.ones((1, 1, 3, 3))),
                      ConvSpec(pad=0))

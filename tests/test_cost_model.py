@@ -1,8 +1,10 @@
 from dataclasses import fields
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
+from winoconv.conv import ConvSpec
 from winoconv.cost_model import (
     HardwareConfig,
     LayerShape,
@@ -16,9 +18,10 @@ from winoconv.cost_model import (
     pipeline_depth,
     tile_grid,
 )
+from winoconv.dse import SweepSpec
 from winoconv.pipeline_sim import EngineConfig, expected_cycles, validate_against_analytical
 from winoconv.transforms import MinimalParams, generate_transforms
-from winoconv.workload import load_workload
+from winoconv.workload import VGG16D, WorkloadLayer, load_workload
 
 # Golden per-tile op counts for the default interpolation points, frozen from
 # the symbolic enumeration (two chained dense products, 0/±1 eliminated).
@@ -166,14 +169,59 @@ def test_pipeline_depth_is_exact_at_every_alpha():
         assert pipeline_depth(MinimalParams(alpha, 1)) == brute(alpha), alpha
 
 
-def test_params_reject_non_integral_fields():
+_LAYER = dict(n=1, h=14, w=14, c=8, k=8, r=3)
+_OPS = dict(beta=1, gamma=1, delta=1)
+
+# Every count and size field, and the functions that take one: build from one
+# value, read the stored value back, the label its ValueError names, a valid
+# value, the lower bound, and further non-integers that reached the code before.
+INTEGER_FIELDS = {
+    # a fractional pad died with a TypeError inside np.pad or a slice
+    "ConvSpec.pad": (lambda v: ConvSpec(pad=v), attrgetter("pad"), "pad", 1, 0, (1.5, 1.0, "1")),
     # MinimalParams(2.5, 3) was accepted, and pe_count(700, ...) returned 34.0
-    for m, r in ((2.5, 3), (2, 3.0), ("2", 3), (None, 3)):
-        with pytest.raises(ValueError, match=f"^m and r must be integers, got m={m!r}, r={r!r}$"):
-            MinimalParams(m, r)
-    params = MinimalParams(np.int64(3), np.int32(3))
-    assert params == MinimalParams(3, 3) and type(params.m) is type(params.r) is int
-    assert pe_count(700, params) == 28 and pipeline_depth(params) == 5
+    "MinimalParams.m": (lambda v: MinimalParams(v, 3), attrgetter("m"), "m", 3, 1, ()),
+    "MinimalParams.r": (lambda v: MinimalParams(2, v), attrgetter("r"), "r", 3, 1, (3.0,)),
+    # LayerShape(1, 2.5, 4, 3, 3, 3) was accepted, and exact_cycles on 3 PEs gave 15 cycles
+    **{f"LayerShape.{d}": (lambda v, d=d: LayerShape(**{**_LAYER, d: v}), attrgetter(d),
+                           f"layer dim {d}", 3, 1, ()) for d in _LAYER},
+    **{f"TransformOpCounts.{o}": (lambda v, o=o: TransformOpCounts(**{**_OPS, o: v}),
+                                  attrgetter(o), f"op count {o}", 1, 0, ()) for o in _OPS},
+    "HardwareConfig.m_total": (lambda v: HardwareConfig(v, 5e-9), attrgetter("m_total"),
+                               "multiplier budget", 100, 1, ()),
+    # p=2.5 passed validate_against_analytical, then simulate_layer raised a TypeError
+    "EngineConfig.p": (lambda v: EngineConfig(MinimalParams(2, 3), p=v), attrgetter("p"),
+                       "PE count", 2, 1, ()),
+    "WorkloadLayer.pad": (lambda v: WorkloadLayer(LayerShape(1, 8, 8, 1, 1, 3), v, "g"),
+                          attrgetter("pad"), "pad", 1, 0, (1.5,)),  # 1.5 was accepted
+    # SweepSpec(("2",), ...) raised a TypeError
+    "SweepSpec.m_values": (lambda v: SweepSpec((v,), 3, (100,), VGG16D, HardwareConfig(100, 5e-9)),
+                           lambda s: s.m_values[0], "m", 2, 1, ()),
+    "SweepSpec.r": (lambda v: SweepSpec((2,), v, (100,), VGG16D, HardwareConfig(100, 5e-9)),
+                    attrgetter("r"), "r", 3, 1, ()),
+    # pe_count(700.5, MinimalParams(2, 3)) returned 43.0
+    "pe_count": (lambda v: pe_count(v, MinimalParams(2, 3)), lambda x: x,
+                 "multiplier budget", 100, 1, (700.5,)),
+    "analytical_cycles": (lambda v: analytical_cycles(LayerShape(**_LAYER), MinimalParams(2, 3), v),
+                          lambda x: x, "PE count", 4, 1, ()),
+    "exact_cycles": (lambda v: exact_cycles(LayerShape(**_LAYER), MinimalParams(2, 3), v),
+                     lambda x: x, "PE count", 4, 1, ()),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_FIELDS)
+def test_count_and_size_fields_take_only_integers(case):
+    build, read, label, valid, low, reported = INTEGER_FIELDS[case]
+    non_integers = (2.5, 2.0, "2", None, *reported)
+    rejected = [(v, f"{label} must be an integer, got {v!r}") for v in non_integers]
+    for bad, message in rejected + [(low - 1, f"{label} must be >= {low}, got {low - 1}")]:
+        with pytest.raises(ValueError) as exc:
+            build(bad)
+        assert str(exc.value) == message
+    expected = build(valid)
+    for np_int in (np.int8, np.int32, np.int64):  # stored, and computed with, as a Python int
+        got = build(np_int(valid))
+        assert got == expected and type(read(got)) is type(read(expected)), np_int
+    assert type(read(expected)) is (float if case == "analytical_cycles" else int)
 
 
 def test_layer_latency_conv1_group():

@@ -340,6 +340,9 @@ def _times(x, f):
     ("doubled", "lowest terms"),  # compared unequal to the same matrices
     ("zero_den", "lowest terms over a positive"),  # was a ZeroDivisionError traceback
     ("wrong_params", "must be 3 x 5 for F\\(3,3\\)"),  # F(2,3) gave a 2 x 4 A^T for F(3,3)
+    # a float denominator or numerator raised a TypeError from math.gcd
+    ("float_den", "^at must be integer numerators over an integer denominator$"),
+    ("float_entry", "^g must be integer numerators"),
 ])
 def test_transform_set_rejects_malformed_matrices(case, match):
     ts = generate_transforms(MinimalParams(2, 3))
@@ -351,6 +354,10 @@ def test_transform_set_rejects_malformed_matrices(case, match):
         mats = tuple([_times(x, 2) for x in mats])
     elif case == "zero_den":
         mats = (mats[0], mats[1], mats[2]._replace(den=0))
+    elif case == "float_den":
+        mats = (ScaledIntMatrix(mats[0].num, 1.0), *mats[1:])
+    elif case == "float_entry":
+        mats = (*mats[:2], mats[2]._replace(num=((1.0, 0, 0), *mats[2].num[1:])))
     else:
         params = MinimalParams(3, 3)
     with pytest.raises(ValueError, match=match):
