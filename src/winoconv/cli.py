@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import dse as dse_mod
 from .cost_model import HardwareConfig, LayerShape, pe_count
-from .reference_data import FREQ_HZ, SHARED_DESIGNS
+from .reference_data import SHARED_DESIGNS
 from .transforms import (
     MinimalParams,
     MultCounter,
@@ -87,8 +87,8 @@ def cmd_conv(args) -> int:
 
 def cmd_dse(args) -> int:
     workload = load_workload(args.workload)
-    # A template: run_sweep sets m_total per budget, and SweepSpec rejects an empty list.
-    hw = HardwareConfig(m_total=max(args.budgets, default=1), t_c=1 / FREQ_HZ)
+    # run_sweep reads no field of hw; default=1 leaves an empty --budgets to SweepSpec's check.
+    hw = HardwareConfig(m_total=max(args.budgets, default=1))
     spec = dse_mod.SweepSpec(
         m_values=tuple(args.m_values), r=workload.layers[0].shape.r,
         budgets=tuple(args.budgets), workload=workload, hw=hw,

@@ -119,18 +119,18 @@ def spatial_conv(
 
     The r x r windows of the padded map are copied once into a float64 patch matrix
     (N, C*r^2, H_out*W_out), rows ordered (c, u, v), which the (K, C*r^2) kernel matrix
-    multiplies.  Keeps the map's dtype.  Raises ValueError for complex operands, whose
-    imaginary part the float64 sum would drop, for a bool map, and for an integer map with
-    float kernels, which would truncate, or with a sum not exact in float64 or its dtype.
+    multiplies.  Keeps the map's dtype.  Raises ValueError unless the map is integer or float
+    and the kernels integer, float or bool (by dtype.kind), and for an integer map with float
+    kernels, which would truncate, or with a sum not exact in float64 or its dtype.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
-    for what, data in (("feature map", fmap.data), ("kernel bank", kernels.data)):
-        if np.iscomplexobj(data):
-            raise ValueError(f"{what} must be real, got {data.dtype}")
-    if fmap.data.dtype == np.bool_:
-        raise ValueError("feature map must be numeric, got bool")
-    if np.issubdtype(kernels.data.dtype, np.floating):
+    for what, kinds, data in (("feature map", "iuf", fmap.data),
+                              ("kernel bank", "biuf", kernels.data)):
+        if data.dtype.kind not in kinds:
+            raise ValueError(f"{what} must be {'real' if data.dtype.kind == 'c' else 'numeric'}, "
+                             f"got {data.dtype}")
+    if kernels.data.dtype.kind == "f":
         require_floating("feature map", fmap.data)
     n, c, k, r = fmap.n, fmap.c, kernels.k, kernels.r
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
@@ -140,7 +140,7 @@ def spatial_conv(
     cols.reshape(n, c, r, r, h_out, w_out)[...] = _windows(padded, r, 1, h_out, w_out)
     g = kernels.data.reshape(k, c * r * r).astype(np.float64)
     out64 = (g @ cols).reshape(n, k, h_out, w_out)
-    if np.issubdtype(fmap.data.dtype, np.integer):
+    if fmap.data.dtype.kind in "iu":
         # out64 is exact while sum |d|*|g| stays below 2^53; then check it fits the dtype
         info = np.iinfo(fmap.data.dtype)
         bound = (np.abs(g) @ np.abs(cols)).max()
@@ -153,7 +153,7 @@ def spatial_conv(
 
 def require_floating(what: str, data: np.ndarray) -> None:
     """Reject integer data: casting the fractional transforms to it would truncate them."""
-    if not np.issubdtype(data.dtype, np.floating):
+    if data.dtype.kind != "f":
         raise ValueError(f"{what} must be floating point, got {data.dtype}")
 
 

@@ -16,7 +16,7 @@ H x W output pixels, C input and K output channels:
     amortized         O_T = (N*H*W*C*K / m^2) * (beta/P + delta)
     PE count          P = floor(m_total / alpha^2)
     pipeline depth    D_p = 2 + max(1, ceil(log2 alpha))
-    latency           T_t = (N*H*W*C*K / (m^2 * P) + D_p - 1) * t_c
+    latency           T_t = (N*H*W*C*K / (m^2 * P) + D_p - 1) * CLOCK_PERIOD_S   (1 / FREQ_HZ)
     issued cycles     ceil(H/m) * ceil(W/m) * C * ceil(K/P) * N + D_p - 1
     spatial op count  O_S = 2 * N*H*W*C*K * r^2      (one MAC = 2 ops)
     throughput        O_S / T_t
@@ -35,12 +35,14 @@ docstring for the two counting conventions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil
 from typing import Iterable
 
+from .reference_data import FREQ_HZ
 from .transforms import MinimalParams, ScaledIntMatrix, TransformSet, _checked_int
 
 OP_CONVENTIONS = ("all_ops", "adds_only")
+CLOCK_PERIOD_S = 1 / FREQ_HZ
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,16 @@ class TransformOpCounts:
 
 @dataclass(frozen=True)
 class HardwareConfig:
-    """Multiplier budget and clock period of one accelerator build."""
+    """Multiplier budget of one accelerator build; the clock period is fixed at CLOCK_PERIOD_S."""
 
     m_total: int
-    t_c: float
+    t_c: float = CLOCK_PERIOD_S
 
     def __post_init__(self):
         object.__setattr__(self, "m_total", _checked_int(self.m_total, "multiplier budget", 1))
-        if not 0 < self.t_c < inf:
-            raise ValueError(f"clock period must be positive and finite, got {self.t_c}")
+        if self.t_c != CLOCK_PERIOD_S:
+            raise ValueError(f"clock period is fixed at the builds' {FREQ_HZ / 1e6:g} MHz clock, "
+                             f"{CLOCK_PERIOD_S} s, got {self.t_c}")
 
 
 @dataclass(frozen=True)
@@ -206,12 +209,13 @@ def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
 
 
 def layer_cost(
-    layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int, t_c: float
+    layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int
 ) -> LayerCost:
     """O_m, O_t = T(D) + T(F) + T(I), O_S, T_t and O_T of one layer on P PEs; fractional tiles.
 
     Raises ValueError unless the layer's kernel size is the algorithm's r and P >= 1.
     """
+    p = _check_runnable(layer, params, p)
     m2 = params.m**2
     nhw = layer.n * layer.h * layer.w
     return LayerCost(
@@ -219,7 +223,7 @@ def layer_cost(
         o_t=ops.beta / m2 * nhw * layer.c + ops.gamma * layer.c * layer.k
         + ops.delta / m2 * nhw * layer.k,
         o_s=2.0 * layer.nhwck * layer.r**2,
-        latency_s=analytical_cycles(layer, params, p) * t_c,
+        latency_s=analytical_cycles(layer, params, p) * CLOCK_PERIOD_S,
         o_t_shared=layer.nhwck / m2 * (ops.beta / p + ops.delta),
     )
 
@@ -232,7 +236,7 @@ def evaluate_design(
 ) -> DesignPoint:
     """Whole-workload DesignPoint: one layer_cost per layer."""
     p = pe_count(hw.m_total, params)
-    costs = tuple(layer_cost(l, params, ops, p, hw.t_c) for l in layers)
+    costs = tuple(layer_cost(l, params, ops, p) for l in layers)
     if not costs:
         raise ValueError("a design needs at least one layer")
     return DesignPoint(params=params, hw=hw, p=p, layers=costs)

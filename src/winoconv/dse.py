@@ -32,7 +32,7 @@ from .cost_model import (
     evaluate_design,
 )
 from .reference_data import FREQ_HZ, PRIOR_DESIGNS, SHARED_DESIGNS, Table2Row
-from .transforms import MinimalParams, generate_transforms
+from .transforms import MinimalParams, _checked_int, generate_transforms
 from .workload import VGG16D, Workload
 
 
@@ -42,13 +42,15 @@ class SweepSpec:
     r: int
     budgets: tuple[int, ...]
     workload: Workload
-    hw: HardwareConfig  # template; m_total is overridden per budget
+    hw: HardwareConfig  # unread: run_sweep builds one HardwareConfig per budget
 
     def __post_init__(self):
         if not self.m_values or not self.budgets:
             raise ValueError("m_values and budgets must be nonempty")
         params = [MinimalParams(m, self.r) for m in self.m_values]  # checks m and r
         object.__setattr__(self, "m_values", tuple([p.m for p in params]))
+        object.__setattr__(self, "budgets", tuple([_checked_int(b, "multiplier budget", 1)
+                                                   for b in self.budgets]))
         object.__setattr__(self, "r", params[0].r)
         for layer in self.workload.shapes:
             if layer.r != self.r:
@@ -104,8 +106,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for m in ms:
         params = MinimalParams(m, spec.r)
         for budget in budgets:
-            hw = HardwareConfig(m_total=budget, t_c=spec.hw.t_c)
-            points.append(evaluate_design(spec.workload.shapes, params, hw, counts[m]))
+            points.append(evaluate_design(spec.workload.shapes, params, HardwareConfig(budget),
+                                          counts[m]))
 
     # O_m of one layer does not depend on the budget; any layer gives the ratio.
     first_layer_om = {pt.params.m: pt.layers[0].o_m for pt in points}
@@ -162,8 +164,7 @@ def table2_report(workload: Workload, freq_hz: float = FREQ_HZ) -> tuple[Table2R
                          f"{FREQ_HZ / 1e6:g} MHz clock, got {freq_hz} Hz")
     rows = list(PRIOR_DESIGNS)
     for m, r, budget, power_w, gops_per_w in SHARED_DESIGNS:
-        hw = HardwareConfig(m_total=budget, t_c=1 / FREQ_HZ)
-        point = run_sweep(SweepSpec((m,), r, (budget,), workload, hw)).points[0]
+        point = run_sweep(SweepSpec((m,), r, (budget,), workload, HardwareConfig(budget))).points[0]
         conv_ms = tuple(1e3 * sum(c.latency_s for c in costs)
                         for costs in group_costs(workload, point).values())
         rows.append(Table2Row(

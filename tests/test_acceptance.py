@@ -161,7 +161,7 @@ def test_criterion_3_performance_table():
 
 def test_criterion_4_crossover_percentages():
     vgg = load_workload("vgg16d")
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     result = run_sweep(SweepSpec(m_values=(1, 2, 3, 4, 5), r=3, budgets=(700,),
                                  workload=vgg, hw=hw))
     tr = {(t.m_from, t.m_to): t for t in result.transitions}

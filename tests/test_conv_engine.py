@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -144,6 +146,20 @@ def test_spatial_rejects_complex_operands():
                              (ones + 0.0, 1j * ones, "kernel bank")):
         with pytest.raises(ValueError, match=f"{what} must be real, got complex128"):
             spatial_conv(FeatureMap(fmap), KernelBank(kern), ConvSpec())
+
+
+@pytest.mark.parametrize("dtype", ["<U1", "datetime64[s]", "timedelta64[s]", object])
+def test_spatial_rejects_non_numeric_maps(dtype):
+    # with int32 kernels a <U1 map returned the <U1 output '9', datetime64 and object maps
+    # returned outputs of their own dtype, and timedelta64 failed inside np.iinfo
+    fmap = FeatureMap(np.ones((1, 1, 3, 3), dtype=np.int64).astype(dtype))
+    kern = KernelBank(np.ones((1, 1, 3, 3), dtype=np.int32))
+    name = re.escape(str(np.dtype(dtype)))
+    with pytest.raises(ValueError, match=f"^feature map must be numeric, got {name}$"):
+        spatial_conv(fmap, kern, ConvSpec())
+    with pytest.raises(ValueError, match=f"^kernel bank must be numeric, got {name}$"):
+        spatial_conv(FeatureMap(np.ones((1, 1, 3, 3))), KernelBank(kern.data.astype(dtype)),
+                     ConvSpec())
 
 
 def test_spatial_channel_mismatch():

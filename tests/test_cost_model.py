@@ -6,6 +6,7 @@ import pytest
 
 from winoconv.conv import ConvSpec
 from winoconv.cost_model import (
+    CLOCK_PERIOD_S,
     HardwareConfig,
     LayerShape,
     TransformOpCounts,
@@ -66,15 +67,15 @@ def test_count_rejects_unknown_convention():
 
 
 def o_m(layer, params):
-    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1, 5e-9).o_m
+    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1).o_m
 
 
 def o_t(layer, params, ops):
-    return layer_cost(layer, params, ops, 1, 5e-9).o_t
+    return layer_cost(layer, params, ops, 1).o_t
 
 
-def latency(layer, params, p, hw):
-    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), p, hw.t_c).latency_s
+def latency(layer, params, p):
+    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), p).latency_s
 
 
 def test_multiplication_complexity():
@@ -126,13 +127,13 @@ def test_implementation_transform_complexity():
     layer = LayerShape(n=1, h=8, w=8, c=3, k=5, r=3)
     params = MinimalParams(2, 3)
     ops = TransformOpCounts(32, 70, 24)
-    assert layer_cost(layer, params, ops, 1, 1.0).o_t_shared \
+    assert layer_cost(layer, params, ops, 1).o_t_shared \
         == pytest.approx(layer.nhwck / 4 * (32 + 24))
-    o16 = layer_cost(layer, params, ops, 16, 1.0).o_t_shared
-    o32 = layer_cost(layer, params, ops, 32, 1.0).o_t_shared
+    o16 = layer_cost(layer, params, ops, 16).o_t_shared
+    o32 = layer_cost(layer, params, ops, 32).o_t_shared
     assert o32 < o16
     with pytest.raises(ValueError, match="PE count"):
-        layer_cost(layer, params, ops, 0, 1.0)
+        layer_cost(layer, params, ops, 0)
 
 
 def test_pe_count_table():
@@ -153,7 +154,7 @@ def test_pipeline_depth():
     assert pipeline_depth(MinimalParams(3, 3)) == 5
     assert pipeline_depth(MinimalParams(4, 3)) == 5   # ceil(log2 6) = 3
     with pytest.raises(TypeError):  # the tile size fixes the depth
-        HardwareConfig(700, 5e-9, d_p=5)
+        HardwareConfig(700, d_p=5)
 
 
 def test_pipeline_depth_is_exact_at_every_alpha():
@@ -186,7 +187,7 @@ INTEGER_FIELDS = {
                            f"layer dim {d}", 3, 1, ()) for d in _LAYER},
     **{f"TransformOpCounts.{o}": (lambda v, o=o: TransformOpCounts(**{**_OPS, o: v}),
                                   attrgetter(o), f"op count {o}", 1, 0, ()) for o in _OPS},
-    "HardwareConfig.m_total": (lambda v: HardwareConfig(v, 5e-9), attrgetter("m_total"),
+    "HardwareConfig.m_total": (lambda v: HardwareConfig(v), attrgetter("m_total"),
                                "multiplier budget", 100, 1, ()),
     # p=2.5 passed validate_against_analytical, then simulate_layer raised a TypeError
     "EngineConfig.p": (lambda v: EngineConfig(MinimalParams(2, 3), p=v), attrgetter("p"),
@@ -194,10 +195,13 @@ INTEGER_FIELDS = {
     "WorkloadLayer.pad": (lambda v: WorkloadLayer(LayerShape(1, 8, 8, 1, 1, 3), v, "g"),
                           attrgetter("pad"), "pad", 1, 0, (1.5,)),  # 1.5 was accepted
     # SweepSpec(("2",), ...) raised a TypeError
-    "SweepSpec.m_values": (lambda v: SweepSpec((v,), 3, (100,), VGG16D, HardwareConfig(100, 5e-9)),
+    "SweepSpec.m_values": (lambda v: SweepSpec((v,), 3, (100,), VGG16D, HardwareConfig(100)),
                            lambda s: s.m_values[0], "m", 2, 1, ()),
-    "SweepSpec.r": (lambda v: SweepSpec((2,), v, (100,), VGG16D, HardwareConfig(100, 5e-9)),
+    "SweepSpec.r": (lambda v: SweepSpec((2,), v, (100,), VGG16D, HardwareConfig(100)),
                     attrgetter("r"), "r", 3, 1, ()),
+    # SweepSpec((2,), 3, (2.5,), ...) was accepted, and only run_sweep raised
+    "SweepSpec.budgets": (lambda v: SweepSpec((2,), 3, (v,), VGG16D, HardwareConfig(100)),
+                          lambda s: s.budgets[0], "multiplier budget", 100, 1, ()),
     # pe_count(700.5, MinimalParams(2, 3)) returned 43.0
     "pe_count": (lambda v: pe_count(v, MinimalParams(2, 3)), lambda x: x,
                  "multiplier budget", 100, 1, (700.5,)),
@@ -205,6 +209,10 @@ INTEGER_FIELDS = {
                           lambda x: x, "PE count", 4, 1, ()),
     "exact_cycles": (lambda v: exact_cycles(LayerShape(**_LAYER), MinimalParams(2, 3), v),
                      lambda x: x, "PE count", 4, 1, ()),
+    # an np.int8 P gave an np.float64 o_t_shared beside a float latency_s
+    "layer_cost": (lambda v: layer_cost(LayerShape(**_LAYER), MinimalParams(2, 3),
+                                        TransformOpCounts(**_OPS), v),
+                   attrgetter("o_t_shared"), "PE count", 4, 1, ()),
 }
 
 
@@ -221,24 +229,22 @@ def test_count_and_size_fields_take_only_integers(case):
     for np_int in (np.int8, np.int32, np.int64):  # stored, and computed with, as a Python int
         got = build(np_int(valid))
         assert got == expected and type(read(got)) is type(read(expected)), np_int
-    assert type(read(expected)) is (float if case == "analytical_cycles" else int)
+    assert type(read(expected)) is (float if case in ("analytical_cycles", "layer_cost") else int)
 
 
 def test_layer_latency_conv1_group():
-    hw = HardwareConfig(684, 5e-9)
     params = MinimalParams(4, 3)
-    p = pe_count(hw.m_total, params)
+    p = pe_count(684, params)
     layers = [LayerShape(1, 224, 224, 3, 64, 3), LayerShape(1, 224, 224, 64, 64, 3)]
-    total_ms = sum(latency(l, params, p, hw) for l in layers) * 1e3
+    total_ms = sum(latency(l, params, p) for l in layers) * 1e3
     assert total_ms == pytest.approx(3.54, abs=0.01)
 
 
 def test_layer_latency_single_tile_is_pipeline_depth():
-    hw = HardwareConfig(100, 5e-9)
     params = MinimalParams(2, 3)
     one_tile = LayerShape(n=1, h=2, w=2, c=1, k=1, r=3)
     # one issue cycle plus the fill of D_p - 1 cycles
-    assert latency(one_tile, params, 1, hw) == pytest.approx(pipeline_depth(params) * 5e-9)
+    assert latency(one_tile, params, 1) == pytest.approx(pipeline_depth(params) * 5e-9)
 
 
 def test_exact_cycles_pay_tile_and_kernel_group_ceilings():
@@ -255,11 +261,10 @@ def test_exact_cycles_pay_tile_and_kernel_group_ceilings():
 
 
 def test_latency_scaling_invariants():
-    hw = HardwareConfig(1000, 5e-9)
     layer = LayerShape(1, 56, 56, 32, 32, 3)
 
     def cycle_term(params, p):  # latency less the fill of D_p - 1 cycles
-        return latency(layer, params, p, hw) - (pipeline_depth(params) - 1) * hw.t_c
+        return latency(layer, params, p) - (pipeline_depth(params) - 1) * CLOCK_PERIOD_S
 
     params = MinimalParams(2, 3)
     assert cycle_term(params, 8) == pytest.approx(2 * cycle_term(params, 16))
@@ -271,7 +276,7 @@ def test_latency_scaling_invariants():
 def test_spatial_ops_and_throughput():
     vgg = load_workload("vgg16d")
     params = MinimalParams(4, 3)
-    hw = HardwareConfig(684, 5e-9)
+    hw = HardwareConfig(684)
     ops = count_transform_ops(generate_transforms(params))
     point = evaluate_design(vgg.shapes, params, hw, ops)
     assert point.o_s == pytest.approx(30.69e9, rel=1e-3)
@@ -285,7 +290,7 @@ def test_spatial_ops_and_throughput():
 def test_evaluate_design_invariants():
     vgg = load_workload("vgg16d")
     params = MinimalParams(4, 3)
-    hw = HardwareConfig(684, 5e-9)
+    hw = HardwareConfig(684)
     ts = generate_transforms(params)
     point = evaluate_design(vgg.shapes, params, hw, count_transform_ops(ts))
     assert point.p == hw.m_total // params.alpha**2
@@ -300,9 +305,9 @@ def test_layer_cost_rejects_a_kernel_size_other_than_r():
     layer = LayerShape(1, 4, 4, 1, 1, 5)
     params = MinimalParams(2, 3)
     with pytest.raises(ValueError, match=r"^layer has r=5, F\(2,3\) needs r=3$"):
-        layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1, 5e-9)
+        layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1)
     with pytest.raises(ValueError, match="r=5"):
-        evaluate_design([layer], params, HardwareConfig(16, 5e-9), TransformOpCounts(0, 0, 0))
+        evaluate_design([layer], params, HardwareConfig(16), TransformOpCounts(0, 0, 0))
 
 
 @pytest.mark.parametrize("cycles", [
@@ -317,16 +322,20 @@ def test_cycle_counts_reject_a_kernel_size_other_than_r(cycles):
         cycles(LayerShape(1, 14, 14, 8, 8, 5), MinimalParams(2, 3))
 
 
+def test_hardware_config_defaults_to_the_one_clock():
+    assert HardwareConfig(700) == HardwareConfig(m_total=700, t_c=1 / 200e6)
+    assert HardwareConfig(700).t_c == CLOCK_PERIOD_S == 5e-9
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         LayerShape(0, 1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        HardwareConfig(0, 5e-9)
-    with pytest.raises(ValueError):
-        HardwareConfig(100, 0.0)
-    # nan <= 0 is False, so a nan period was accepted and priced every design at nan
-    for t_c in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="positive and finite"):
+        HardwareConfig(0)
+    # a nan period was once accepted and priced every design at nan; the period is now
+    # fixed at 1 / FREQ_HZ, and 0, nan, inf and any other clock are rejected alike
+    for t_c in (0.0, float("nan"), float("inf"), 1 / 150e6):
+        with pytest.raises(ValueError, match=r"^clock period is fixed at the builds' 200 MHz clock"):
             HardwareConfig(100, t_c)
     with pytest.raises(ValueError):
         TransformOpCounts(-1, 0, 0)

@@ -16,7 +16,6 @@ from winoconv.dse import (
     write_table2_csv,
     write_table2_reference_csv,
 )
-from winoconv.reference_data import FREQ_HZ
 from winoconv.transforms import MinimalParams
 from winoconv.workload import Workload, WorkloadLayer, load_workload
 from winoconv.cost_model import LayerShape
@@ -29,14 +28,14 @@ def vgg():
 
 @pytest.fixture(scope="module")
 def sweep(vgg):
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     spec = SweepSpec(m_values=(1, 2, 3, 4, 5), r=3, budgets=(688, 700, 684),
                      workload=vgg, hw=hw)
     return run_sweep(spec)
 
 
 def test_sweep_m1_is_spatial_baseline(vgg):
-    hw = HardwareConfig(m_total=90, t_c=5e-9)
+    hw = HardwareConfig(m_total=90)
     spec = SweepSpec(m_values=(1,), r=3, budgets=(90,), workload=vgg, hw=hw)
     result = run_sweep(spec)
     point = result.points[0]
@@ -85,13 +84,13 @@ def test_recommend_picks_m4(sweep):
 
 
 def test_recommend_single_point(vgg):
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     res = run_sweep(SweepSpec(m_values=(3,), r=3, budgets=(700,), workload=vgg, hw=hw))
     assert recommend(res).params.m == 3
 
 
 def test_recommend_restricted_to_m2(vgg):
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     res = run_sweep(SweepSpec(m_values=(1, 2), r=3, budgets=(700,), workload=vgg, hw=hw))
     assert recommend(res).params.m == 2
 
@@ -122,14 +121,14 @@ def test_sweep_propagates_generation_failure(vgg, monkeypatch):
         raise ValueError("synthetic failure")
 
     monkeypatch.setattr(dse_module, "generate_transforms", broken)
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     spec = SweepSpec(m_values=(4,), r=3, budgets=(700,), workload=vgg, hw=hw)
     with pytest.raises(ValueError, match="failed for m=4"):
         run_sweep(spec)
 
 
 def test_sweep_spec_validation(vgg):
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     with pytest.raises(ValueError):
         SweepSpec(m_values=(), r=3, budgets=(700,), workload=vgg, hw=hw)
     with pytest.raises(ValueError):
@@ -168,7 +167,7 @@ def test_csv_outputs(tmp_path, sweep, vgg):
 
 
 def test_csv_outputs_deterministic(tmp_path, vgg):
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     spec = SweepSpec(m_values=(2, 3, 4), r=3, budgets=(700,), workload=vgg, hw=hw)
     blobs = []
     for i in range(2):
@@ -216,7 +215,7 @@ def test_table2_checks_the_layers_not_the_name():
 
 def test_sweep_r_must_match_every_layer(vgg):
     # r=5 on VGG16-D's 3x3 layers priced F(m,5) transforms and recommended m=5.
-    hw = HardwareConfig(m_total=700, t_c=5e-9)
+    hw = HardwareConfig(m_total=700)
     with pytest.raises(ValueError, match="r=5 does not match a 3x3 layer of workload 'vgg16d'"):
         SweepSpec(m_values=(2, 3), r=5, budgets=(700,), workload=vgg, hw=hw)
     mixed = Workload("mixed", (WorkloadLayer(LayerShape(1, 8, 8, 2, 2, 3), 1, "a"),
@@ -252,7 +251,7 @@ def test_table2_csv_headers(tmp_path, vgg):
 
 
 def test_table2_group_latencies_are_sweep_group_sums(vgg):
-    hw = HardwareConfig(m_total=700, t_c=1 / FREQ_HZ)
+    hw = HardwareConfig(m_total=700)
     computed = [r for r in table2_report(vgg) if r.computed]
     spec = SweepSpec(m_values=tuple(r.m for r in computed), r=3,
                      budgets=tuple(r.multipliers for r in computed), workload=vgg, hw=hw)

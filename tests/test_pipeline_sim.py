@@ -12,6 +12,7 @@ from winoconv.conv import (
     winograd_conv,
 )
 from winoconv.cost_model import (
+    CLOCK_PERIOD_S,
     HardwareConfig,
     LayerShape,
     TransformOpCounts,
@@ -168,11 +169,10 @@ def test_analytical_cycles_price_the_dse_latency():
         params = MinimalParams(int(rng.integers(1, 7)), int(rng.choice([1, 3, 5])))
         layer = LayerShape(*(int(x) for x in rng.integers(1, 300, size=5)), r=params.r)
         p = int(rng.integers(1, 40))
-        t_c = 1.0 / float(rng.uniform(50e6, 500e6))
         cfg = EngineConfig(params, p=p)
         report = validate_against_analytical(cfg, layer)
-        cost = layer_cost(layer, params, TransformOpCounts(0, 0, 0), p, t_c)
-        assert report.analytical_cycles * t_c == cost.latency_s
+        cost = layer_cost(layer, params, TransformOpCounts(0, 0, 0), p)
+        assert report.analytical_cycles * CLOCK_PERIOD_S == cost.latency_s
 
 
 def test_batch_doubles_issue_cycles():
@@ -194,7 +194,7 @@ def test_engine_config_validation():
 
 
 def test_engine_config_for_budget():
-    hw = HardwareConfig(m_total=684, t_c=5e-9)
+    hw = HardwareConfig(m_total=684)
     cfg = engine_config_for(MinimalParams(4, 3), hw)
     assert cfg == EngineConfig(MinimalParams(4, 3), p=19)
 
@@ -333,14 +333,14 @@ def test_measured_transform_counts_price_the_shared_design():
             + ops.delta * trace.inverse_transform_count
         layer = LayerShape(n=n, h=h, w=w, c=c, k=k, r=3)  # pad 1 keeps dims
         assert measured == pytest.approx(
-            layer_cost(layer, params, ops, p, 1.0).o_t_shared, rel=1e-12)
+            layer_cost(layer, params, ops, p).o_t_shared, rel=1e-12)
 
 
 def test_vgg16d_conv5_1_at_paper_scale():
     # 14x14, C = K = 512, F(4,3) with 684 multipliers: P = 19, 27 kernel groups
     rng = np.random.default_rng(14)
     fmap, kern = random_case(rng, 1, 512, 14, 14, 512)
-    cfg = engine_config_for(MinimalParams(4, 3), HardwareConfig(m_total=684, t_c=5e-9))
+    cfg = engine_config_for(MinimalParams(4, 3), HardwareConfig(m_total=684))
     spec = ConvSpec(pad=1)
     out, trace = simulate_layer(cfg, fmap, kern, spec)
     layer = LayerShape(n=1, h=14, w=14, c=512, k=512, r=3)
