@@ -29,8 +29,9 @@ page faults per call.
 
 Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
 4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer
-wall time and microseconds per issue cycle, and asserts that the summed
-trace cycles equal the summed cost_model.exact_cycles.
+wall time and microseconds per issue cycle, and each design's measured
+idle-PE fraction, summed idle_pe_slots / (P * summed issue_cycles), and
+asserts that the summed trace cycles equal the summed cost_model.exact_cycles.
 
 Last, it times transform synthesis and the analytical CLI subcommands in
 CLI_REPEATS = 9 round-robin passes of their own (3 passes put the `dse`
@@ -245,13 +246,14 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
         params = MinimalParams(m, r)
         cfg = EngineConfig(params, p=pe_count(budget, params))
         ts = generate_transforms(params)
-        rows, total_s = [], 0.0
+        rows, total_s, issued = [], 0.0, 0
         for wl in workload.layers:
             fmap, kernels = random_layer(wl.shape, rng)
             start = perf_counter()
             _, trace = simulate_layer(cfg, fmap, kernels, ConvSpec(pad=wl.pad), ts)
             seconds = perf_counter() - start
             total_s += seconds
+            issued += trace.issue_cycles
             rows.append({"group": wl.group, "h": wl.shape.h, "c": wl.shape.c, "k": wl.shape.k,
                          "cycles": trace.cycles_elapsed, "idle_pe_slots": trace.idle_pe_slots,
                          "simulate_s": round(seconds, 3),
@@ -260,10 +262,12 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
         exact = sum(exact_cycles(wl.shape, params, cfg.p) for wl in workload.layers)
         assert cycles == exact == VGG16D_EXACT_CYCLES[m], \
             f"m={m}: trace cycles {cycles}, exact_cycles {exact}, want {VGG16D_EXACT_CYCLES[m]}"
+        idle = sum(row["idle_pe_slots"] for row in rows) / (cfg.p * issued)
         print(f"simulate m={m} @ {budget} (P={cfg.p}): {cycles} cycles = exact_cycles, "
-              f"{total_s:.1f} s", flush=True)
+              f"{idle:.1%} idle PE slots, {total_s:.1f} s", flush=True)
         designs.append({"m": m, "multipliers": budget, "p": cfg.p, "d_p": pipeline_depth(params),
                         "cycles": cycles, "exact_cycles": exact,
+                        "idle_pe_fraction": round(idle, 4),
                         "simulate_s": round(total_s, 3), "layers": rows})
     return designs
 

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import dse as dse_mod
-from .cost_model import HardwareConfig, LayerShape, pe_count
+from .cost_model import HardwareConfig, LayerShape, exact_cycles, pe_count
 from .reference_data import SHARED_DESIGNS
 from .transforms import (
     MinimalParams,
@@ -129,6 +129,10 @@ def cmd_simulate(args) -> int:
 
     h_out, w_out = output_hw(args.height, args.width, args.r, args.pad)
     layer = LayerShape(n=args.n, h=h_out, w=w_out, c=args.c, k=args.k, r=args.r)
+    if trace.cycles_elapsed != (exact := exact_cycles(layer, params, cfg.p)):
+        print(f"error: the simulation took {trace.cycles_elapsed} cycles, "
+              f"exact_cycles gives {exact}", file=sys.stderr)
+        return 1
     report = validate_against_analytical(cfg, layer)
 
     outdir = _outdir(args)

@@ -8,16 +8,17 @@ one bounds-checked strided view, _windows: r x r windows at stride 1 for the pat
 matrix of spatial_conv, alpha x alpha tiles at stride m for transformed_operands.  That
 front end, shared by winograd_conv and pipeline_sim.simulate_layer, returns the
 data transforms U, one GEMM kron(B^T, B^T) @ [alpha^2 x C*N*Ty*Tx], and the
-filter transforms V, one GEMM kron(G, G) @ [r^2 x K*C], as (alpha^2, K, C).
-winograd_conv sums channels in the transformed domain (Lavin & Gray,
-arXiv:1509.09308), one GEMM per tile position (xi, nu),
+filter transforms V channel-major, one GEMM kron(G, G) @ [r^2 x K] per channel,
+as (C, alpha^2, K).  winograd_conv sums channels in the transformed domain
+(Lavin & Gray, arXiv:1509.09308), one GEMM per tile position (xi, nu),
 
-    M[xi, nu] = V[xi, nu] @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx],
+    M[xi, nu] = V[:, xi, nu]^T @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx],
 
-then applies A^T M A as two 1-D passes on cache-sized blocks; untile drops the
-excess output rows/columns.  simulate_layer models the hardware order instead:
-inverse transform per channel, then accumulation over C cycles.  The Winograd
-paths need floating-point input: the transforms have fractional entries.
+with V^T a view that BLAS reads as it is, then applies A^T M A as two 1-D passes
+on cache-sized blocks; untile drops the excess output rows/columns.
+simulate_layer models the hardware order instead: inverse transform per channel,
+then accumulation over C cycles.  The Winograd paths need floating-point input:
+the transforms have fractional entries.
 """
 
 from __future__ import annotations
@@ -160,11 +161,11 @@ def require_floating(what: str, data: np.ndarray) -> None:
 def precompute_filter_transforms(
     kernels: KernelBank, ts: TransformSet, dtype: np.dtype | None = None
 ) -> np.ndarray:
-    """G g G^T of every (k, c) kernel slice as one GEMM, in the kernels' dtype or dtype if wider.
+    """G g G^T of every (k, c) kernel slice, in the kernels' dtype or dtype if wider.
 
     The wider precision keeps a float64 map's accuracy when its kernels are float32.
-
-    Returns (K, C, alpha, alpha) as a view of an (alpha^2, K, C) array.
+    Returns (K, C, alpha, alpha) as a view of a channel-major (C, alpha^2, K) array,
+    kron(G, G) @ [r^2 x K] for each channel as one stacked matmul.
     """
     if kernels.r != ts.params.r:
         raise ValueError(
@@ -173,11 +174,13 @@ def precompute_filter_transforms(
     require_floating("kernel bank", kernels.data)
     k, c, r, alpha = kernels.k, kernels.c, kernels.r, ts.params.alpha
     dtype = kernels.data.dtype if dtype is None else np.promote_types(dtype, kernels.data.dtype)
-    # Rows padded by 16 elements: a row stride of a multiple of 4 KiB (as at K*C = 512*512)
-    # makes the rows share cache sets, and the GEMM ran 3x slower.
-    v = np.empty((alpha * alpha, k * c + 16), dtype)[:, : k * c]
-    np.matmul(ts.kron_g.astype(v.dtype), kernels.data.reshape(k * c, r * r).T, out=v)
-    return v.reshape(alpha, alpha, k, c).transpose(2, 3, 0, 1)
+    # Cast before the transposed view: GEMM rounding depends on the operands' layout.
+    g = kernels.data.astype(dtype, copy=False).transpose(1, 2, 3, 0).reshape(c, r * r, k)
+    # Channels padded by 16 elements: a channel stride of a multiple of 4 KiB (as at
+    # alpha^2 * K = 16 * 512) puts the rows winograd_conv's GEMM reads in one cache set.
+    v = np.empty((c, alpha * alpha * k + 16), dtype)[:, : alpha * alpha * k].reshape(c, -1, k)
+    np.matmul(ts.kron_g.astype(dtype), g, out=v)
+    return v.reshape(c, alpha, alpha, k).transpose(3, 0, 1, 2)
 
 
 def transformed_operands(
@@ -187,16 +190,16 @@ def transformed_operands(
 
     Returns (U, V, (Ty, Tx), (H_out, W_out)), both in the map's dtype: U is the data
     transform B^T d B of every alpha x alpha tile at stride m as (alpha^2, C, N*Ty*Tx),
-    tiles ordered (image, tile row, tile column); V is the filter precompute as
-    (alpha^2, K, C).  The padded map is zero-extended so that partial edge tiles are full size.
+    tiles ordered (image, tile row, tile column); V is the filter precompute as a
+    (C, alpha^2, K) view.  The padded map is zero-extended so that partial edge tiles are full size.
     """
     if fmap.c != kernels.c:
         raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
     require_floating("feature map", fmap.data)
     m, r, alpha, dtype = ts.params.m, kernels.r, ts.params.alpha, fmap.data.dtype
     h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    v = precompute_filter_transforms(kernels, ts, dtype).transpose(2, 3, 0, 1)
-    v = v.reshape(alpha * alpha, kernels.k, kernels.c).astype(dtype, copy=False)
+    v = precompute_filter_transforms(kernels, ts, dtype).transpose(1, 2, 3, 0)
+    v = v.reshape(kernels.c, alpha * alpha, kernels.k).astype(dtype, copy=False)
     ty, tx = tile_grid(h_out, w_out, m)
     ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
     ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
@@ -229,7 +232,7 @@ def winograd_conv(
     u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)
     k, c, n, dtype = kernels.k, kernels.c, fmap.n, fmap.data.dtype
     kt = k * n * ty * tx
-    prod = np.matmul(v, u).reshape(alpha, alpha, kt)  # summed over C
+    prod = np.matmul(v.transpose(1, 2, 0), u).reshape(alpha, alpha, kt)  # summed over C
     if counter is not None:
         counter.add(prod.size * c)
     # A^T M A as two 1-D passes, Z = A^T M over xi then Z A over nu with the output column

@@ -20,16 +20,15 @@ P x issue_cycles, which the trace records as inverse_transform_count.
 
 The modeled loop order is unchanged; execution batches it.  The shared
 front end, conv.transformed_operands, data-transforms every tile once and
-returns the filter transforms, which are laid out once per PE slot.  Then
-one step per channel computes all of that channel's issue cycles (every
-tile position and kernel group): one Hadamard multiply gives each cycle's
-alpha^2 x P products, and one stacked matmul applies kron(A^T, A^T) to all
-of them, one (m^2 x alpha^2) @ (alpha^2 x P) product per cycle.  A stacked
-matmul rounds each matrix as that product alone would; one GEMM over all
-cycles would not, since BLAS rounding depends on the matrix sizes.  Each
-step is added into the PE output buffers, so channels accumulate in hardware
-order.  The trace counters are summed from the sizes of the arrays each step
-computes; idle PE slots are the zero-kernel region of that array.
+returns the filter transforms as (C, alpha^2, K), so a kernel group of P PEs
+is a run of P columns of V[c], read in place.  Each step runs every issue
+cycle of a block of channels: one Hadamard multiply into a zeroed product
+buffer whose columns from K on are the idle PE slots, then one stacked
+matmul with one (m^2 x alpha^2) @ (alpha^2 x P) inverse transform per
+cycle, rounded as that product alone would be (one GEMM over all cycles
+would not: BLAS rounding depends on the matrix sizes).  The step's channels
+are added into the PE output buffers one at a time, in hardware order.  The
+trace counters are summed from the sizes of the arrays each step computes.
 """
 
 from __future__ import annotations
@@ -51,6 +50,9 @@ from .cost_model import (
     tile_grid,
 )
 from .transforms import MinimalParams, TransformSet, _checked_int, generate_transforms
+
+# Products plus inverse-transform results one step holds at most: cache-sized, small beside V.
+STEP_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -97,37 +99,34 @@ def simulate_layer(
     u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)
 
     m, alpha = cfg.params.m, cfg.params.alpha
-    a2, p, k, c = alpha * alpha, cfg.p, kernels.k, kernels.c
+    a2, m2, p, k, c = alpha * alpha, m * m, cfg.p, kernels.k, kernels.c
     dtype = fmap.data.dtype
     n_groups = ceil(k / p)
     n_tiles = fmap.n * ty * tx
+    step = min(c, max(1, STEP_ELEMENTS // (n_tiles * n_groups * p * (a2 + m2))))
 
-    # Filter transforms are precomputed before the run and laid out per PE as
-    # (C, groups, alpha^2, P), copied once from V one kernel group at a time;
-    # idle PE slots in the last group hold zero kernels.
-    pe = np.zeros((c, n_groups, a2, p), dtype=dtype)
-    slots = pe.transpose(1, 2, 3, 0)  # (groups, alpha^2, P, C) view
-    for g in range(n_groups):
-        slots[g, :, : min(p, k - g * p)] = v[:, g * p : (g + 1) * p]
-    u = u.transpose(1, 2, 0)  # the shared data transform of every tile: (C, tiles, alpha^2)
+    u = u.transpose(1, 2, 0)[..., None]  # shared data transforms, (C, tiles, alpha^2, 1)
     kron_at = ts.kron_at.astype(dtype)
-
     trace = SimTrace(tiles_per_image=ty * tx, kernel_groups=n_groups)
-    prod = np.empty((n_tiles, n_groups, a2, p), dtype=dtype)
-    y = np.empty((n_tiles, n_groups, m * m, p), dtype=dtype)
-    accum = np.zeros_like(y)  # PE output buffers
-    idle = prod[:, -1, :, k - (n_groups - 1) * p :]  # each step's zero-kernel PE slots
-    for ci in range(c):
-        # every issue cycle of channel ci: all tile positions x all P-PE kernel groups
-        np.multiply(u[ci, :, None, :, None], pe[ci], out=prod)
-        np.matmul(kron_at, prod, out=y)  # one (m^2 x alpha^2) @ (alpha^2 x P) per cycle
-        accum += y
-        issued = prod.size // (p * a2)
+    # a step's products, alpha^2 rows of groups * P PE slots per (channel, tile)
+    prod = np.zeros((step, n_tiles, a2, n_groups * p), dtype=dtype)
+    cycles = prod.reshape(step, n_tiles, a2, n_groups, p).transpose(0, 1, 3, 2, 4)
+    y = np.empty((step, n_tiles, n_groups, m2, p), dtype=dtype)
+    accum = np.zeros(y.shape[1:], dtype=dtype)  # PE output buffers
+    for c0 in range(0, c, step):
+        b = min(step, c - c0)
+        # every issue cycle of b channels: all tile positions x all kernel groups
+        np.multiply(u[c0 : c0 + b], v[c0 : c0 + b, None], out=prod[:b, ..., :k])
+        # At m = 1 BLAS runs vector products, whose rounding (unlike GEMM's) follows the strides.
+        np.matmul(kron_at, cycles[:b] if m > 1 else cycles[:b].copy(), out=y[:b])
+        for channel in y[:b]:
+            accum += channel
+        issued = prod[:b].size // (p * a2)
         trace.issue_cycles += issued
         trace.data_transform_invocations += issued
-        trace.hadamard_mult_count += prod.size
-        trace.inverse_transform_count += prod.size // a2
-        trace.idle_pe_slots += idle.size // a2
+        trace.hadamard_mult_count += prod[:b].size
+        trace.inverse_transform_count += prod[:b].size // a2
+        trace.idle_pe_slots += prod[:b, ..., k:].size // a2
 
     trace.cycles_elapsed = trace.issue_cycles + pipeline_depth(cfg.params) - 1
     y = accum.reshape(fmap.n, ty, tx, n_groups, m, m, p).transpose(0, 3, 6, 1, 4, 2, 5)

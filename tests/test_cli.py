@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from winoconv import pipeline_sim
 from winoconv.cli import build_parser, main
+from winoconv.pipeline_sim import simulate_layer
 from winoconv.tensor_io import load_tensor, save_tensor
 
 
@@ -134,6 +136,23 @@ def test_simulate_subcommand(tmp_path, capsys):
     arr, _ = load_tensor(tmp_path / "simulated_output.npy")
     assert arr.shape == (1, 8, 14, 14)
     assert np.array_equal(np.load(tmp_path / "simulated_output.npy", allow_pickle=False), arr)
+
+
+def test_simulate_checks_the_traced_cycles(tmp_path, capsys, monkeypatch):
+    # The report's simulated_cycles is closed-form, so only the trace shows a simulator
+    # that took a wrong number of cycles.
+    def off_by_one(*args):
+        out, trace = simulate_layer(*args)
+        trace.cycles_elapsed += 1
+        return out, trace
+
+    monkeypatch.setattr(pipeline_sim, "simulate_layer", off_by_one)
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--m", "4", "--c", "4", "--k", "8", "--multipliers", "144",
+                 "--outdir", str(outdir)]) == 1
+    assert "error: the simulation took 133 cycles, exact_cycles gives 132" \
+        in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("sub", [["dse"], ["report"]])

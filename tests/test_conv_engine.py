@@ -293,8 +293,8 @@ def test_precompute_filter_transforms():
                 for c in range(2):
                     np.testing.assert_allclose(v[k, c], ts.g @ kern.data[k, c] @ ts.g.T,
                                                rtol=1e-12)
-            # the front end's (alpha^2, K, C) V is a view of it when the dtypes match
-            assert np.shares_memory(v, v.transpose(2, 3, 0, 1).reshape(a * a, 3, 2))
+            # the front end's (C, alpha^2, K) V is a view of it when the dtypes match
+            assert np.shares_memory(v, v.transpose(1, 2, 3, 0).reshape(2, a * a, 3))
             kern32 = KernelBank(kern.data.astype(np.float32))
             v32 = precompute_filter_transforms(kern32, ts)
             assert v32.dtype == np.float32
@@ -315,7 +315,7 @@ def test_data_transform_matches_per_tile_reference(dtype, bound):
         a, pad = ts.params.alpha, m % 2
         fmap, kern = random_case(rng, 2, 3, 2 * m + 3, 3 * m + 1, 4, 3, dtype)
         u, v, (ty, tx), _ = transformed_operands(fmap, kern, ConvSpec(pad=pad), ts)
-        assert u.shape == (a * a, 3, 2 * ty * tx) and v.shape == (a * a, 4, 3)
+        assert u.shape == (a * a, 3, 2 * ty * tx) and v.shape == (3, a * a, 4)
         assert u.dtype == v.dtype == dtype
         ext = np.zeros((2, 3, ty * m + 2, tx * m + 2))
         ext[:, :, pad : pad + fmap.h, pad : pad + fmap.w] = fmap.data
@@ -327,7 +327,7 @@ def test_data_transform_matches_per_tile_reference(dtype, bound):
                     want[:, :, (img * ty + yi) * tx + xi] = (ts.bt @ d @ ts.bt.T).reshape(3, -1).T
         assert rel_err(u, want) <= bound, m
         want = ts.g @ kern.data.astype(np.float64) @ ts.g.T  # (K, C, alpha, alpha)
-        assert rel_err(v, want.transpose(2, 3, 0, 1).reshape(a * a, 4, 3)) <= bound, m
+        assert rel_err(v, want.transpose(1, 2, 3, 0).reshape(3, a * a, 4)) <= bound, m
 
 
 def pad_window_spatial(d, g, pad):
@@ -353,8 +353,8 @@ def pad_window_operands(fmap, kernels, spec, ts):
     tiles = sliding_window_view(ext, (alpha, alpha), axis=(2, 3))[:, :, ::m, ::m]
     d = tiles.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, -1)
     u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, fmap.c, -1)
-    v = precompute_filter_transforms(kernels, ts, dtype).transpose(2, 3, 0, 1)
-    v = v.reshape(alpha * alpha, kernels.k, kernels.c).astype(dtype, copy=False)
+    v = precompute_filter_transforms(kernels, ts, dtype).transpose(1, 2, 3, 0)
+    v = v.reshape(kernels.c, alpha * alpha, kernels.k).astype(dtype, copy=False)
     return u, v, (ty, tx), (h_out, w_out)
 
 
@@ -375,6 +375,7 @@ def assert_identical(got, want):
 def test_strided_views_are_bit_identical_to_pad_and_sliding_window(r, monkeypatch):
     # Both paths must copy the same elements in the same order into the same GEMMs.
     rng = np.random.default_rng(r)
+    sets = [generate_transforms(MinimalParams(m, r)) for m in range(1, 6)]
     for pad in range(3):
         spec = ConvSpec(pad=pad)
         for n in (1, 2):
@@ -384,8 +385,7 @@ def test_strided_views_are_bit_identical_to_pad_and_sliding_window(r, monkeypatc
                     x = FeatureMap(x)
                     assert_identical(spatial_conv(x, kern, spec).data,
                                      pad_window_spatial(x.data, kern.data, pad))
-                    for m in range(1, 6):
-                        ts = generate_transforms(MinimalParams(m, r))
+                    for ts in sets:
                         cfg = EngineConfig(ts.params, p=3)
                         got = transformed_operands(x, kern, spec, ts)
                         want = pad_window_operands(x, kern, spec, ts)

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from winoconv import pipeline_sim
 from winoconv.conv import (
     ConvSpec,
     FeatureMap,
@@ -270,7 +272,7 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
                         for pe in range(p):
                             kk = group * p + pe
                             idle += kk >= k
-                            prod[:, pe] = u[:, ci, tile] * (v[:, kk, ci] if kk < k else zero)
+                            prod[:, pe] = u[:, ci, tile] * (v[ci, :, kk] if kk < k else zero)
                         accum += kron_at @ prod
                     for pe in range(min(p, k - group * p)):
                         out[img, group * p + pe, yi * m : (yi + 1) * m, xi * m : (xi + 1) * m] = \
@@ -288,7 +290,9 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
     return out[:, :, :h_out, :w_out], trace
 
 
-def test_bit_identical_to_hardware_order_stepping():
+def test_bit_identical_to_hardware_order_stepping(monkeypatch):
+    # Each case runs with the default step budget (all its channels in one step), with
+    # one channel per step, and with two, which leaves a ragged last step at odd C.
     rng = np.random.default_rng(12)
     for i in range(30):
         m = 1 + i % 5
@@ -301,16 +305,38 @@ def test_bit_identical_to_hardware_order_stepping():
         h = m * int(rng.integers(1, 3) + 3 // m) + partial + 2 - 2 * pad  # r = 3
         w = m * int(rng.integers(1, 3) + 3 // m) + partial + 2 - 2 * pad
         dtype = (np.float32, np.float64)[(i // 5) % 2]
-        fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, int(rng.integers(1, 4)), h, w))
+        fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, int(rng.integers(1, 6)), h, w))
                           .astype(dtype))
         kern = KernelBank(rng.standard_normal((k, fmap.c, 3, 3)).astype(dtype))
         cfg = EngineConfig(MinimalParams(m, 3), p=p)
         spec = ConvSpec(pad=pad)
-        out, trace = simulate_layer(cfg, fmap, kern, spec)
         want, want_trace = stepped_hardware_order(cfg, fmap, kern, spec)
-        assert out.data.dtype == dtype
-        assert np.array_equal(out.data, want), (i, m, p, k, pad, h, w)
-        assert trace.to_json() == want_trace.to_json()
+        per_channel = want_trace.inverse_transform_count // fmap.c * ((m + 2) ** 2 + m * m)
+        for budget in (pipeline_sim.STEP_ELEMENTS, 1, 2 * per_channel):
+            monkeypatch.setattr(pipeline_sim, "STEP_ELEMENTS", budget)
+            out, trace = simulate_layer(cfg, fmap, kern, spec)
+            assert out.data.dtype == dtype
+            assert np.array_equal(out.data, want), (i, m, p, k, pad, h, w, budget)
+            assert trace.to_json() == want_trace.to_json()
+
+
+def test_filter_transforms_are_read_in_place():
+    # On a layer whose filter transforms dominate its memory, a copy of V (or a PE layout
+    # made from it) would at least double the peak.
+    rng = np.random.default_rng(15)
+    fmap, kern = random_case(rng, 1, 64, 2, 2, 64)
+    cfg = EngineConfig(MinimalParams(4, 3), p=19)  # 700 multipliers
+    ts = generate_transforms(cfg.params)
+    spec = ConvSpec(pad=1)
+    v_nbytes = transformed_operands(fmap, kern, spec, ts)[1].nbytes
+    simulate_layer(cfg, fmap, kern, spec, ts)  # builds the transform set's float arrays
+    tracemalloc.start()
+    try:
+        simulate_layer(cfg, fmap, kern, spec, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * v_nbytes
 
 
 def test_measured_transform_counts_price_the_shared_design():
