@@ -42,7 +42,9 @@ temporary directory, then, each as a separate `python` process, a bare
 interpreter, `import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`,
 and `python -m winoconv.cli dse` and `report`, keeping the best and the median
 of each entry.  The process times are what a CLI user waits for, start-up and
-imports included.
+imports included.  Then it splits one in-process `dse` + `report` run into
+transform synthesis, op counting, pricing and CSV writes (see
+bench_dse_stages).
 
 BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) and the
 process's peak RSS are recorded with the results.  The whole run takes about
@@ -78,6 +80,7 @@ from winoconv import (  # noqa: E402
     ConvSpec,
     EngineConfig,
     FeatureMap,
+    HardwareConfig,
     KernelBank,
     LayerShape,
     MinimalParams,
@@ -90,12 +93,13 @@ from winoconv import (  # noqa: E402
     spatial_conv,
     winograd_conv,
 )
+from winoconv import dse  # noqa: E402
 from winoconv.cli import main as cli_main  # noqa: E402
 from winoconv.reference_data import SHARED_DESIGNS  # noqa: E402
 from winoconv.workload import VGG16D  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import MULTIPLIERS, WORKLOADS  # noqa: E402
+from workloads import DSE_BUDGETS, DSE_M_VALUES, MULTIPLIERS, WORKLOADS  # noqa: E402
 
 TILE_SIZES = (2, 3, 4)
 REPEATS = 3
@@ -104,6 +108,7 @@ SYNTH_M = range(1, 9)
 SYNTH_CALLS = 100
 FIXED_COST_REPEATS = 9
 FIXED_COST_CALLS = 20
+DSE_CALLS = 20
 # Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
@@ -309,6 +314,60 @@ def bench_synthesis_and_cli() -> dict:
                         for k, v in timing(name, seconds[f"process.{name}"]).items()}}
 
 
+def bench_dse_stages() -> dict:
+    """One in-process `dse` + `report` run split into its stages, per run in ms.
+
+    A run is run_sweep with the CLI defaults, table2_report, then the six CSV
+    writers into a temporary directory.  generate_transforms and
+    count_transform_ops are timed where dse calls them (synthesis, op_count);
+    pricing is the rest of run_sweep and table2_report: layer costs, design
+    points, transitions and Table 2 rows.  Each sample is the mean of
+    DSE_CALLS runs, in CLI_REPEATS samples.
+    """
+    spent = {"synthesis": 0.0, "op_count": 0.0}
+
+    def timed(stage, fn):
+        def call(*args):
+            start = perf_counter()
+            out = fn(*args)
+            spent[stage] += perf_counter() - start
+            return out
+        return call
+
+    spec = dse.SweepSpec(DSE_M_VALUES, 3, DSE_BUDGETS, VGG16D, HardwareConfig(max(DSE_BUDGETS)))
+    figures = {"fig1.csv": dse.write_fig1_csv, "fig2.csv": dse.write_fig2_csv,
+               "fig3.csv": dse.write_fig3_csv, "fig6.csv": dse.write_fig6_csv}
+    samples = {stage: [] for stage in ("synthesis", "op_count", "pricing", "csv", "total")}
+    originals = dse.generate_transforms, dse.count_transform_ops
+    dse.generate_transforms = timed("synthesis", originals[0])
+    dse.count_transform_ops = timed("op_count", originals[1])
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            outdir = Path(tmp)
+            for _ in range(CLI_REPEATS):
+                spent.update(synthesis=0.0, op_count=0.0)
+                compute = write = 0.0
+                for _ in range(DSE_CALLS):
+                    start = perf_counter()
+                    result, rows = dse.run_sweep(spec), dse.table2_report(VGG16D)
+                    computed = perf_counter()
+                    for name, writer in figures.items():
+                        writer(result, outdir / name)
+                    dse.write_table2_csv(rows, outdir / "table2.csv")
+                    dse.write_table2_reference_csv(rows, outdir / "table2_reference.csv")
+                    compute += computed - start
+                    write += perf_counter() - computed
+                pricing = compute - spent["synthesis"] - spent["op_count"]
+                for stage, seconds in (("synthesis", spent["synthesis"]),
+                                       ("op_count", spent["op_count"]), ("pricing", pricing),
+                                       ("csv", write), ("total", compute + write)):
+                    samples[stage].append(seconds / DSE_CALLS)
+    finally:
+        dse.generate_transforms, dse.count_transform_ops = originals
+    return {"runs_per_sample": DSE_CALLS, "repeats": CLI_REPEATS,
+            **{k: v for stage, secs in samples.items() for k, v in timing(stage, secs).items()}}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
@@ -342,6 +401,7 @@ def main(argv=None) -> int:
                              "multipliers": MULTIPLIERS, "workloads": fixed_cost},
               "simulate": bench_network(VGG16D, rng),
               "synthesis": bench_synthesis_and_cli(),
+              "dse_stages": bench_dse_stages(),
               "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     synth = result["synthesis"]
     print("generate_transforms m=1..8: "
@@ -351,6 +411,11 @@ def main(argv=None) -> int:
     print("as processes, bare/import/transform/dse/report: "
           + "/".join(f"{synth['process'][f'{name}_ms']:.0f}"
                      for name in ("bare", "import", "transform", "dse", "report")) + " ms",
+          flush=True)
+    stages = result["dse_stages"]
+    print("dse + report run, synthesis/op count/pricing/csv/total: "
+          + "/".join(f"{stages[f'{stage}_ms']:.3f}"
+                     for stage in ("synthesis", "op_count", "pricing", "csv", "total")) + " ms",
           flush=True)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     return 0

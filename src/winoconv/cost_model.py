@@ -1,9 +1,9 @@
 """Closed-form complexity, latency and throughput models for the PE array.
 
-layer_cost is the one per-layer evaluation: it returns a layer's O_m, O_t,
-O_S, latency T_t and O_T below as one LayerCost.  evaluate_design calls it once
-per layer; design totals, and in dse the group sums, figures and Table 2,
-are sums over those LayerCosts.
+_price_layers is the one per-layer evaluation: a layer's O_m, O_t, O_S, T_t and
+O_T below as one LayerCost, with O_m, O_t and O_S priced once per layer and only
+T_t and O_T per PE count P.  layer_cost, evaluate_design and dse.run_sweep call
+it; totals, group sums, figures and Table 2 are sums over those LayerCosts.
 
 Complexity conventions, with alpha = m + r - 1 and a layer of N images,
 H x W output pixels, C input and K output channels:
@@ -128,9 +128,8 @@ def pipeline_depth(params: MinimalParams) -> int:
     return 2 + max(1, (params.alpha - 1).bit_length())
 
 
-def _product_ops(mat: ScaledIntMatrix, n_vectors: int, convention: str) -> int:
-    """Ops to apply an exact constant matrix to n_vectors dense generic vectors,
-    one output element per row per vector.
+def _product_ops(mat: ScaledIntMatrix, convention: str) -> int:
+    """Ops to apply an exact constant matrix to one dense generic vector, one output per row.
 
     Per output element: (nonzeros - 1) additions, plus one multiplication for
     every coefficient not in {0, +1, -1} under 'all_ops'; a coefficient is
@@ -144,7 +143,7 @@ def _product_ops(mat: ScaledIntMatrix, n_vectors: int, convention: str) -> int:
         ops = len(nonzero) - 1
         if convention == "all_ops":
             ops += sum(1 for c in nonzero if abs(c) != mat.den)
-        total += max(0, ops) * n_vectors
+        total += max(0, ops)
     return total
 
 
@@ -166,9 +165,9 @@ def count_transform_ops(ts: TransformSet, convention: str = "all_ops") -> Transf
     if p.m == 1:
         return TransformOpCounts(0, 0, 0)
     alpha, r, m = p.alpha, p.r, p.m
-    beta = _product_ops(ts.bt_int, alpha, convention) * 2
-    gamma = _product_ops(ts.g_int, r, convention) + _product_ops(ts.g_int, alpha, convention)
-    delta = _product_ops(ts.at_int, alpha, convention) + _product_ops(ts.at_int, m, convention)
+    beta = _product_ops(ts.bt_int, convention) * (alpha + alpha)
+    gamma = _product_ops(ts.g_int, convention) * (r + alpha)
+    delta = _product_ops(ts.at_int, convention) * (alpha + m)
     return TransformOpCounts(beta, gamma, delta)
 
 
@@ -195,10 +194,15 @@ def _check_runnable(layer: LayerShape, params: MinimalParams, p: int) -> int:
     return _checked_int(p, "PE count", 1)
 
 
+def _cycles(nhwck: int, m2: int, d_p: int, p: int) -> float:
+    """The latency model's fractional cycle count NHWCK / (m^2 P) + D_p - 1."""
+    return nhwck / (m2 * p) + d_p - 1
+
+
 def analytical_cycles(layer: LayerShape, params: MinimalParams, p: int) -> float:
     """Fractional cycle count NHWCK / (m^2 P) + D_p - 1 of the latency model."""
     p = _check_runnable(layer, params, p)
-    return layer.nhwck / (params.m**2 * p) + pipeline_depth(params) - 1
+    return _cycles(layer.nhwck, params.m**2, pipeline_depth(params), p)
 
 
 def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
@@ -208,6 +212,26 @@ def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
     return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
 
 
+def _price_layers(layers: Iterable[LayerShape], params: MinimalParams, ops: TransformOpCounts,
+                  ps: list[int]) -> list[list[LayerCost]]:
+    """Each layer's LayerCost at each checked PE count of ps, one list per P; ValueError
+    unless every layer's kernel size is r.  Only T_t and O_T are priced per P."""
+    m2, alpha2, d_p = params.m**2, params.alpha**2, pipeline_depth(params)
+    by_p: list[list[LayerCost]] = [[] for _ in ps]
+    for layer in layers:
+        if layer.r != params.r:
+            _check_runnable(layer, params, 1)  # raises the kernel-size error
+        nhwck, nhw, c, k = layer.nhwck, layer.n * layer.h * layer.w, layer.c, layer.k
+        nhwck_m2 = nhwck / m2
+        o_m = nhwck_m2 * alpha2
+        o_t = ops.beta / m2 * nhw * c + ops.gamma * c * k + ops.delta / m2 * nhw * k
+        o_s = 2.0 * nhwck * layer.r**2
+        for costs, p in zip(by_p, ps):
+            costs.append(LayerCost(o_m, o_t, o_s, _cycles(nhwck, m2, d_p, p) * CLOCK_PERIOD_S,
+                                   nhwck_m2 * (ops.beta / p + ops.delta)))
+    return by_p
+
+
 def layer_cost(
     layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int
 ) -> LayerCost:
@@ -215,17 +239,7 @@ def layer_cost(
 
     Raises ValueError unless the layer's kernel size is the algorithm's r and P >= 1.
     """
-    p = _check_runnable(layer, params, p)
-    m2 = params.m**2
-    nhw = layer.n * layer.h * layer.w
-    return LayerCost(
-        o_m=layer.nhwck / m2 * params.alpha**2,
-        o_t=ops.beta / m2 * nhw * layer.c + ops.gamma * layer.c * layer.k
-        + ops.delta / m2 * nhw * layer.k,
-        o_s=2.0 * layer.nhwck * layer.r**2,
-        latency_s=analytical_cycles(layer, params, p) * CLOCK_PERIOD_S,
-        o_t_shared=layer.nhwck / m2 * (ops.beta / p + ops.delta),
-    )
+    return _price_layers((layer,), params, ops, [_check_runnable(layer, params, p)])[0][0]
 
 
 def evaluate_design(
@@ -234,9 +248,9 @@ def evaluate_design(
     hw: HardwareConfig,
     ops: TransformOpCounts,
 ) -> DesignPoint:
-    """Whole-workload DesignPoint: one layer_cost per layer."""
+    """Whole-workload DesignPoint: every layer priced at the budget's PE count."""
     p = pe_count(hw.m_total, params)
-    costs = tuple(layer_cost(l, params, ops, p) for l in layers)
+    costs = _price_layers(layers, params, ops, [p])[0]
     if not costs:
         raise ValueError("a design needs at least one layer")
-    return DesignPoint(params=params, hw=hw, p=p, layers=costs)
+    return DesignPoint(params=params, hw=hw, p=p, layers=tuple(costs))

@@ -1,9 +1,9 @@
 """Design space exploration over output tile size and multiplier budget.
 
-run_sweep evaluates every (m, budget) pair of a SweepSpec against a workload
-with evaluate_design and keeps only the design points.  Group sums (through
-group_costs), totals, figures and Table 2 are all sums over slices of the
-per-layer costs of those points.  run_sweep also derives the
+run_sweep evaluates every (m, budget) pair of a SweepSpec against a workload,
+all of one m's budgets in one pass over the layers (cost_model._price_layers),
+and keeps only the design points.  Group sums (through group_costs), totals,
+figures and Table 2 are sums over the per-layer costs.  run_sweep also derives the
 percentage-change columns between consecutive tile sizes:
 
   - multiplication savings: 100 * (O_m(m) - O_m(m')) / O_m(m), of one layer
@@ -28,8 +28,9 @@ from .cost_model import (
     HardwareConfig,
     LayerCost,
     TransformOpCounts,
+    _price_layers,
     count_transform_ops,
-    evaluate_design,
+    pe_count,
 )
 from .reference_data import FREQ_HZ, PRIOR_DESIGNS, SHARED_DESIGNS, Table2Row
 from .transforms import MinimalParams, _checked_int, generate_transforms
@@ -95,19 +96,18 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ms = sorted(set(spec.m_values))
     budgets = sorted(set(spec.budgets))
     counts: dict[int, TransformOpCounts] = {}
-    for m in ms:
-        try:
-            ts = generate_transforms(MinimalParams(m, spec.r))
-        except ValueError as exc:
-            raise ValueError(f"transform generation failed for m={m}: {exc}") from exc
-        counts[m] = count_transform_ops(ts)
-
     points: list[DesignPoint] = []
     for m in ms:
         params = MinimalParams(m, spec.r)
-        for budget in budgets:
-            points.append(evaluate_design(spec.workload.shapes, params, HardwareConfig(budget),
-                                          counts[m]))
+        try:
+            ts = generate_transforms(params)
+        except ValueError as exc:
+            raise ValueError(f"transform generation failed for m={m}: {exc}") from exc
+        counts[m] = count_transform_ops(ts)
+        ps = [pe_count(budget, params) for budget in budgets]
+        priced = _price_layers(spec.workload.shapes, params, counts[m], ps)
+        points += [DesignPoint(params=params, hw=HardwareConfig(budget), p=p, layers=tuple(costs))
+                   for budget, p, costs in zip(budgets, ps, priced)]
 
     # O_m of one layer does not depend on the budget; any layer gives the ratio.
     first_layer_om = {pt.params.m: pt.layers[0].o_m for pt in points}

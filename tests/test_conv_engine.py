@@ -25,23 +25,24 @@ from winoconv.transforms import (
 
 
 def naive_conv(data, kernels, pad):
-    """Independent 6-loop reference, deliberately written without numpy ops."""
+    """Independent direct reference: float64 multiply-adds of shifted slices of the padded map.
+
+    One step per channel and kernel offset (c, u, v), in the order of the scalar
+    6-loop sum over c, u, v, so each output element is accumulated exactly as
+    that loop did; no GEMM, einsum or im2col.
+    """
     n, c, h, w = data.shape
     k, _, r, _ = kernels.shape
     ho, wo = h + 2 * pad - r + 1, w + 2 * pad - r + 1
     padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
     padded[:, :, pad : pad + h, pad : pad + w] = data
+    weights = kernels.astype(np.float64)
     out = np.zeros((n, k, ho, wo))
-    for i in range(n):
-        for kk in range(k):
-            for x in range(ho):
-                for y in range(wo):
-                    acc = 0.0
-                    for cc in range(c):
-                        for u in range(r):
-                            for v in range(r):
-                                acc += padded[i, cc, x + u, y + v] * kernels[kk, cc, u, v]
-                    out[i, kk, x, y] = acc
+    for cc in range(c):
+        for u in range(r):
+            for v in range(r):
+                shifted = padded[:, None, cc, u : u + ho, v : v + wo]
+                out += shifted * weights[:, cc, u, v, None, None]
     return out
 
 

@@ -19,10 +19,10 @@ from winoconv.cost_model import (
     pipeline_depth,
     tile_grid,
 )
-from winoconv.dse import SweepSpec
+from winoconv.dse import SweepSpec, run_sweep
 from winoconv.pipeline_sim import EngineConfig, expected_cycles, validate_against_analytical
 from winoconv.transforms import MinimalParams, generate_transforms
-from winoconv.workload import VGG16D, WorkloadLayer, load_workload
+from winoconv.workload import VGG16D, Workload, WorkloadLayer, load_workload
 
 # Golden per-tile op counts for the default interpolation points, frozen from
 # the symbolic enumeration (two chained dense products, 0/±1 eliminated).
@@ -308,6 +308,53 @@ def test_layer_cost_rejects_a_kernel_size_other_than_r():
         layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1)
     with pytest.raises(ValueError, match="r=5"):
         evaluate_design([layer], params, HardwareConfig(16), TransformOpCounts(0, 0, 0))
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_sweep_and_design_pricing_equal_layer_cost_exactly(r):
+    # run_sweep prices all of an m's budgets in one pass over the layers, evaluate_design a
+    # workload at one P; every field must be layer_cost's own float, not merely close to it
+    rng = np.random.default_rng(r)
+    layers = [LayerShape(1, 3, 5, 1, 512, r), LayerShape(2, 7, 2, 512, 1, r)]
+    for _ in range(10):
+        h, w = rng.choice(np.arange(1, 65), 2, replace=False)
+        layers.append(LayerShape(n=rng.integers(1, 3), h=h, w=w, c=rng.integers(1, 513),
+                                 k=rng.integers(1, 513), r=r))
+    workload = Workload("random", tuple(WorkloadLayer(l, 0, "g") for l in layers))
+    a2 = MinimalParams(6, r).alpha ** 2  # one PE of the largest swept tile
+    budgets = (43 * a2 + a2 - 1, a2, 7 * a2 + 3, 20 * a2, a2, 2 * a2)  # unsorted, a repeat
+    result = run_sweep(SweepSpec((6, 1, 4, 2, 5, 3), r, budgets, workload, HardwareConfig(a2)))
+    assert [(pt.params.m, pt.hw.m_total) for pt in result.points] == \
+        [(m, b) for m in range(1, 7) for b in sorted(set(budgets))]
+    assert [pt.p for pt in result.points if pt.params.m == 6] == [1, 2, 7, 20, 43]
+    for pt in result.points:
+        ops = result.op_counts[pt.params.m]
+        assert pt.p == pe_count(pt.hw.m_total, pt.params)
+        expected = tuple(layer_cost(l, pt.params, ops, pt.p) for l in layers)
+        assert pt.layers == expected
+    for m in range(1, 7):
+        params, ops = MinimalParams(m, r), result.op_counts[m]
+        for budget in budgets:
+            point = evaluate_design(layers, params, HardwareConfig(budget), ops)
+            assert point.p == pe_count(budget, params)
+            assert point.layers == tuple(layer_cost(l, params, ops, point.p) for l in layers)
+
+
+def test_design_pricing_keeps_its_messages():
+    params, ops = MinimalParams(2, 3), TransformOpCounts(1, 2, 3)
+    layer = LayerShape(1, 4, 4, 1, 1, 3)
+    with pytest.raises(ValueError, match=r"^a design needs at least one layer$"):
+        evaluate_design((), params, HardwareConfig(16), ops)
+    with pytest.raises(ValueError, match=r"^layer has r=5, F\(2,3\) needs r=3$"):
+        evaluate_design([layer, LayerShape(1, 4, 4, 1, 1, 5)], params, HardwareConfig(16), ops)
+    below = r"^budget of 15 multipliers is below one PE \(16 needed for F\(2,3\)\)$"
+    for layers in ([layer], ()):  # the budget is checked before the layers
+        with pytest.raises(ValueError, match=below):
+            evaluate_design(layers, params, HardwareConfig(15), ops)
+    # a sweep reports the first m, in ascending order, that a budget cannot hold one PE of
+    with pytest.raises(ValueError, match=r"^budget of 16 multipliers is below one PE "
+                                         r"\(36 needed for F\(4,3\)\)$"):
+        run_sweep(SweepSpec((5, 4, 2), 3, (40, 16), VGG16D, HardwareConfig(16)))
 
 
 @pytest.mark.parametrize("cycles", [
