@@ -28,25 +28,40 @@ def run_fresh(code: str, cwd: Path) -> str:
     return proc.stdout
 
 
-def test_analytic_paths_do_not_load_numpy(tmp_path):
-    # import winoconv alone, then each analytic subcommand in turn, in one fresh interpreter;
-    # sys.modules is read after every step, so each step is checked on its own
-    steps = [None, ["dse", "--outdir", "out"], ["report", "--outdir", "out"],
-             ["transform", "--m", "4", "--r", "3", "--outdir", "out"]]
+STEPS = {
+    "import": None,  # import winoconv alone
+    "dse": ["dse", "--outdir", "out"],
+    "report": ["report", "--outdir", "out"],
+    "transform": ["transform", "--m", "4", "--r", "3", "--outdir", "out"],
+}
+
+
+@pytest.fixture(scope="module")
+def step_reports(tmp_path_factory):
+    """Run every step of STEPS in turn in one fresh interpreter; return each step's modules.
+
+    sys.modules is read after every step, so each step is checked on its own.
+    """
     code = "import sys\nimport winoconv\n"
-    for argv in steps:
+    for argv in STEPS.values():
         if argv is not None:
             code += f"from winoconv.cli import main\nassert main({argv!r}) == 0\n"
         code += ("print('@', sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
                  "print('@', sorted(m for m in sys.modules if m.startswith('winoconv.')))\n")
-    reports = [line[2:] for line in run_fresh(code, tmp_path).splitlines() if line[:2] == "@ "]
-    assert len(reports) == 2 * len(steps)
-    for step, numpy_modules, loaded in zip(steps, reports[::2], reports[1::2]):
-        assert numpy_modules == "[]", step
-        # the package is not lazy as a whole: everything dse and report use is loaded
-        for module in ("cost_model", "dse", "reference_data", "transforms", "workload"):
-            assert f"'winoconv.{module}'" in loaded, step
-        assert "'winoconv.conv'" not in loaded and "'winoconv.pipeline_sim'" not in loaded, step
+    out = run_fresh(code, tmp_path_factory.mktemp("steps"))
+    reports = [line[2:] for line in out.splitlines() if line[:2] == "@ "]
+    assert len(reports) == 2 * len(STEPS)
+    return dict(zip(STEPS, zip(reports[::2], reports[1::2])))
+
+
+@pytest.mark.parametrize("step", list(STEPS))
+def test_analytic_paths_do_not_load_numpy(step_reports, step):
+    numpy_modules, loaded = step_reports[step]
+    assert numpy_modules == "[]"
+    # the package is not lazy as a whole: everything dse and report use is loaded
+    for module in ("cost_model", "dse", "reference_data", "transforms", "workload"):
+        assert f"'winoconv.{module}'" in loaded
+    assert "'winoconv.conv'" not in loaded and "'winoconv.pipeline_sim'" not in loaded
 
 
 def test_lazy_names_are_the_submodules_objects():
