@@ -42,9 +42,13 @@ temporary directory, then, each as a separate `python` process, a bare
 interpreter, `import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`,
 and `python -m winoconv.cli dse` and `report`, keeping the best and the median
 of each entry.  The process times are what a CLI user waits for, start-up and
-imports included.  Then it splits one in-process `dse` + `report` run into
-transform synthesis, op counting, pricing and CSV writes (see
-bench_dse_stages).
+imports included.  Each pass also runs `import winoconv` once more under
+`-X importtime` (which slows it by about 2.5 ms, so it is not the timed
+`import` process), and the median self time of each winoconv module, and of
+dataclasses when it is loaded, is kept beside the process times
+(process.import_self_ms), so that a slower import names its module.  Then it
+splits one in-process `dse` + `report` run into transform synthesis, op
+counting, pricing and CSV writes (see bench_dse_stages).
 
 BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) and the
 process's peak RSS are recorded with the results.  The whole run takes about
@@ -64,6 +68,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
@@ -111,6 +116,21 @@ FIXED_COST_CALLS = 20
 DSE_CALLS = 20
 # Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
+
+
+def import_self_us(stderr: str) -> dict[str, int]:
+    """Self microseconds of the winoconv modules, and of dataclasses, in `-X importtime` output.
+
+    Each line reads "import time: <self us> | <cumulative us> | <indent><module>".
+    """
+    out = {}
+    for line in stderr.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[0].strip().isdigit():
+            module = fields[2].strip()
+            if module.split(".")[0] in ("winoconv", "dataclasses"):
+                out[module] = int(fields[0])
+    return out
 
 
 def timing(entry: str, seconds: list[float], unit: str = "ms") -> dict:
@@ -298,6 +318,15 @@ def bench_synthesis_and_cli() -> dict:
         for name, argv in processes.items():
             calls[f"process.{name}"] = lambda a=argv: subprocess.run(
                 a, env=env, stdout=subprocess.DEVNULL).returncode
+        self_us = defaultdict(list)  # module -> its self time in each profiled import
+
+        def profile_import():
+            stderr = subprocess.run([sys.executable, "-X", "importtime", "-c", "import winoconv"],
+                                    env=env, stderr=subprocess.PIPE, text=True, check=True).stderr
+            for module, us in import_self_us(stderr).items():
+                self_us[module].append(us)
+
+        calls["import_profile"] = profile_import
         seconds = {name: [] for name in calls}
         for _ in range(CLI_REPEATS):
             for name, fn in calls.items():
@@ -310,8 +339,10 @@ def bench_synthesis_and_cli() -> dict:
     return {"r": 3, "calls_per_sample": SYNTH_CALLS, "repeats": CLI_REPEATS,
             "m": {str(m): timing("generate_transforms", per_call[m]) for m in SYNTH_M},
             "cli": {**timing("dse", seconds["dse"]), **timing("report", seconds["report"])},
-            "process": {k: v for name in processes
-                        for k, v in timing(name, seconds[f"process.{name}"]).items()}}
+            "process": {**{k: v for name in processes
+                           for k, v in timing(name, seconds[f"process.{name}"]).items()},
+                        "import_self_ms": {module: round(float(np.median(us)) / 1e3, 3)
+                                           for module, us in sorted(self_us.items())}}}
 
 
 def bench_dse_stages() -> dict:
@@ -412,6 +443,9 @@ def main(argv=None) -> int:
           + "/".join(f"{synth['process'][f'{name}_ms']:.0f}"
                      for name in ("bare", "import", "transform", "dse", "report")) + " ms",
           flush=True)
+    print("import self ms: " + ", ".join(
+        f"{module} {ms:.1f}" for module, ms in synth["process"]["import_self_ms"].items()),
+        flush=True)
     stages = result["dse_stages"]
     print("dse + report run, synthesis/op count/pricing/csv/total: "
           + "/".join(f"{stages[f'{stage}_ms']:.3f}"

@@ -23,22 +23,17 @@ the transforms have fractional entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cost_model import tile_grid
-from .transforms import MultCounter, TransformSet, _checked_int
+from .transforms import MultCounter, Record, TransformSet, _checked_int
 
 
-@dataclass(frozen=True)
-class ConvSpec:
+class ConvSpec(Record):
     """Border zero padding in pixels; stride is fixed at 1."""
 
-    pad: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "pad", _checked_int(self.pad, "pad", 0))
+    def __init__(self, pad: int = 0):
+        self.__dict__.update(pad=_checked_int(pad, "pad", 0))
 
 
 def check_dense_4d(data: np.ndarray, what: str, axes: str):
@@ -47,14 +42,12 @@ def check_dense_4d(data: np.ndarray, what: str, axes: str):
         raise ValueError(f"{what} must be 4D ({axes}) with no empty dimension, got {data.shape}")
 
 
-@dataclass(frozen=True)
-class FeatureMap:
+class FeatureMap(Record):
     """Dense N-C-H-W tensor."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        check_dense_4d(self.data, "feature map", "N,C,H,W")
+    def __init__(self, data: np.ndarray):
+        check_dense_4d(data, "feature map", "N,C,H,W")
+        self.__dict__.update(data=data)
 
     @property
     def n(self) -> int:
@@ -73,16 +66,14 @@ class FeatureMap:
         return self.data.shape[3]
 
 
-@dataclass(frozen=True)
-class KernelBank:
+class KernelBank(Record):
     """Dense K-C-r-r tensor of K kernels with square spatial support."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        check_dense_4d(self.data, "kernel bank", "K,C,r,r")
-        if self.data.shape[2] != self.data.shape[3]:
-            raise ValueError(f"kernels must be square, got {self.data.shape[2:]}")
+    def __init__(self, data: np.ndarray):
+        check_dense_4d(data, "kernel bank", "K,C,r,r")
+        if data.shape[2] != data.shape[3]:
+            raise ValueError(f"kernels must be square, got {data.shape[2:]}")
+        self.__dict__.update(data=data)
 
     @property
     def k(self) -> int:

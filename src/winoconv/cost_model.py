@@ -34,87 +34,70 @@ docstring for the two counting conventions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 from typing import Iterable
 
 from .reference_data import FREQ_HZ
-from .transforms import MinimalParams, ScaledIntMatrix, TransformSet, _checked_int
+from .transforms import MinimalParams, Record, ScaledIntMatrix, TransformSet, _checked_int
 
 OP_CONVENTIONS = ("all_ops", "adds_only")
 CLOCK_PERIOD_S = 1 / FREQ_HZ
 
 
-@dataclass(frozen=True)
-class LayerShape:
+class LayerShape(Record):
     """Convolution layer dimensions; h and w are OUTPUT spatial dims."""
 
-    n: int
-    h: int
-    w: int
-    c: int
-    k: int
-    r: int
-
-    def __post_init__(self):
-        for dim in ("n", "h", "w", "c", "k", "r"):
-            object.__setattr__(self, dim, _checked_int(getattr(self, dim), f"layer dim {dim}", 1))
+    def __init__(self, n: int, h: int, w: int, c: int, k: int, r: int):
+        self.__dict__.update({dim: _checked_int(value, f"layer dim {dim}", 1)
+                              for dim, value in zip(self._fields, (n, h, w, c, k, r))})
 
     @property
     def nhwck(self) -> int:
         return self.n * self.h * self.w * self.c * self.k
 
 
-@dataclass(frozen=True)
-class TransformOpCounts:
+class TransformOpCounts(Record):
     """Per-tile op counts of the data (beta), filter (gamma), inverse (delta) transforms."""
 
-    beta: int
-    gamma: int
-    delta: int
-
-    def __post_init__(self):
-        for name in ("beta", "gamma", "delta"):
-            object.__setattr__(self, name, _checked_int(getattr(self, name), f"op count {name}", 0))
+    def __init__(self, beta: int, gamma: int, delta: int):
+        self.__dict__.update({name: _checked_int(value, f"op count {name}", 0)
+                              for name, value in zip(self._fields, (beta, gamma, delta))})
 
 
-@dataclass(frozen=True)
-class HardwareConfig:
+class HardwareConfig(Record):
     """Multiplier budget of one accelerator build; the clock period is fixed at CLOCK_PERIOD_S."""
 
-    m_total: int
-    t_c: float = CLOCK_PERIOD_S
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_total", _checked_int(self.m_total, "multiplier budget", 1))
-        if self.t_c != CLOCK_PERIOD_S:
+    def __init__(self, m_total: int, t_c: float = CLOCK_PERIOD_S):
+        m_total = _checked_int(m_total, "multiplier budget", 1)
+        if t_c != CLOCK_PERIOD_S:
             raise ValueError(f"clock period is fixed at the builds' {FREQ_HZ / 1e6:g} MHz clock, "
-                             f"{CLOCK_PERIOD_S} s, got {self.t_c}")
+                             f"{CLOCK_PERIOD_S} s, got {t_c}")
+        self.__dict__.update(m_total=m_total, t_c=t_c)
 
 
-@dataclass(frozen=True)
-class LayerCost:
-    """Closed-form costs of one layer under one design."""
+class LayerCost(Record):
+    """Closed-form costs of one layer under one design.
 
-    o_m: float         # element-wise multiplications
-    o_t: float         # transform ops T(D) + T(F) + T(I)
-    o_s: float         # spatial op count
-    latency_s: float
-    o_t_shared: float  # amortized transform ops O_T of the shared-data-transform design
+    o_m: element-wise multiplications; o_t: transform ops T(D) + T(F) + T(I);
+    o_s: spatial op count; o_t_shared: amortized transform ops O_T of the
+    shared-data-transform design.
+    """
+
+    def __init__(self, o_m: float, o_t: float, o_s: float, latency_s: float, o_t_shared: float):
+        self.__dict__.update(o_m=o_m, o_t=o_t, o_s=o_s, latency_s=latency_s,
+                             o_t_shared=o_t_shared)
 
 
-@dataclass(frozen=True)
-class DesignPoint:
+class DesignPoint(Record):
     """One evaluated (m, r, hardware) configuration over a workload.
 
     `layers` holds one LayerCost per workload layer, in order; the totals
     o_m, o_t, o_s and t_total are in-order sums over it, not stored.
     """
 
-    params: MinimalParams
-    hw: HardwareConfig
-    p: int
-    layers: tuple[LayerCost, ...]
+    def __init__(self, params: MinimalParams, hw: HardwareConfig, p: int,
+                 layers: tuple[LayerCost, ...]):
+        self.__dict__.update(params=params, hw=hw, p=p, layers=layers)
 
     o_m = property(lambda self: sum(c.o_m for c in self.layers))
     o_t = property(lambda self: sum(c.o_t for c in self.layers))

@@ -20,7 +20,6 @@ does not exceed the multiplication savings.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cost_model import (
@@ -33,40 +32,37 @@ from .cost_model import (
     pe_count,
 )
 from .reference_data import FREQ_HZ, PRIOR_DESIGNS, SHARED_DESIGNS, Table2Row
-from .transforms import MinimalParams, _checked_int, generate_transforms
+from .transforms import MinimalParams, Record, _checked_int, generate_transforms
 from .workload import VGG16D, Workload
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    m_values: tuple[int, ...]
-    r: int
-    budgets: tuple[int, ...]
-    workload: Workload
-    hw: HardwareConfig  # unread: run_sweep builds one HardwareConfig per budget
-
-    def __post_init__(self):
-        if not self.m_values or not self.budgets:
+class SweepSpec(Record):
+    def __init__(self, m_values: tuple[int, ...], r: int, budgets: tuple[int, ...],
+                 workload: Workload, hw: HardwareConfig):
+        # hw is unread: run_sweep builds one HardwareConfig per budget
+        if not m_values or not budgets:
             raise ValueError("m_values and budgets must be nonempty")
-        params = [MinimalParams(m, self.r) for m in self.m_values]  # checks m and r
-        object.__setattr__(self, "m_values", tuple([p.m for p in params]))
-        object.__setattr__(self, "budgets", tuple([_checked_int(b, "multiplier budget", 1)
-                                                   for b in self.budgets]))
-        object.__setattr__(self, "r", params[0].r)
-        for layer in self.workload.shapes:
-            if layer.r != self.r:
-                raise ValueError(f"sweep r={self.r} does not match a {layer.r}x{layer.r} "
-                                 f"layer of workload {self.workload.name!r}")
+        params = [MinimalParams(m, r) for m in m_values]  # checks m and r
+        budgets = tuple([_checked_int(b, "multiplier budget", 1) for b in budgets])
+        r = params[0].r
+        for layer in workload.shapes:
+            if layer.r != r:
+                raise ValueError(f"sweep r={r} does not match a {layer.r}x{layer.r} "
+                                 f"layer of workload {workload.name!r}")
+        self.__dict__.update(m_values=tuple([p.m for p in params]), r=r, budgets=budgets,
+                             workload=workload, hw=hw)
 
 
-@dataclass(frozen=True)
-class Transition:
-    """Percentage changes between consecutive swept tile sizes."""
+class Transition(Record):
+    """Percentage changes between consecutive swept tile sizes.
 
-    m_from: int
-    m_to: int
-    pct_mult_decrease: float
-    pct_transform_increase: float | None  # None when the smaller m has no transforms
+    pct_transform_increase is None when the smaller m has no transforms.
+    """
+
+    def __init__(self, m_from: int, m_to: int, pct_mult_decrease: float,
+                 pct_transform_increase: float | None):
+        self.__dict__.update(m_from=m_from, m_to=m_to, pct_mult_decrease=pct_mult_decrease,
+                             pct_transform_increase=pct_transform_increase)
 
     @property
     def favorable(self) -> bool:
@@ -76,12 +72,13 @@ class Transition:
         return self.pct_transform_increase <= self.pct_mult_decrease
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    spec: SweepSpec
-    points: tuple[DesignPoint, ...]          # sorted by (m, budget)
-    transitions: tuple[Transition, ...]      # between consecutive m values
-    op_counts: dict[int, TransformOpCounts]
+class SweepResult(Record):
+    """points are sorted by (m, budget); transitions lie between consecutive m values."""
+
+    def __init__(self, spec: SweepSpec, points: tuple[DesignPoint, ...],
+                 transitions: tuple[Transition, ...], op_counts: dict[int, TransformOpCounts]):
+        self.__dict__.update(spec=spec, points=points, transitions=transitions,
+                             op_counts=op_counts)
 
 
 def group_costs(workload: Workload, point: DesignPoint) -> dict[str, list[LayerCost]]:

@@ -34,7 +34,6 @@ trace counters are summed from the sizes of the arrays each step computes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
 from math import ceil, isclose
 
 import numpy as np
@@ -49,34 +48,39 @@ from .cost_model import (
     pipeline_depth,
     tile_grid,
 )
-from .transforms import MinimalParams, TransformSet, _checked_int, generate_transforms
+from .transforms import MinimalParams, Record, TransformSet, _checked_int, generate_transforms
 
 # Products plus inverse-transform results one step holds at most: cache-sized, small beside V.
 STEP_ELEMENTS = 2**15
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    params: MinimalParams
-    p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _checked_int(self.p, "PE count", 1))
+class EngineConfig(Record):
+    def __init__(self, params: MinimalParams, p: int):
+        self.__dict__.update(params=params, p=_checked_int(p, "PE count", 1))
 
 
-@dataclass
-class SimTrace:
-    cycles_elapsed: int = 0
-    issue_cycles: int = 0
-    data_transform_invocations: int = 0
-    inverse_transform_count: int = 0
-    hadamard_mult_count: int = 0
-    tiles_per_image: int = 0
-    kernel_groups: int = 0
-    idle_pe_slots: int = 0  # (issue cycle, PE) pairs that ran with a zero kernel
+class SimTrace(Record):
+    """Counters of one simulated layer; simulate_layer adds to them as it runs, so a
+    trace is mutable and unhashable.  idle_pe_slots counts the (issue cycle, PE)
+    pairs that ran with a zero kernel."""
+
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, cycles_elapsed: int = 0, issue_cycles: int = 0,
+                 data_transform_invocations: int = 0, inverse_transform_count: int = 0,
+                 hadamard_mult_count: int = 0, tiles_per_image: int = 0, kernel_groups: int = 0,
+                 idle_pe_slots: int = 0):
+        self.cycles_elapsed = cycles_elapsed
+        self.issue_cycles = issue_cycles
+        self.data_transform_invocations = data_transform_invocations
+        self.inverse_transform_count = inverse_transform_count
+        self.hadamard_mult_count = hadamard_mult_count
+        self.tiles_per_image = tiles_per_image
+        self.kernel_groups = kernel_groups
+        self.idle_pe_slots = idle_pe_slots
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps(dict(zip(self._fields, self._values())))
 
 
 def expected_cycles(cfg: EngineConfig, layer: LayerShape) -> int:
@@ -133,19 +137,21 @@ def simulate_layer(
     return untile(y.reshape(fmap.n, n_groups * p, ty, m, tx, m)[:, :k], h_out, w_out), trace
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    simulated_cycles: int
-    analytical_cycles: float
-    gap_cycles: float
-    ceiling_overhead: float  # closed-form (tile + kernel-group ceilings)
+class ValidationReport(Record):
+    """ceiling_overhead is the closed-form gap: tile and kernel-group ceilings."""
+
+    def __init__(self, simulated_cycles: int, analytical_cycles: float, gap_cycles: float,
+                 ceiling_overhead: float):
+        self.__dict__.update(simulated_cycles=simulated_cycles,
+                             analytical_cycles=analytical_cycles, gap_cycles=gap_cycles,
+                             ceiling_overhead=ceiling_overhead)
 
     @property
     def consistent(self) -> bool:
         return isclose(self.gap_cycles, self.ceiling_overhead, rel_tol=1e-9, abs_tol=1e-6)
 
     def to_json(self) -> str:
-        return json.dumps({**asdict(self), "consistent": self.consistent})
+        return json.dumps(dict(zip(self._fields, self._values()), consistent=self.consistent))
 
 
 def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> ValidationReport:

@@ -10,25 +10,20 @@ models do derive.  The builds are priced at their one clock, FREQ_HZ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .transforms import Record
 
 
-@dataclass(frozen=True)
-class Table2Row:
+class Table2Row(Record):
     """One design on the VGG16-D conv layers: modeled at tile size m, else published."""
 
-    name: str
-    multipliers: int
-    pes: int | None
-    precision_bits: int
-    freq_mhz: float
-    conv_ms: tuple[float, ...]
-    overall_ms: float
-    gops: float
-    gops_per_mult: float
-    power_w: float | None
-    gops_per_w: float | None
-    m: int | None = None
+    def __init__(self, name: str, multipliers: int, pes: int | None, precision_bits: int,
+                 freq_mhz: float, conv_ms: tuple[float, ...], overall_ms: float, gops: float,
+                 gops_per_mult: float, power_w: float | None, gops_per_w: float | None,
+                 m: int | None = None):
+        self.__dict__.update(
+            name=name, multipliers=multipliers, pes=pes, precision_bits=precision_bits,
+            freq_mhz=freq_mhz, conv_ms=conv_ms, overall_ms=overall_ms, gops=gops,
+            gops_per_mult=gops_per_mult, power_w=power_w, gops_per_w=gops_per_w, m=m)
 
     @property
     def computed(self) -> bool:

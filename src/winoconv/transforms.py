@@ -23,12 +23,11 @@ numerators, and divides once per output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 from numbers import Integral
-from operator import index, mul
+from operator import attrgetter, index, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -65,28 +64,60 @@ class MultCounter:
         self.count += int(n)
 
 
-@dataclass(frozen=True)
-class MinimalParams:
+class Record:
+    """Base of the package's immutable records.
+
+    A subclass's __init__ checks its arguments and stores them with
+    self.__dict__.update(...); its parameters, in order, are the record's
+    fields.  Records are equal, and hash alike, when they are of the same
+    class with equal field values; repr is Name(field=value, ...); setting or
+    deleting an attribute raises AttributeError.  No method is generated, so
+    defining a record costs no more than defining a class.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = fields = code.co_varnames[1 : code.co_argcount]
+        get = attrgetter(*fields)  # a tuple, unless there is one field
+        cls._values = (lambda self: (get(self),)) if len(fields) == 1 else (lambda self: get(self))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{n}={v!r}" for n, v in zip(self._fields, self._values())])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MinimalParams(Record):
     """The (m, r) pair selecting one minimal filtering algorithm.
 
     m: output tile size per dimension, r: kernel size per dimension.
     The input tile size alpha = m + r - 1 is always derived.
     """
 
-    m: int
-    r: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _checked_int(self.m, "m", 1))
-        object.__setattr__(self, "r", _checked_int(self.r, "r", 1))
+    def __init__(self, m: int, r: int):
+        self.__dict__.update(m=_checked_int(m, "m", 1), r=_checked_int(r, "r", 1))
 
     @property
     def alpha(self) -> int:
         return self.m + self.r - 1
 
 
-@dataclass(frozen=True)
-class TransformSet:
+class TransformSet(Record):
     """Constant matrices of one minimal algorithm, exact and as float64.
 
     at_int: inverse transform A^T (m x alpha), bt_int: data transform B^T
@@ -108,16 +139,12 @@ class TransformSet:
     entry overflows float64 or rounds to zero.
     """
 
-    params: MinimalParams
-    at_int: ScaledIntMatrix
-    bt_int: ScaledIntMatrix
-    g_int: ScaledIntMatrix
-    interpolation_points: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        m, r, alpha = self.params.m, self.params.r, self.params.alpha
-        for name, rows, cols in (("at", m, alpha), ("bt", alpha, alpha), ("g", alpha, r)):
-            num, den = getattr(self, f"{name}_int")
+    def __init__(self, params: MinimalParams, at_int: ScaledIntMatrix, bt_int: ScaledIntMatrix,
+                 g_int: ScaledIntMatrix, interpolation_points: tuple[Fraction, ...]):
+        m, r, alpha = params.m, params.r, params.alpha
+        for name, mat, rows, cols in (("at", at_int, m, alpha), ("bt", bt_int, alpha, alpha),
+                                      ("g", g_int, alpha, r)):
+            num, den = mat
             if len(num) != rows or any(len(row) != cols for row in num):
                 raise ValueError(f"{name} must be {rows} x {cols} for F({m},{r})")
             try:
@@ -133,6 +160,8 @@ class TransformSet:
                 lost = True
             if lost:
                 raise ValueError(f"an entry of {name} overflows or underflows float64")
+        self.__dict__.update(params=params, at_int=at_int, bt_int=bt_int, g_int=g_int,
+                             interpolation_points=interpolation_points)
 
     at = cached_property(lambda self: _floats(self.at_int))
     bt = cached_property(lambda self: _floats(self.bt_int))

@@ -13,34 +13,26 @@ conv1..conv5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cost_model import LayerShape
-from .transforms import _checked_int
+from .transforms import Record, _checked_int
 
 
-@dataclass(frozen=True)
-class WorkloadLayer:
-    shape: LayerShape
-    pad: int
-    group: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "pad", _checked_int(self.pad, "pad", 0))
-        if not self.group:
+class WorkloadLayer(Record):
+    def __init__(self, shape: LayerShape, pad: int, group: str):
+        pad = _checked_int(pad, "pad", 0)
+        if not group:
             raise ValueError("layer group label must be nonempty")
+        self.__dict__.update(shape=shape, pad=pad, group=group)
 
 
-@dataclass(frozen=True)
-class Workload:
-    name: str
-    layers: tuple[WorkloadLayer, ...]
-
-    def __post_init__(self):
-        if not self.name:
+class Workload(Record):
+    def __init__(self, name: str, layers: tuple[WorkloadLayer, ...]):
+        self.__dict__.update(name=name, layers=layers)
+        if not name:
             raise ValueError("workload name must be nonempty")
-        if not self.layers:
+        if not layers:
             raise ValueError("workload must contain at least one layer")
         groups = self.groups
         for i, group in enumerate(groups):

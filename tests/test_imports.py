@@ -1,8 +1,10 @@
 """`import winoconv` and the analytic CLI subcommands run without NumPy.
 
 The names exported from conv and pipeline_sim, the two modules that need
-NumPy, resolve on first access.  Each check that needs a fresh interpreter
-runs one in a subprocess with this checkout's src/ on its path.
+NumPy, resolve on first access.  Nor do they load dataclasses or inspect,
+whose import and generated methods once made up most of `import winoconv`.
+Each check that needs a fresh interpreter runs one in a subprocess with this
+checkout's src/ on its path.
 """
 
 import importlib
@@ -36,32 +38,46 @@ STEPS = {
 }
 
 
+SLOW_MODULES = ("dataclasses", "inspect")
+PRINT_SLOW = f"print('@', ' '.join(m for m in {SLOW_MODULES!r} if m in sys.modules))\n"
+
+
 @pytest.fixture(scope="module")
 def step_reports(tmp_path_factory):
     """Run every step of STEPS in turn in one fresh interpreter; return each step's modules.
 
     sys.modules is read after every step, so each step is checked on its own.
+    Which of SLOW_MODULES are loaded is read first after `import sys`, and the
+    fixture returns that too.
     """
-    code = "import sys\nimport winoconv\n"
+    code = "import sys\n" + PRINT_SLOW + "import winoconv\n"
     for argv in STEPS.values():
         if argv is not None:
             code += f"from winoconv.cli import main\nassert main({argv!r}) == 0\n"
         code += ("print('@', sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
-                 "print('@', sorted(m for m in sys.modules if m.startswith('winoconv.')))\n")
+                 "print('@', sorted(m for m in sys.modules if m.startswith('winoconv.')))\n"
+                 + PRINT_SLOW)
     out = run_fresh(code, tmp_path_factory.mktemp("steps"))
-    reports = [line[2:] for line in out.splitlines() if line[:2] == "@ "]
-    assert len(reports) == 2 * len(STEPS)
-    return dict(zip(STEPS, zip(reports[::2], reports[1::2])))
+    start, *reports = [line[2:] for line in out.splitlines() if line[:2] == "@ "]
+    assert len(reports) == 3 * len(STEPS)
+    return start.split(), dict(zip(STEPS, zip(reports[::3], reports[1::3], reports[2::3])))
 
 
 @pytest.mark.parametrize("step", list(STEPS))
 def test_analytic_paths_do_not_load_numpy(step_reports, step):
-    numpy_modules, loaded = step_reports[step]
+    numpy_modules, loaded, _ = step_reports[1][step]
     assert numpy_modules == "[]"
     # the package is not lazy as a whole: everything dse and report use is loaded
     for module in ("cost_model", "dse", "reference_data", "transforms", "workload"):
         assert f"'winoconv.{module}'" in loaded
     assert "'winoconv.conv'" not in loaded and "'winoconv.pipeline_sim'" not in loaded
+
+
+@pytest.mark.parametrize("step", list(STEPS))
+def test_analytic_paths_do_not_load_dataclasses_or_inspect(step_reports, step):
+    # 13 @dataclass classes made `import winoconv` about 30 ms slower than a bare interpreter
+    loaded_at_start, steps = step_reports
+    assert set(steps[step][2].split()) <= set(loaded_at_start)
 
 
 def test_lazy_names_are_the_submodules_objects():

@@ -227,6 +227,14 @@ def test_trace_json_round_trips():
         "idle_pe_slots": trace.idle_pe_slots,
     }
     assert trace.idle_pe_slots == trace.issue_cycles == 4  # one of two PEs idles
+    # byte for byte, field order included
+    assert trace.to_json() == (
+        '{"cycles_elapsed": 7, "issue_cycles": 4, "data_transform_invocations": 4, '
+        '"inverse_transform_count": 8, "hadamard_mult_count": 128, "tiles_per_image": 4, '
+        '"kernel_groups": 1, "idle_pe_slots": 4}')
+    assert validate_against_analytical(cfg, LayerShape(1, 5, 7, 3, 5, 3)).to_json() == (
+        '{"simulated_cycles": 111, "analytical_cycles": 68.625, "gap_cycles": 42.375, '
+        '"ceiling_overhead": 42.375, "consistent": true}')
 
 
 def test_no_idle_pe_slots_when_p_divides_k():
