@@ -9,11 +9,10 @@ from .cost_model import (
     TransformOpCounts,
     analytical_cycles,
     count_transform_ops,
-    evaluate_design,
     exact_cycles,
-    layer_cost,
     pe_count,
     pipeline_depth,
+    price_layers,
 )
 from .dse import (
     SweepResult,

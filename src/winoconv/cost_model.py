@@ -1,9 +1,9 @@
 """Closed-form complexity, latency and throughput models for the PE array.
 
-_price_layers is the one per-layer evaluation: a layer's O_m, O_t, O_S, T_t and
+price_layers is the one per-layer evaluation: a layer's O_m, O_t, O_S, T_t and
 O_T below as one LayerCost, with O_m, O_t and O_S priced once per layer and only
-T_t and O_T per PE count P.  layer_cost, evaluate_design and dse.run_sweep call
-it; totals, group sums, figures and Table 2 are sums over those LayerCosts.
+T_t and O_T per PE count P.  dse.run_sweep prices its design points with it;
+totals, group sums, figures and Table 2 are sums over those LayerCosts.
 
 Complexity conventions, with alpha = m + r - 1 and a layer of N images,
 H x W output pixels, C input and K output channels:
@@ -195,15 +195,19 @@ def exact_cycles(layer: LayerShape, params: MinimalParams, p: int) -> int:
     return ty * tx * layer.c * ceil(layer.k / p) * layer.n + pipeline_depth(params) - 1
 
 
-def _price_layers(layers: Iterable[LayerShape], params: MinimalParams, ops: TransformOpCounts,
-                  ps: list[int]) -> list[list[LayerCost]]:
-    """Each layer's LayerCost at each checked PE count of ps, one list per P; ValueError
-    unless every layer's kernel size is r.  Only T_t and O_T are priced per P."""
+def price_layers(layers: Iterable[LayerShape], params: MinimalParams, ops: TransformOpCounts,
+                 ps: Iterable[int]) -> list[list[LayerCost]]:
+    """Each layer's LayerCost at each PE count of ps, one list per P; fractional tiles.
+
+    Only T_t and O_T are priced per P.  Raises ValueError unless every P is an
+    integer >= 1 and every layer's kernel size is the algorithm's r.
+    """
+    ps = [_checked_int(p, "PE count", 1) for p in ps]
     m2, alpha2, d_p = params.m**2, params.alpha**2, pipeline_depth(params)
     by_p: list[list[LayerCost]] = [[] for _ in ps]
     for layer in layers:
         if layer.r != params.r:
-            _check_runnable(layer, params, 1)  # raises the kernel-size error
+            raise ValueError(f"layer has r={layer.r}, F({params.m},{params.r}) needs r={params.r}")
         nhwck, nhw, c, k = layer.nhwck, layer.n * layer.h * layer.w, layer.c, layer.k
         nhwck_m2 = nhwck / m2
         o_m = nhwck_m2 * alpha2
@@ -213,27 +217,3 @@ def _price_layers(layers: Iterable[LayerShape], params: MinimalParams, ops: Tran
             costs.append(LayerCost(o_m, o_t, o_s, _cycles(nhwck, m2, d_p, p) * CLOCK_PERIOD_S,
                                    nhwck_m2 * (ops.beta / p + ops.delta)))
     return by_p
-
-
-def layer_cost(
-    layer: LayerShape, params: MinimalParams, ops: TransformOpCounts, p: int
-) -> LayerCost:
-    """O_m, O_t = T(D) + T(F) + T(I), O_S, T_t and O_T of one layer on P PEs; fractional tiles.
-
-    Raises ValueError unless the layer's kernel size is the algorithm's r and P >= 1.
-    """
-    return _price_layers((layer,), params, ops, [_check_runnable(layer, params, p)])[0][0]
-
-
-def evaluate_design(
-    layers: Iterable[LayerShape],
-    params: MinimalParams,
-    hw: HardwareConfig,
-    ops: TransformOpCounts,
-) -> DesignPoint:
-    """Whole-workload DesignPoint: every layer priced at the budget's PE count."""
-    p = pe_count(hw.m_total, params)
-    costs = _price_layers(layers, params, ops, [p])[0]
-    if not costs:
-        raise ValueError("a design needs at least one layer")
-    return DesignPoint(params=params, hw=hw, p=p, layers=tuple(costs))

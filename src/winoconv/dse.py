@@ -1,9 +1,9 @@
 """Design space exploration over output tile size and multiplier budget.
 
-run_sweep evaluates every (m, budget) pair of a SweepSpec against a workload,
-all of one m's budgets in one pass over the layers (cost_model._price_layers),
-and keeps only the design points.  Group sums (through group_costs), totals,
-figures and Table 2 are sums over the per-layer costs.  run_sweep also derives the
+run_sweep, the one DesignPoint builder, prices every (m, budget) pair of a
+SweepSpec against a workload, all of one m's budgets in one pass over the layers
+(cost_model.price_layers).  Group sums (through group_costs), totals, figures and
+Table 2 are sums over a point's per-layer costs.  run_sweep also derives the
 percentage-change columns between consecutive tile sizes:
 
   - multiplication savings: 100 * (O_m(m) - O_m(m')) / O_m(m), of one layer
@@ -27,9 +27,9 @@ from .cost_model import (
     HardwareConfig,
     LayerCost,
     TransformOpCounts,
-    _price_layers,
     count_transform_ops,
     pe_count,
+    price_layers,
 )
 from .reference_data import FREQ_HZ, PRIOR_DESIGNS, SHARED_DESIGNS, Table2Row
 from .transforms import MinimalParams, Record, _checked_int, generate_transforms
@@ -102,7 +102,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             raise ValueError(f"transform generation failed for m={m}: {exc}") from exc
         counts[m] = count_transform_ops(ts)
         ps = [pe_count(budget, params) for budget in budgets]
-        priced = _price_layers(spec.workload.shapes, params, counts[m], ps)
+        priced = price_layers(spec.workload.shapes, params, counts[m], ps)
         points += [DesignPoint(params=params, hw=HardwareConfig(budget), p=p, layers=tuple(costs))
                    for budget, p, costs in zip(budgets, ps, priced)]
 

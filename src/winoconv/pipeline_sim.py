@@ -60,24 +60,18 @@ class EngineConfig(Record):
 
 
 class SimTrace(Record):
-    """Counters of one simulated layer; simulate_layer adds to them as it runs, so a
-    trace is mutable and unhashable.  idle_pe_slots counts the (issue cycle, PE)
+    """Counters of one simulated layer.  idle_pe_slots counts the (issue cycle, PE)
     pairs that ran with a zero kernel."""
 
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
-
-    def __init__(self, cycles_elapsed: int = 0, issue_cycles: int = 0,
-                 data_transform_invocations: int = 0, inverse_transform_count: int = 0,
-                 hadamard_mult_count: int = 0, tiles_per_image: int = 0, kernel_groups: int = 0,
-                 idle_pe_slots: int = 0):
-        self.cycles_elapsed = cycles_elapsed
-        self.issue_cycles = issue_cycles
-        self.data_transform_invocations = data_transform_invocations
-        self.inverse_transform_count = inverse_transform_count
-        self.hadamard_mult_count = hadamard_mult_count
-        self.tiles_per_image = tiles_per_image
-        self.kernel_groups = kernel_groups
-        self.idle_pe_slots = idle_pe_slots
+    def __init__(self, cycles_elapsed: int, issue_cycles: int, data_transform_invocations: int,
+                 inverse_transform_count: int, hadamard_mult_count: int, tiles_per_image: int,
+                 kernel_groups: int, idle_pe_slots: int):
+        self.__dict__.update(cycles_elapsed=cycles_elapsed, issue_cycles=issue_cycles,
+                             data_transform_invocations=data_transform_invocations,
+                             inverse_transform_count=inverse_transform_count,
+                             hadamard_mult_count=hadamard_mult_count,
+                             tiles_per_image=tiles_per_image, kernel_groups=kernel_groups,
+                             idle_pe_slots=idle_pe_slots)
 
     def to_json(self) -> str:
         return json.dumps(dict(zip(self._fields, self._values())))
@@ -111,12 +105,12 @@ def simulate_layer(
 
     u = u.transpose(1, 2, 0)[..., None]  # shared data transforms, (C, tiles, alpha^2, 1)
     kron_at = ts.kron_at.astype(dtype)
-    trace = SimTrace(tiles_per_image=ty * tx, kernel_groups=n_groups)
     # a step's products, alpha^2 rows of groups * P PE slots per (channel, tile)
     prod = np.zeros((step, n_tiles, a2, n_groups * p), dtype=dtype)
     cycles = prod.reshape(step, n_tiles, a2, n_groups, p).transpose(0, 1, 3, 2, 4)
     y = np.empty((step, n_tiles, n_groups, m2, p), dtype=dtype)
     accum = np.zeros(y.shape[1:], dtype=dtype)  # PE output buffers
+    products = idle = 0
     for c0 in range(0, c, step):
         b = min(step, c - c0)
         # every issue cycle of b channels: all tile positions x all kernel groups
@@ -125,14 +119,14 @@ def simulate_layer(
         np.matmul(kron_at, cycles[:b] if m > 1 else cycles[:b].copy(), out=y[:b])
         for channel in y[:b]:
             accum += channel
-        issued = prod[:b].size // (p * a2)
-        trace.issue_cycles += issued
-        trace.data_transform_invocations += issued
-        trace.hadamard_mult_count += prod[:b].size
-        trace.inverse_transform_count += prod[:b].size // a2
-        trace.idle_pe_slots += prod[:b, ..., k:].size // a2
+        products += prod[:b].size
+        idle += prod[:b, ..., k:].size // a2
 
-    trace.cycles_elapsed = trace.issue_cycles + pipeline_depth(cfg.params) - 1
+    issued = products // (p * a2)
+    trace = SimTrace(cycles_elapsed=issued + pipeline_depth(cfg.params) - 1,
+                     issue_cycles=issued, data_transform_invocations=issued,
+                     inverse_transform_count=products // a2, hadamard_mult_count=products,
+                     tiles_per_image=ty * tx, kernel_groups=n_groups, idle_pe_slots=idle)
     y = accum.reshape(fmap.n, ty, tx, n_groups, m, m, p).transpose(0, 3, 6, 1, 4, 2, 5)
     return untile(y.reshape(fmap.n, n_groups * p, ty, m, tx, m)[:, :k], h_out, w_out), trace
 
@@ -158,7 +152,7 @@ def validate_against_analytical(cfg: EngineConfig, layer: LayerShape) -> Validat
     """Compare the simulator's cycle count with the fractional latency model.
 
     The analytical side is cost_model.analytical_cycles, the cycle count that
-    layer_cost prices.  The gap is exactly the ceiling overhead of partial
+    price_layers prices.  The gap is exactly the ceiling overhead of partial
     tiles and partial kernel groups; it is zero when m divides both output
     dims and P divides K.
     """

@@ -10,7 +10,7 @@ import pytest
 
 from winoconv import pipeline_sim
 from winoconv.cli import build_parser, main
-from winoconv.pipeline_sim import simulate_layer
+from winoconv.pipeline_sim import SimTrace, simulate_layer
 from winoconv.tensor_io import load_tensor, save_tensor
 
 
@@ -143,8 +143,7 @@ def test_simulate_checks_the_traced_cycles(tmp_path, capsys, monkeypatch):
     # that took a wrong number of cycles.
     def off_by_one(*args):
         out, trace = simulate_layer(*args)
-        trace.cycles_elapsed += 1
-        return out, trace
+        return out, SimTrace(**{**vars(trace), "cycles_elapsed": trace.cycles_elapsed + 1})
 
     monkeypatch.setattr(pipeline_sim, "simulate_layer", off_by_one)
     outdir = tmp_path / "out"

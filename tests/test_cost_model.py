@@ -11,17 +11,16 @@ from winoconv.cost_model import (
     TransformOpCounts,
     analytical_cycles,
     count_transform_ops,
-    evaluate_design,
     exact_cycles,
-    layer_cost,
     pe_count,
     pipeline_depth,
+    price_layers,
     tile_grid,
 )
 from winoconv.dse import SweepSpec, run_sweep
 from winoconv.pipeline_sim import EngineConfig, expected_cycles, validate_against_analytical
 from winoconv.transforms import MinimalParams, generate_transforms
-from winoconv.workload import VGG16D, Workload, WorkloadLayer, load_workload
+from winoconv.workload import VGG16D, Workload, WorkloadLayer
 
 # Golden per-tile op counts for the default interpolation points, frozen from
 # the symbolic enumeration (two chained dense products, 0/±1 eliminated).
@@ -66,15 +65,15 @@ def test_count_rejects_unknown_convention():
 
 
 def o_m(layer, params):
-    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1).o_m
+    return price_layers([layer], params, TransformOpCounts(0, 0, 0), [1])[0][0].o_m
 
 
 def o_t(layer, params, ops):
-    return layer_cost(layer, params, ops, 1).o_t
+    return price_layers([layer], params, ops, [1])[0][0].o_t
 
 
 def latency(layer, params, p):
-    return layer_cost(layer, params, TransformOpCounts(0, 0, 0), p).latency_s
+    return price_layers([layer], params, TransformOpCounts(0, 0, 0), [p])[0][0].latency_s
 
 
 def test_multiplication_complexity():
@@ -126,13 +125,13 @@ def test_implementation_transform_complexity():
     layer = LayerShape(n=1, h=8, w=8, c=3, k=5, r=3)
     params = MinimalParams(2, 3)
     ops = TransformOpCounts(32, 70, 24)
-    assert layer_cost(layer, params, ops, 1).o_t_shared \
+    assert price_layers([layer], params, ops, [1])[0][0].o_t_shared \
         == pytest.approx(layer.nhwck / 4 * (32 + 24))
-    o16 = layer_cost(layer, params, ops, 16).o_t_shared
-    o32 = layer_cost(layer, params, ops, 32).o_t_shared
+    o16 = price_layers([layer], params, ops, [16])[0][0].o_t_shared
+    o32 = price_layers([layer], params, ops, [32])[0][0].o_t_shared
     assert o32 < o16
     with pytest.raises(ValueError, match="PE count"):
-        layer_cost(layer, params, ops, 0)
+        price_layers([layer], params, ops, [0])
 
 
 def test_pe_count_table():
@@ -209,9 +208,9 @@ INTEGER_FIELDS = {
     "exact_cycles": (lambda v: exact_cycles(LayerShape(**_LAYER), MinimalParams(2, 3), v),
                      lambda x: x, "PE count", 4, 1, ()),
     # an np.int8 P gave an np.float64 o_t_shared beside a float latency_s
-    "layer_cost": (lambda v: layer_cost(LayerShape(**_LAYER), MinimalParams(2, 3),
-                                        TransformOpCounts(**_OPS), v),
-                   attrgetter("o_t_shared"), "PE count", 4, 1, ()),
+    "price_layers": (lambda v: price_layers([LayerShape(**_LAYER)], MinimalParams(2, 3),
+                                            TransformOpCounts(**_OPS), [v])[0][0],
+                     attrgetter("o_t_shared"), "PE count", 4, 1, ()),
 }
 
 
@@ -228,7 +227,7 @@ def test_count_and_size_fields_take_only_integers(case):
     for np_int in (np.int8, np.int32, np.int64):  # stored, and computed with, as a Python int
         got = build(np_int(valid))
         assert got == expected and type(read(got)) is type(read(expected)), np_int
-    assert type(read(expected)) is (float if case in ("analytical_cycles", "layer_cost") else int)
+    assert type(read(expected)) is (float if case in ("analytical_cycles", "price_layers") else int)
 
 
 def test_layer_latency_conv1_group():
@@ -272,27 +271,22 @@ def test_latency_scaling_invariants():
     assert l2 / l4 == pytest.approx(4.0)
 
 
+def vgg16d_m4_point():
+    """The one design point of F(4,3) with 684 multipliers on VGG16-D."""
+    return run_sweep(SweepSpec((4,), 3, (684,), VGG16D, HardwareConfig(684))).points[0]
+
+
 def test_spatial_ops_and_throughput():
-    vgg = load_workload("vgg16d")
-    params = MinimalParams(4, 3)
-    hw = HardwareConfig(684)
-    ops = count_transform_ops(generate_transforms(params))
-    point = evaluate_design(vgg.shapes, params, hw, ops)
+    point = vgg16d_m4_point()
     assert point.o_s == pytest.approx(30.69e9, rel=1e-3)
     assert point.t_total == pytest.approx(28.05e-3, abs=0.02e-3)
     assert point.throughput == pytest.approx(1094.3e9, rel=5e-3)
     assert point.throughput / 684 == pytest.approx(1.60e9, rel=5e-3)
-    with pytest.raises(ValueError, match="at least one layer"):
-        evaluate_design((), params, hw, ops)
 
 
-def test_evaluate_design_invariants():
-    vgg = load_workload("vgg16d")
-    params = MinimalParams(4, 3)
-    hw = HardwareConfig(684)
-    ts = generate_transforms(params)
-    point = evaluate_design(vgg.shapes, params, hw, count_transform_ops(ts))
-    assert point.p == hw.m_total // params.alpha**2
+def test_design_point_invariants():
+    point = vgg16d_m4_point()
+    assert point.p == 684 // MinimalParams(4, 3).alpha**2
     assert point.throughput == pytest.approx(point.o_s / point.t_total)
     # the totals are derived from the per-layer costs, never stored beside them
     assert list(point._fields) == ["params", "hw", "p", "layers"]
@@ -300,19 +294,17 @@ def test_evaluate_design_invariants():
 
 
 def test_layer_cost_rejects_a_kernel_size_other_than_r():
-    # priced o_m from alpha = m + 3 - 1 and o_s from r = 5, and evaluate_design summed it
+    # priced o_m from alpha = m + 3 - 1 and o_s from r = 5, and a design summed it
     layer = LayerShape(1, 4, 4, 1, 1, 5)
     params = MinimalParams(2, 3)
     with pytest.raises(ValueError, match=r"^layer has r=5, F\(2,3\) needs r=3$"):
-        layer_cost(layer, params, TransformOpCounts(0, 0, 0), 1)
-    with pytest.raises(ValueError, match="r=5"):
-        evaluate_design([layer], params, HardwareConfig(16), TransformOpCounts(0, 0, 0))
+        price_layers([layer], params, TransformOpCounts(0, 0, 0), [1])
 
 
 @pytest.mark.parametrize("r", [3, 5])
 def test_sweep_and_design_pricing_equal_layer_cost_exactly(r):
-    # run_sweep prices all of an m's budgets in one pass over the layers, evaluate_design a
-    # workload at one P; every field must be layer_cost's own float, not merely close to it
+    # run_sweep prices all of an m's budgets in one pass over the layers; every field must
+    # be a one-layer, one-P price_layers call's own float, not merely close to it
     rng = np.random.default_rng(r)
     layers = [LayerShape(1, 3, 5, 1, 512, r), LayerShape(2, 7, 2, 512, 1, r)]
     for _ in range(10):
@@ -329,27 +321,21 @@ def test_sweep_and_design_pricing_equal_layer_cost_exactly(r):
     for pt in result.points:
         ops = result.op_counts[pt.params.m]
         assert pt.p == pe_count(pt.hw.m_total, pt.params)
-        expected = tuple(layer_cost(l, pt.params, ops, pt.p) for l in layers)
+        expected = tuple(price_layers([l], pt.params, ops, [pt.p])[0][0] for l in layers)
         assert pt.layers == expected
-    for m in range(1, 7):
-        params, ops = MinimalParams(m, r), result.op_counts[m]
-        for budget in budgets:
-            point = evaluate_design(layers, params, HardwareConfig(budget), ops)
-            assert point.p == pe_count(budget, params)
-            assert point.layers == tuple(layer_cost(l, params, ops, point.p) for l in layers)
 
 
 def test_design_pricing_keeps_its_messages():
     params, ops = MinimalParams(2, 3), TransformOpCounts(1, 2, 3)
     layer = LayerShape(1, 4, 4, 1, 1, 3)
-    with pytest.raises(ValueError, match=r"^a design needs at least one layer$"):
-        evaluate_design((), params, HardwareConfig(16), ops)
     with pytest.raises(ValueError, match=r"^layer has r=5, F\(2,3\) needs r=3$"):
-        evaluate_design([layer, LayerShape(1, 4, 4, 1, 1, 5)], params, HardwareConfig(16), ops)
-    below = r"^budget of 15 multipliers is below one PE \(16 needed for F\(2,3\)\)$"
-    for layers in ([layer], ()):  # the budget is checked before the layers
-        with pytest.raises(ValueError, match=below):
-            evaluate_design(layers, params, HardwareConfig(15), ops)
+        price_layers([layer, LayerShape(1, 4, 4, 1, 1, 5)], params, ops, [1])
+    # every P is checked before any layer is priced
+    with pytest.raises(ValueError, match=r"^PE count must be >= 1, got 0$"):
+        price_layers([LayerShape(1, 4, 4, 1, 1, 5)], params, ops, [4, 0])
+    with pytest.raises(ValueError, match=r"^budget of 15 multipliers is below one PE "
+                                         r"\(16 needed for F\(2,3\)\)$"):
+        pe_count(15, params)
     # a sweep reports the first m, in ascending order, that a budget cannot hold one PE of
     with pytest.raises(ValueError, match=r"^budget of 16 multipliers is below one PE "
                                          r"\(36 needed for F\(4,3\)\)$"):

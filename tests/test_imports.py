@@ -7,6 +7,7 @@ Each check that needs a fresh interpreter runs one in a subprocess with this
 checkout's src/ on its path.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -78,6 +79,56 @@ def test_analytic_paths_do_not_load_dataclasses_or_inspect(step_reports, step):
     # 13 @dataclass classes made `import winoconv` about 30 ms slower than a bare interpreter
     loaded_at_start, steps = step_reports
     assert set(steps[step][2].split()) <= set(loaded_at_start)
+
+
+# Every name `from winoconv import ...` takes, one a line: a change is a one-line diff.
+PUBLIC_NAMES = [
+    "ConvSpec",
+    "DesignPoint",
+    "EngineConfig",
+    "FeatureMap",
+    "HardwareConfig",
+    "KernelBank",
+    "LayerShape",
+    "MinimalParams",
+    "MultCounter",
+    "SimTrace",
+    "SweepResult",
+    "SweepSpec",
+    "TransformOpCounts",
+    "TransformSet",
+    "Workload",
+    "WorkloadLayer",
+    "analytical_cycles",
+    "count_transform_ops",
+    "default_points",
+    "engine_config_for",
+    "exact_cycles",
+    "expected_cycles",
+    "generate_transforms",
+    "load_workload",
+    "pe_count",
+    "pipeline_depth",
+    "precompute_filter_transforms",
+    "price_layers",
+    "recommend",
+    "run_sweep",
+    "simulate_layer",
+    "spatial_conv",
+    "table2_report",
+    "validate_against_analytical",
+    "winograd_1d_exact",
+    "winograd_2d_tile_exact",
+    "winograd_conv",
+]
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse(Path(winoconv.__file__).read_text())
+    eager = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    assert sorted(eager + list(winoconv._LAZY)) == PUBLIC_NAMES
+    assert all(hasattr(winoconv, name) for name in PUBLIC_NAMES)
 
 
 def test_lazy_names_are_the_submodules_objects():

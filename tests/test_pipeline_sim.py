@@ -19,8 +19,8 @@ from winoconv.cost_model import (
     LayerShape,
     TransformOpCounts,
     count_transform_ops,
-    layer_cost,
     pipeline_depth,
+    price_layers,
 )
 from winoconv.pipeline_sim import (
     EngineConfig,
@@ -173,8 +173,20 @@ def test_analytical_cycles_price_the_dse_latency():
         p = int(rng.integers(1, 40))
         cfg = EngineConfig(params, p=p)
         report = validate_against_analytical(cfg, layer)
-        cost = layer_cost(layer, params, TransformOpCounts(0, 0, 0), p)
+        cost = price_layers([layer], params, TransformOpCounts(0, 0, 0), [p])[0][0]
         assert report.analytical_cycles * CLOCK_PERIOD_S == cost.latency_s
+
+
+def test_trace_is_an_immutable_value():
+    # simulate_layer once added to a mutable, unhashable trace as it ran
+    rng = np.random.default_rng(7)
+    cfg = EngineConfig(MinimalParams(2, 3), p=3)
+    fmap, kern = random_case(rng, 1, 2, 6, 6, 4)
+    _, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
+    _, again = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
+    assert trace == again and hash(trace) == hash(again)
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'issue_cycles'$"):
+        trace.issue_cycles = 0
 
 
 def test_batch_doubles_issue_cycles():
@@ -367,7 +379,7 @@ def test_measured_transform_counts_price_the_shared_design():
             + ops.delta * trace.inverse_transform_count
         layer = LayerShape(n=n, h=h, w=w, c=c, k=k, r=3)  # pad 1 keeps dims
         assert measured == pytest.approx(
-            layer_cost(layer, params, ops, p).o_t_shared, rel=1e-12)
+            price_layers([layer], params, ops, [p])[0][0].o_t_shared, rel=1e-12)
 
 
 def test_vgg16d_conv5_1_at_paper_scale():
