@@ -2,57 +2,56 @@
 
     python3 scripts/bench_layers.py --out BENCH_<n>.json
 
-For each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
-input and kernels) and m = 2, 3, 4, records the best-of-3 wall time of
-precompute_filter_transforms and winograd_conv, the best-of-3 time of
-spatial_conv once per shape, and winograd_conv's maximum error relative to
-spatial_conv's largest output.  The 3 calls of each entry come from
-REPEATS = 3 round-robin passes over all shapes, so a slow stretch of the
-host spreads over every shape rather than moving one shape's best and
-median together.  Each best time has the median of the same 3 calls next to
-it (*_median_ms): on a shared host the best of 3 alone moved up to 3x
-between runs of identical code.  Next to each spatial_conv and
-winograd_conv time it records the minor page faults per call (the mean
-getrusage ru_minflt delta over the 3 calls).  As a BLAS-grade baseline it
-times a float32 im2col + one GEMM convolution (defined here, not in
-winoconv), checks it against spatial_conv, and records the best-m
-winograd_conv time over the im2col time.
+The layer, fixed-cost and synthesis sections sample their calls with
+round_robin: one flat dict of calls, run in order once per pass, so that a slow
+stretch of the host spreads over every entry rather than moving one entry's best
+and median together.  A sample is the wall time of per_sample calls over
+per_sample, each result kept until the next call returns; an entry keeps one
+sample per pass and records the best and the median (*_median_*): on a shared
+host the best alone moved up to 3x between runs of identical code.  Its minor
+page faults per call are the getrusage ru_minflt delta summed over its calls and
+divided by their number.  On the first pass an optional check reads each
+result, outside the timed and fault windows.
 
-Next, the fixed cost of one call on the benchmark's small layers: the conv
-layer and the sim layer of each perfbench workload (deep, wide, analytic;
-N = 1, pad 1, seeded float32), with spatial_conv, winograd_conv at m = 2, 3,
-4 and simulate_layer at m = 2, 3, 4 (P from 700 multipliers, as in the
-benchmark).  Each sample is the mean of FIXED_COST_CALLS calls, each result
-kept until the next call returns, in FIXED_COST_REPEATS round-robin passes;
-each entry records the best and median microseconds per call and the minor
-page faults per call.
+Layers: for each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
+input and kernels), spatial_conv, a float32 im2col + one GEMM baseline (defined
+here, not in winoconv) and, at m = 2, 3, 4, precompute_filter_transforms and
+winograd_conv, in REPEATS = 3 passes of one call each.  The first pass checks
+im2col and winograd_conv against the latest spatial_conv output, relative to its
+largest value; faults are kept for spatial_conv and winograd_conv, and the
+best-m winograd_conv time over the im2col time.
 
-Then simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
-4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer
-wall time and microseconds per issue cycle, and each design's measured
-idle-PE fraction, summed idle_pe_slots / (P * summed issue_cycles), and
-asserts that the summed trace cycles equal the summed cost_model.exact_cycles.
+Fixed cost: the conv layer and the sim layer of each perfbench workload (deep,
+wide, analytic; N = 1, pad 1, seeded float32), with spatial_conv, winograd_conv
+at m = 2, 3, 4 and simulate_layer at m = 2, 3, 4 (P from 700 multipliers, as in
+the benchmark), in FIXED_COST_REPEATS passes of FIXED_COST_CALLS calls, in
+microseconds per call, with faults per call for every entry.
 
-Last, it times transform synthesis and the analytical CLI subcommands in
-CLI_REPEATS = 9 round-robin passes of their own (3 passes put the `dse`
-process a third above the best of 9 on a shared host): generate_transforms
-for F(m, 3) at m = 1..8 (each sample the mean of SYNTH_CALLS calls), then
-in-process `winoconv dse` and `winoconv report` with default arguments into a
-temporary directory, then, each as a separate `python` process, a bare
-interpreter, `import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`,
-and `python -m winoconv.cli dse` and `report`, keeping the best and the median
-of each entry.  The process times are what a CLI user waits for, start-up and
-imports included.  Each pass also runs `import winoconv` once more under
-`-X importtime` (which slows it by about 2.5 ms, so it is not the timed
-`import` process), and the median self time of each winoconv module, and of
-dataclasses when it is loaded, is kept beside the process times
-(process.import_self_ms), so that a slower import names its module.  Then it
-splits one in-process `dse` + `report` run into transform synthesis, op
-counting, pricing and CSV writes (see bench_dse_stages).
+Network: simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
+4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer wall
+time and microseconds per issue cycle, and each design's measured idle-PE
+fraction, summed idle_pe_slots / (P * summed issue_cycles), and asserts that the
+summed trace cycles equal the summed cost_model.exact_cycles.
+
+Synthesis and CLI, in CLI_REPEATS = 9 passes (3 passes put the `dse` process a
+third above the best of 9 on a shared host): generate_transforms for F(m, 3) at
+m = 1..8 (a call is SYNTH_CALLS syntheses), in-process `winoconv dse` and
+`winoconv report` with default arguments into a temporary directory, then, each
+as a separate `python` process, a bare interpreter, `import winoconv`, `python
+-m winoconv.cli transform --m 4 --r 3`, and `python -m winoconv.cli dse` and
+`report`.  The process times are what a CLI user waits for, start-up and imports
+included.  The CLI's stdout is discarded, and a failed call or process stops the
+run.  Each pass also runs `import winoconv` once more under `-X importtime`
+(which slows it by about 2.5 ms, so it is not the timed `import` process), and
+the median self time of each winoconv module is kept beside the process times
+(process.import_self_ms), so that a slower import names its module.
+
+Last, bench_dse_stages splits one in-process `dse` + `report` run into transform
+synthesis, op counting, pricing and CSV writes.
 
 BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) and the
 process's peak RSS are recorded with the results.  The whole run takes about
-a minute on a 2-vCPU host and peaks at 400-430 MB RSS in spatial_conv on
+35 s on a 2-vCPU host and peaks at 400-430 MB RSS in spatial_conv on
 the 224x224, 64->64 layer, whose float64 patch matrix alone is 231 MB.  It
 imports winoconv from this checkout's src/.
 """
@@ -61,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import os
 import resource
@@ -119,7 +117,7 @@ VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
 
 
 def import_self_us(stderr: str) -> dict[str, int]:
-    """Self microseconds of the winoconv modules, and of dataclasses, in `-X importtime` output.
+    """Self microseconds of the winoconv modules in `-X importtime` output.
 
     Each line reads "import time: <self us> | <cumulative us> | <indent><module>".
     """
@@ -128,9 +126,30 @@ def import_self_us(stderr: str) -> dict[str, int]:
         fields = line.removeprefix("import time:").split("|")
         if len(fields) == 3 and fields[0].strip().isdigit():
             module = fields[2].strip()
-            if module.split(".")[0] in ("winoconv", "dataclasses"):
+            if module.split(".")[0] == "winoconv":
                 out[module] = int(fields[0])
     return out
+
+
+def round_robin(calls: dict, passes: int, per_sample: int = 1, first=None) -> tuple[dict, dict]:
+    """Seconds per call of each entry, one sample per pass, and its minor faults per call.
+
+    Each pass runs the entries in order, per_sample calls each, every result kept until
+    the next call returns.  On pass 0, first(name, result) runs right after each entry's
+    calls with the result of the last one, outside the timed and fault windows.
+    """
+    seconds, faults = {name: [] for name in calls}, dict.fromkeys(calls, 0)
+    for rep in range(passes):
+        for name, fn in calls.items():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = perf_counter()
+            for _ in range(per_sample):
+                out = fn()
+            seconds[name].append((perf_counter() - start) / per_sample)
+            faults[name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            if rep == 0 and first is not None:
+                first(name, out)
+    return seconds, {name: n / (passes * per_sample) for name, n in faults.items()}
 
 
 def timing(entry: str, seconds: list[float], unit: str = "ms") -> dict:
@@ -181,41 +200,35 @@ def layer_calls(layer, pad: int, rng: np.random.Generator) -> dict:
 
 
 def bench_layers(shapes, rng: np.random.Generator) -> list[dict]:
-    """Time every call of every (layer, pad) shape in REPEATS round-robin passes.
+    """Time every call of every (layer, pad) shape, keyed (shape index, entry), in REPEATS passes.
 
-    Each pass runs each call once, shape after shape, so a slow stretch of
-    the host spreads over all shapes instead of over one shape's repeats.
-    The first pass checks im2col and winograd_conv against spatial_conv.
+    The first pass checks im2col and winograd_conv against the latest spatial_conv output.
     """
-    calls = [layer_calls(layer, pad, rng) for layer, pad in shapes]
-    seconds = [{name: [] for name in c} for c in calls]
-    faults = [dict.fromkeys(c, 0) for c in calls]
-    errors: list[dict] = [{} for _ in calls]
-    for rep in range(REPEATS):
-        for i, shape_calls in enumerate(calls):
-            for name, fn in shape_calls.items():
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                start = perf_counter()
-                out = fn()
-                seconds[i][name].append(perf_counter() - start)
-                faults[i][name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-                if rep == 0 and name == "spatial":
-                    ref, scale = out, np.abs(out).max()
-                elif rep == 0 and not name.startswith("filter_precompute"):
-                    errors[i][name] = np.abs(out.astype(np.float64) - ref).max() / scale
-            assert errors[i]["im2col"] < 1e-4, f"im2col baseline off by {errors[i]['im2col']:.3g}"
-        print(f"pass {rep + 1}/{REPEATS} done", flush=True)
+    calls = {(i, name): fn for i, (layer, pad) in enumerate(shapes)
+             for name, fn in layer_calls(layer, pad, rng).items()}
+    # sized before the first call: growing it between calls took a new table from the
+    # heap and moved the fault columns of conv4 and conv5 by hundreds per call
+    errors, ref = dict.fromkeys(calls), None
 
+    def check(key, out):
+        nonlocal ref
+        if key[1] == "spatial":
+            ref = out, np.abs(out).max()
+        elif not key[1].startswith("filter_precompute"):
+            errors[key] = err = np.abs(out.astype(np.float64) - ref[0]).max() / ref[1]
+            assert key[1] != "im2col" or err < 1e-4, f"im2col baseline off by {err:.3g}"
+
+    seconds, faults = round_robin(calls, REPEATS, first=check)
     rows = []
-    for (layer, pad), secs, flt, err in zip(shapes, seconds, faults, errors):
+    for i, (layer, pad) in enumerate(shapes):
         row = {"h": layer.h, "w": layer.w, "c": layer.c, "k": layer.k, "r": layer.r, "pad": pad,
-               **timing("spatial", secs["spatial"]),
-               "spatial_faults": round(flt["spatial"] / REPEATS, 1),
-               **timing("im2col", secs["im2col"]),
-               "m": {str(m): {**timing("filter_precompute", secs[f"filter_precompute.{m}"]),
-                              **timing("winograd", secs[f"winograd.{m}"]),
-                              "winograd_faults": round(flt[f"winograd.{m}"] / REPEATS, 1),
-                              "max_rel_err": float(f"{err[f'winograd.{m}']:.3g}")}
+               **timing("spatial", seconds[i, "spatial"]),
+               "spatial_faults": round(faults[i, "spatial"], 1),
+               **timing("im2col", seconds[i, "im2col"]),
+               "m": {str(m): {**timing("filter_precompute", seconds[i, f"filter_precompute.{m}"]),
+                              **timing("winograd", seconds[i, f"winograd.{m}"]),
+                              "winograd_faults": round(faults[i, f"winograd.{m}"], 1),
+                              "max_rel_err": float(f"{errors[i, f'winograd.{m}']:.3g}")}
                      for m in TILE_SIZES}}
         best = min(t["winograd_ms"] for t in row["m"].values())
         row["best_winograd_over_im2col"] = round(best / row["im2col_ms"], 3)
@@ -240,26 +253,16 @@ def fixed_cost_calls(conv: tuple, sim: tuple, rng: np.random.Generator) -> dict:
 
 def bench_fixed_cost(rng: np.random.Generator) -> list[dict]:
     """Per-call time and faults on the benchmark's layers, FIXED_COST_REPEATS round-robin passes."""
-    calls = {name: fixed_cost_calls(w.conv, w.sim, rng) for name, w in WORKLOADS.items()}
-    seconds = {wl: {name: [] for name in c} for wl, c in calls.items()}
-    faults = {wl: dict.fromkeys(c, 0) for wl, c in calls.items()}
-    for _ in range(FIXED_COST_REPEATS):
-        for wl, wl_calls in calls.items():
-            for name, fn in wl_calls.items():
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                start = perf_counter()
-                for _ in range(FIXED_COST_CALLS):
-                    out = fn()  # kept until the next call returns, as in the benchmark
-                seconds[wl][name].append((perf_counter() - start) / FIXED_COST_CALLS)
-                faults[wl][name] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    per_call = FIXED_COST_REPEATS * FIXED_COST_CALLS
+    calls = {(wl, name): fn for wl, w in WORKLOADS.items()
+             for name, fn in fixed_cost_calls(w.conv, w.sim, rng).items()}
+    seconds, faults = round_robin(calls, FIXED_COST_REPEATS, FIXED_COST_CALLS)
     return [{"workload": wl, "conv": list(w.conv), "sim": list(w.sim),
-             **timing("spatial", seconds[wl]["spatial"], "us"),
-             "spatial_faults": round(faults[wl]["spatial"] / per_call, 2),
-             "m": {str(m): {**timing("winograd", seconds[wl][f"winograd.{m}"], "us"),
-                            "winograd_faults": round(faults[wl][f"winograd.{m}"] / per_call, 2),
-                            **timing("simulate", seconds[wl][f"simulate.{m}"], "us"),
-                            "simulate_faults": round(faults[wl][f"simulate.{m}"] / per_call, 2)}
+             **timing("spatial", seconds[wl, "spatial"], "us"),
+             "spatial_faults": round(faults[wl, "spatial"], 2),
+             "m": {str(m): {**timing("winograd", seconds[wl, f"winograd.{m}"], "us"),
+                            "winograd_faults": round(faults[wl, f"winograd.{m}"], 2),
+                            **timing("simulate", seconds[wl, f"simulate.{m}"], "us"),
+                            "simulate_faults": round(faults[wl, f"simulate.{m}"], 2)}
                    for m in TILE_SIZES}}
             for wl, w in WORKLOADS.items()]
 
@@ -305,11 +308,13 @@ def bench_synthesis_and_cli() -> dict:
 
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     cli = [sys.executable, "-m", "winoconv.cli"]
-    with tempfile.TemporaryDirectory() as outdir:
+    with (tempfile.TemporaryDirectory() as outdir, open(os.devnull, "w") as devnull,
+          contextlib.redirect_stdout(devnull)):
         calls = {f"generate_transforms.{m}": lambda p=MinimalParams(m, 3): synthesize(p)
                  for m in SYNTH_M}
-        for command in ("dse", "report"):
-            calls[command] = lambda c=command: cli_main([c, "--outdir", outdir])
+        for command in ("dse", "report"):  # cli_main returns the exit status
+            calls[command] = lambda c=command: cli_main([c, "--outdir", outdir]) and sys.exit(
+                f"winoconv {c} failed")
         processes = {"bare": [sys.executable, "-c", "pass"],
                      "import": [sys.executable, "-c", "import winoconv"],
                      "transform": cli + ["transform", "--m", "4", "--r", "3"],
@@ -317,7 +322,7 @@ def bench_synthesis_and_cli() -> dict:
                      "report": cli + ["report", "--outdir", outdir]}
         for name, argv in processes.items():
             calls[f"process.{name}"] = lambda a=argv: subprocess.run(
-                a, env=env, stdout=subprocess.DEVNULL).returncode
+                a, env=env, stdout=subprocess.DEVNULL, check=True)
         self_us = defaultdict(list)  # module -> its self time in each profiled import
 
         def profile_import():
@@ -327,14 +332,7 @@ def bench_synthesis_and_cli() -> dict:
                 self_us[module].append(us)
 
         calls["import_profile"] = profile_import
-        seconds = {name: [] for name in calls}
-        for _ in range(CLI_REPEATS):
-            for name, fn in calls.items():
-                with contextlib.redirect_stdout(io.StringIO()):
-                    start = perf_counter()
-                    status = fn()
-                    seconds[name].append(perf_counter() - start)
-                assert status in (None, 0), f"{name} exited with {status}"  # None: synthesis
+        seconds, _ = round_robin(calls, CLI_REPEATS)
     per_call = {m: [t / SYNTH_CALLS for t in seconds[f"generate_transforms.{m}"]] for m in SYNTH_M}
     return {"r": 3, "calls_per_sample": SYNTH_CALLS, "repeats": CLI_REPEATS,
             "m": {str(m): timing("generate_transforms", per_call[m]) for m in SYNTH_M},

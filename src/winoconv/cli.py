@@ -69,15 +69,15 @@ def cmd_conv(args) -> int:
     spec = ConvSpec(pad=args.pad)
     ts = generate_transforms(MinimalParams(args.m, kernels.r))
 
-    spatial_counter, wino_counter = MultCounter(), MultCounter()
-    reference = spatial_conv(fmap, kernels, spec, counter=spatial_counter)
+    wino_counter = MultCounter()
+    reference = spatial_conv(fmap, kernels, spec)
     out = winograd_conv(fmap, kernels, spec, ts, counter=wino_counter)
     save_tensor(args.output, out.data, "NCHW")
 
     err = np.abs(out.data.astype(np.float64) - reference.data.astype(np.float64))
     scale = np.max(np.abs(reference.data)) or 1.0
     stats = [
-        {"path": "spatial", "multiplications": spatial_counter.count},
+        {"path": "spatial", "multiplications": reference.data.size * kernels.c * kernels.r**2},
         {"path": "winograd", "m": args.m, "multiplications": wino_counter.count},
         {"max_abs_error": float(np.max(err)), "max_rel_error": float(np.max(err) / scale)},
     ]

@@ -105,7 +105,6 @@ def spatial_conv(
     fmap: FeatureMap,
     kernels: KernelBank,
     spec: ConvSpec,
-    counter: MultCounter | None = None,
 ) -> FeatureMap:
     """Direct convolution as im2col and one float64 GEMM (Chellapilla et al. 2006).
 
@@ -138,8 +137,6 @@ def spatial_conv(
         bound = (np.abs(g) @ np.abs(cols)).max()
         if bound > 2**53 - 1 or out64.min() < info.min or out64.max() > info.max:
             raise ValueError(f"integer sums leave the exact range of {fmap.data.dtype}")
-    if counter is not None:
-        counter.add(n * c * h_out * w_out * r * r * k)
     return FeatureMap(out64.astype(fmap.data.dtype, copy=False))
 
 

@@ -1,16 +1,17 @@
 """The winoconv names the benchmark harness (perfbench/) and the layer harness
 (scripts/bench_layers.py) read must exist.
 
-perfbench's own tests run the harness and are slow, and nothing else imports
-the layer harness.  Here their sources are read with ast, so a deleted or
-renamed name fails in Tier-1, and the benchmark's workload code runs once on a
-tiny spec, which also covers the attribute reads, checks and golden digests
-that ast cannot see.
+perfbench's own tests run the harness and are slow.  Here their sources are
+read with ast, so a deleted or renamed name fails in Tier-1, and the
+benchmark's workload code runs once on a tiny spec, which also covers the
+attribute reads, checks and golden digests that ast cannot see.  The layer
+harness's sampler runs on recording callables.
 """
 
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from winoconv import dse
@@ -56,3 +57,30 @@ def test_benchmark_workload_code_runs_clean(tmp_path, monkeypatch):
     wl.int32_probe(inp, rec, checks)
     assert checks.attempted > 0
     assert checks.failed == 0, checks.failures
+
+
+def test_layer_harness_round_robin_samples_in_order(monkeypatch):
+    # importing the harness pins BLAS threads and extends sys.path; both are restored
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("bench_layers",
+                                                  ROOT / "scripts" / "bench_layers.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    order, firsts = [], []
+
+    def recording(name):
+        def call():
+            order.append(name)
+            return order.count(name)  # this entry's call number
+        return call
+
+    seconds, faults = bench.round_robin({"a": recording("a"), "b": recording("b")}, passes=3,
+                                        per_sample=2, first=lambda *args: firsts.append(args))
+    assert order == ["a", "a", "b", "b"] * 3
+    assert {name: len(s) for name, s in seconds.items()} == {"a": 3, "b": 3}
+    assert all(t >= 0 for s in seconds.values() for t in s)
+    assert faults.keys() == {"a", "b"}
+    assert firsts == [("a", 2), ("b", 2)]  # pass 0's result, from the entry's last call

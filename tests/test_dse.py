@@ -16,6 +16,7 @@ from winoconv.dse import (
     write_table2_csv,
     write_table2_reference_csv,
 )
+from winoconv.reference_data import PRIOR_DESIGNS
 from winoconv.transforms import MinimalParams
 from winoconv.workload import Workload, WorkloadLayer, load_workload
 from winoconv.cost_model import LayerShape
@@ -198,6 +199,19 @@ def test_table2_report_values(vgg):
     norm = rows["prior_1d_engine_norm688"]
     assert m2.overall_ms == pytest.approx(norm.overall_ms, abs=0.02)
     assert not norm.computed and m2.computed
+
+
+def test_norm688_row_scales_the_published_engine_to_688_multipliers():
+    rows = {r.name: r for r in PRIOR_DESIGNS}
+    prior, norm = rows["prior_1d_engine"], rows["prior_1d_engine_norm688"]
+    assert norm.conv_ms == tuple(round(ms * 256 / 688, 2) for ms in prior.conv_ms)
+    assert norm.overall_ms == round(prior.overall_ms * 256 / 688, 2)
+    assert norm.gops == round(230.4 * 688 / 256, 1) == 619.2
+    assert norm.power_w == round(8.04 * 688 / 256, 2) == 21.61
+    assert (prior.multipliers, prior.gops, prior.power_w) == (256, 230.4, 8.04)
+    assert (norm.multipliers, norm.pes) == (688, 688 // 16) == (688, 43)
+    for field in ("gops_per_w", "gops_per_mult", "precision_bits", "freq_mhz"):
+        assert getattr(norm, field) == getattr(prior, field)
 
 
 def test_table2_requires_vgg16d():
