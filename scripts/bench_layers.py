@@ -2,16 +2,16 @@
 
     python3 scripts/bench_layers.py --out BENCH_<n>.json
 
-The layer, fixed-cost and synthesis sections sample their calls with
-round_robin: one flat dict of calls, run in order once per pass, so that a slow
-stretch of the host spreads over every entry rather than moving one entry's best
-and median together.  A sample is the wall time of per_sample calls over
-per_sample, each result kept until the next call returns; an entry keeps one
-sample per pass and records the best and the median (*_median_*): on a shared
-host the best alone moved up to 3x between runs of identical code.  Its minor
-page faults per call are the getrusage ru_minflt delta summed over its calls and
-divided by their number.  On the first pass an optional check reads each
-result, outside the timed and fault windows.
+Every section samples its calls with round_robin, the harness's one timer: one
+flat dict of calls, run in order once per pass, so that a slow stretch of the
+host spreads over every entry rather than moving one entry's best and median
+together.  A sample is the wall time of per_sample calls over per_sample, each
+result kept until the next call returns; an entry keeps one sample per pass and
+records the best and the median (*_median_*): on a shared host the best alone
+moved up to 3x between runs of identical code.  Its minor page faults per call
+are the getrusage ru_minflt delta summed over its calls and divided by their
+number.  On the first pass an optional check reads each result, outside the
+timed and fault windows.
 
 Layers: for each distinct VGG16-D conv layer shape (N = 1, pad 1, seeded float32
 input and kernels), spatial_conv, a float32 im2col + one GEMM baseline (defined
@@ -28,10 +28,12 @@ the benchmark), in FIXED_COST_REPEATS passes of FIXED_COST_CALLS calls, in
 microseconds per call, with faults per call for every entry.
 
 Network: simulates all 13 VGG16-D layers once on each Table 2 design (m = 2, 3,
-4 at 688, 700 and 684 multipliers), recording each layer's simulate_layer wall
-time and microseconds per issue cycle, and each design's measured idle-PE
-fraction, summed idle_pe_slots / (P * summed issue_cycles), and asserts that the
-summed trace cycles equal the summed cost_model.exact_cycles.
+4 at 688, 700 and 684 multipliers): layer by layer, one pass over the three
+designs on the layer's seeded input, drawn once and shared by them.  It records
+each layer's simulate_layer wall time and microseconds per issue cycle, and each
+design's measured idle-PE fraction, summed idle_pe_slots / (P * summed
+issue_cycles), and asserts that the summed trace cycles equal the summed
+cost_model.exact_cycles.
 
 Synthesis and CLI, in CLI_REPEATS = 9 passes (3 passes put the `dse` process a
 third above the best of 9 on a shared host): generate_transforms for F(m, 3) at
@@ -46,8 +48,11 @@ run.  Each pass also runs `import winoconv` once more under `-X importtime`
 the median self time of each winoconv module is kept beside the process times
 (process.import_self_ms), so that a slower import names its module.
 
-Last, bench_dse_stages splits one in-process `dse` + `report` run into transform
-synthesis, op counting, pricing and CSV writes.
+Last, bench_dse_stages splits one in-process `dse` + `report` run into stages
+as four entries, in CLI_REPEATS passes of DSE_CALLS runs: transform synthesis
+(the run's generate_transforms calls), op counting on those sets, compute
+(run_sweep and table2_report) and CSV writes.  Per pass, pricing is compute less
+synthesis and op counting, and the total is compute plus the CSV writes.
 
 BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) and the
 process's peak RSS are recorded with the results.  The whole run takes about
@@ -87,6 +92,7 @@ from winoconv import (  # noqa: E402
     KernelBank,
     LayerShape,
     MinimalParams,
+    count_transform_ops,
     exact_cycles,
     generate_transforms,
     pe_count,
@@ -114,6 +120,10 @@ FIXED_COST_CALLS = 20
 DSE_CALLS = 20
 # Summed exact_cycles of VGG16-D on each Table 2 design, keyed by m.
 VGG16D_EXACT_CYCLES = {2: 10_411_559, 3: 7_988_917, 4: 6_007_348}
+# The F(m, 3) sets one CLI-default `dse` + `report` run synthesizes, in call order:
+# run_sweep's, then one per table2_report single-point sweep.
+DSE_SYNTHESES = (*(MinimalParams(m, 3) for m in DSE_M_VALUES),
+                 *(MinimalParams(m, r) for m, r, _, _, _ in SHARED_DESIGNS))
 
 
 def import_self_us(stderr: str) -> dict[str, int]:
@@ -272,20 +282,26 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
     designs = []
     for m, r, budget, _, _ in SHARED_DESIGNS:
         params = MinimalParams(m, r)
-        cfg = EngineConfig(params, p=pe_count(budget, params))
-        ts = generate_transforms(params)
+        designs.append((m, budget, params, EngineConfig(params, p=pe_count(budget, params)),
+                        generate_transforms(params)))
+    seconds, traces = {}, {}  # keyed (m, layer index)
+    # one round_robin per layer: all 13 inputs held at once (91 MB) took peak RSS to 432 MB
+    for i, wl in enumerate(workload.layers):
+        args = (*random_layer(wl.shape, rng), ConvSpec(pad=wl.pad))
+        calls = {(m, i): lambda cfg=cfg, ts=ts: simulate_layer(cfg, *args, ts)[1]
+                 for m, _, _, cfg, ts in designs}
+        seconds.update(round_robin(calls, 1, first=traces.__setitem__)[0])
+    out = []
+    for m, budget, params, cfg, _ in designs:
         rows, total_s, issued = [], 0.0, 0
-        for wl in workload.layers:
-            fmap, kernels = random_layer(wl.shape, rng)
-            start = perf_counter()
-            _, trace = simulate_layer(cfg, fmap, kernels, ConvSpec(pad=wl.pad), ts)
-            seconds = perf_counter() - start
-            total_s += seconds
+        for i, wl in enumerate(workload.layers):
+            (secs,), trace = seconds[m, i], traces[m, i]
+            total_s += secs
             issued += trace.issue_cycles
             rows.append({"group": wl.group, "h": wl.shape.h, "c": wl.shape.c, "k": wl.shape.k,
                          "cycles": trace.cycles_elapsed, "idle_pe_slots": trace.idle_pe_slots,
-                         "simulate_s": round(seconds, 3),
-                         "us_per_issue_cycle": round(seconds / trace.issue_cycles * 1e6, 3)})
+                         "simulate_s": round(secs, 3),
+                         "us_per_issue_cycle": round(secs / trace.issue_cycles * 1e6, 3)})
         cycles = sum(row["cycles"] for row in rows)
         exact = sum(exact_cycles(wl.shape, params, cfg.p) for wl in workload.layers)
         assert cycles == exact == VGG16D_EXACT_CYCLES[m], \
@@ -293,11 +309,11 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
         idle = sum(row["idle_pe_slots"] for row in rows) / (cfg.p * issued)
         print(f"simulate m={m} @ {budget} (P={cfg.p}): {cycles} cycles = exact_cycles, "
               f"{idle:.1%} idle PE slots, {total_s:.1f} s", flush=True)
-        designs.append({"m": m, "multipliers": budget, "p": cfg.p, "d_p": pipeline_depth(params),
-                        "cycles": cycles, "exact_cycles": exact,
-                        "idle_pe_fraction": round(idle, 4),
-                        "simulate_s": round(total_s, 3), "layers": rows})
-    return designs
+        out.append({"m": m, "multipliers": budget, "p": cfg.p, "d_p": pipeline_depth(params),
+                    "cycles": cycles, "exact_cycles": exact,
+                    "idle_pe_fraction": round(idle, 4),
+                    "simulate_s": round(total_s, 3), "layers": rows})
+    return out
 
 
 def bench_synthesis_and_cli() -> dict:
@@ -346,55 +362,37 @@ def bench_synthesis_and_cli() -> dict:
 def bench_dse_stages() -> dict:
     """One in-process `dse` + `report` run split into its stages, per run in ms.
 
-    A run is run_sweep with the CLI defaults, table2_report, then the six CSV
-    writers into a temporary directory.  generate_transforms and
-    count_transform_ops are timed where dse calls them (synthesis, op_count);
-    pricing is the rest of run_sweep and table2_report: layer costs, design
-    points, transitions and Table 2 rows.  Each sample is the mean of
-    DSE_CALLS runs, in CLI_REPEATS samples.
+    compute is run_sweep with the CLI defaults and table2_report, csv the six CSV
+    writers into a temporary directory, synthesis the run's DSE_SYNTHESES and
+    op_count count_transform_ops on those sets.  Per pass, pricing = compute -
+    synthesis - op_count (layer costs, design points, transitions and Table 2
+    rows) and total = compute + csv.  A sample is the mean of DSE_CALLS runs.
     """
-    spent = {"synthesis": 0.0, "op_count": 0.0}
-
-    def timed(stage, fn):
-        def call(*args):
-            start = perf_counter()
-            out = fn(*args)
-            spent[stage] += perf_counter() - start
-            return out
-        return call
-
     spec = dse.SweepSpec(DSE_M_VALUES, 3, DSE_BUDGETS, VGG16D, HardwareConfig(max(DSE_BUDGETS)))
     figures = {"fig1.csv": dse.write_fig1_csv, "fig2.csv": dse.write_fig2_csv,
                "fig3.csv": dse.write_fig3_csv, "fig6.csv": dse.write_fig6_csv}
-    samples = {stage: [] for stage in ("synthesis", "op_count", "pricing", "csv", "total")}
-    originals = dse.generate_transforms, dse.count_transform_ops
-    dse.generate_transforms = timed("synthesis", originals[0])
-    dse.count_transform_ops = timed("op_count", originals[1])
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            outdir = Path(tmp)
-            for _ in range(CLI_REPEATS):
-                spent.update(synthesis=0.0, op_count=0.0)
-                compute = write = 0.0
-                for _ in range(DSE_CALLS):
-                    start = perf_counter()
-                    result, rows = dse.run_sweep(spec), dse.table2_report(VGG16D)
-                    computed = perf_counter()
-                    for name, writer in figures.items():
-                        writer(result, outdir / name)
-                    dse.write_table2_csv(rows, outdir / "table2.csv")
-                    dse.write_table2_reference_csv(rows, outdir / "table2_reference.csv")
-                    compute += computed - start
-                    write += perf_counter() - computed
-                pricing = compute - spent["synthesis"] - spent["op_count"]
-                for stage, seconds in (("synthesis", spent["synthesis"]),
-                                       ("op_count", spent["op_count"]), ("pricing", pricing),
-                                       ("csv", write), ("total", compute + write)):
-                    samples[stage].append(seconds / DSE_CALLS)
-    finally:
-        dse.generate_transforms, dse.count_transform_ops = originals
+    sets = [generate_transforms(params) for params in DSE_SYNTHESES]
+    result, rows = dse.run_sweep(spec), dse.table2_report(VGG16D)
+
+    def write_csvs():
+        for name, writer in figures.items():
+            writer(result, outdir / name)
+        dse.write_table2_csv(rows, outdir / "table2.csv")
+        dse.write_table2_reference_csv(rows, outdir / "table2_reference.csv")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp)
+        seconds, _ = round_robin({
+            "synthesis": lambda: [generate_transforms(params) for params in DSE_SYNTHESES],
+            "op_count": lambda: [count_transform_ops(ts) for ts in sets],
+            "compute": lambda: (dse.run_sweep(spec), dse.table2_report(VGG16D)),
+            "csv": write_csvs}, CLI_REPEATS, DSE_CALLS)
+    seconds["pricing"] = [c - s - o for c, s, o in
+                          zip(seconds["compute"], seconds["synthesis"], seconds["op_count"])]
+    seconds["total"] = [c + w for c, w in zip(seconds["compute"], seconds["csv"])]
     return {"runs_per_sample": DSE_CALLS, "repeats": CLI_REPEATS,
-            **{k: v for stage, secs in samples.items() for k, v in timing(stage, secs).items()}}
+            **{k: v for stage in ("synthesis", "op_count", "pricing", "csv", "total")
+               for k, v in timing(stage, seconds[stage]).items()}}
 
 
 def main(argv=None) -> int:

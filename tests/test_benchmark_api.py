@@ -5,16 +5,25 @@ perfbench's own tests run the harness and are slow.  Here their sources are
 read with ast, so a deleted or renamed name fails in Tier-1, and the
 benchmark's workload code runs once on a tiny spec, which also covers the
 attribute reads, checks and golden digests that ast cannot see.  The layer
-harness's sampler runs on recording callables.
+harness's sampler runs on recording callables, its network and dse stage
+sections run on small inputs, and its list of the syntheses one dse + report
+run makes is checked against what dse calls.
 """
 
 import ast
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
-from winoconv import dse
+import numpy as np
+import pytest
+
+from winoconv import (LayerShape, MinimalParams, Workload, WorkloadLayer, dse, exact_cycles,
+                      pe_count)
+from winoconv.cli import main as cli_main
+from winoconv.reference_data import SHARED_DESIGNS
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -59,16 +68,21 @@ def test_benchmark_workload_code_runs_clean(tmp_path, monkeypatch):
     assert checks.failed == 0, checks.failures
 
 
-def test_layer_harness_round_robin_samples_in_order(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """scripts/bench_layers.py as a module."""
     # importing the harness pins BLAS threads and extends sys.path; both are restored
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     spec = importlib.util.spec_from_file_location("bench_layers",
                                                   ROOT / "scripts" / "bench_layers.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def test_layer_harness_round_robin_samples_in_order(bench):
     order, firsts = [], []
 
     def recording(name):
@@ -84,3 +98,57 @@ def test_layer_harness_round_robin_samples_in_order(monkeypatch):
     assert all(t >= 0 for s in seconds.values() for t in s)
     assert faults.keys() == {"a", "b"}
     assert firsts == [("a", 2), ("b", 2)]  # pass 0's result, from the entry's last call
+
+
+def test_layer_harness_dse_syntheses_are_what_a_cli_run_synthesizes(bench, monkeypatch, tmp_path):
+    made, counted = [], []  # (params, its set) per generate_transforms call; counted sets
+
+    def generate(params, *args):
+        made.append((params, dse_generate(params, *args)))
+        return made[-1][1]
+
+    def count(ts, *args):
+        counted.append(ts)
+        return dse_count(ts, *args)
+
+    dse_generate, dse_count = dse.generate_transforms, dse.count_transform_ops
+    monkeypatch.setattr(dse, "generate_transforms", generate)
+    monkeypatch.setattr(dse, "count_transform_ops", count)
+    for command in ("dse", "report"):  # with the CLI's default arguments
+        assert cli_main([command, "--outdir", str(tmp_path)]) == 0
+    assert tuple(params for params, _ in made) == bench.DSE_SYNTHESES
+    assert [id(ts) for ts in counted] == [id(ts) for _, ts in made]  # one count per set
+
+
+def test_layer_harness_network_section_on_one_layer(bench, monkeypatch, capsys):
+    layer = WorkloadLayer(LayerShape(n=1, h=6, w=6, c=3, k=8, r=3), pad=1, group="conv1")
+    params = {m: MinimalParams(m, r) for m, r, *_ in SHARED_DESIGNS}
+    budgets = {m: budget for m, _, budget, *_ in SHARED_DESIGNS}
+    monkeypatch.setattr(bench, "VGG16D_EXACT_CYCLES", {
+        m: exact_cycles(layer.shape, p, pe_count(budgets[m], p)) for m, p in params.items()})
+    designs = bench.bench_network(Workload("one", (layer,)), np.random.default_rng(0))
+    assert [d["m"] for d in designs] == list(params)
+    for d in designs:
+        assert d.keys() == {"m", "multipliers", "p", "d_p", "cycles", "exact_cycles",
+                            "idle_pe_fraction", "simulate_s", "layers"}
+        assert d["cycles"] == d["exact_cycles"] == bench.VGG16D_EXACT_CYCLES[d["m"]]
+        assert 0 <= d["idle_pe_fraction"] < 1
+        (row,) = d["layers"]
+        assert row.keys() == {"group", "h", "c", "k", "cycles", "idle_pe_slots", "simulate_s",
+                              "us_per_issue_cycle"}
+        assert (row["group"], row["h"], row["c"], row["k"], row["cycles"]) == (
+            "conv1", 6, 3, 8, d["cycles"])
+    assert capsys.readouterr().out.count("= exact_cycles") == 3
+
+
+def test_layer_harness_dse_stages_section(bench, monkeypatch):
+    monkeypatch.setattr(bench, "CLI_REPEATS", 2)
+    monkeypatch.setattr(bench, "DSE_CALLS", 1)
+    stages = bench.bench_dse_stages()
+    names = ("synthesis", "op_count", "pricing", "csv", "total")
+    assert stages.keys() == {"runs_per_sample", "repeats",
+                             *(f"{n}{k}_ms" for n in names for k in ("", "_median"))}
+    assert (stages["runs_per_sample"], stages["repeats"]) == (1, 2)
+    assert all(math.isfinite(stages[f"{n}_ms"]) for n in names)
+    assert all(math.isfinite(stages[f"{n}_median_ms"]) for n in names)
+    assert stages["total_ms"] >= stages["pricing_ms"]
