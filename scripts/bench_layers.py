@@ -37,11 +37,14 @@ cost_model.exact_cycles.
 
 Synthesis and CLI, in CLI_REPEATS = 9 passes (3 passes put the `dse` process a
 third above the best of 9 on a shared host): generate_transforms for F(m, 3) at
-m = 1..8 (a call is SYNTH_CALLS syntheses), in-process `winoconv dse` and
-`winoconv report` with default arguments into a temporary directory, then, each
-as a separate `python` process, a bare interpreter, `import winoconv`, `python
--m winoconv.cli transform --m 4 --r 3`, and `python -m winoconv.cli dse` and
-`report`.  The process times are what a CLI user waits for, start-up and imports
+m = 1..8 (a call is SYNTH_CALLS syntheses); at m = 2..5 (r = 3),
+winograd_1d_exact and winograd_2d_tile_exact on one seeded small-integer tile
+(a call is EXACT_CALLS calls, timed after the programs are built) and one
+build of each exact-mode program (exact.transform_program); in-process
+`winoconv dse` and `winoconv report` with default arguments into a temporary
+directory, then, each as a separate `python` process, a bare interpreter,
+`import winoconv`, `python -m winoconv.cli transform --m 4 --r 3`, and `python
+-m winoconv.cli dse` and `report`.  The process times are what a CLI user waits for, start-up and imports
 included.  The CLI's stdout is discarded, and a failed call or process stops the
 run.  Each pass also runs `import winoconv` once more under `-X importtime`
 (which slows it by about 2.5 ms, so it is not the timed `import` process), and
@@ -100,10 +103,13 @@ from winoconv import (  # noqa: E402
     precompute_filter_transforms,
     simulate_layer,
     spatial_conv,
+    winograd_1d_exact,
+    winograd_2d_tile_exact,
     winograd_conv,
 )
 from winoconv import dse  # noqa: E402
 from winoconv.cli import main as cli_main  # noqa: E402
+from winoconv.exact import transform_program  # noqa: E402
 from winoconv.reference_data import SHARED_DESIGNS  # noqa: E402
 from winoconv.workload import VGG16D  # noqa: E402
 
@@ -115,6 +121,8 @@ REPEATS = 3
 CLI_REPEATS = 9
 SYNTH_M = range(1, 9)
 SYNTH_CALLS = 100
+EXACT_M = (2, 3, 4, 5)
+EXACT_CALLS = 100
 FIXED_COST_REPEATS = 9
 FIXED_COST_CALLS = 20
 DSE_CALLS = 20
@@ -316,18 +324,39 @@ def bench_network(workload, rng: np.random.Generator) -> list[dict]:
     return out
 
 
-def bench_synthesis_and_cli() -> dict:
-    """generate_transforms per m (r = 3) and the CLI subcommands, in and as processes."""
-    def synthesize(params):
-        for _ in range(SYNTH_CALLS):
-            generate_transforms(params)
+def repeated(calls: int, fn, *args):
+    """A thunk that runs fn(*args) calls times."""
+    def run():
+        for _ in range(calls):
+            fn(*args)
+    return run
 
+
+def exact_calls(rng: np.random.Generator) -> dict:
+    """Per m in EXACT_M (r = 3), EXACT_CALLS exact calls in 1D and in 2D on one seeded
+    small-integer tile, with the set's programs built beforehand, and one build of each."""
+    calls = {}
+    for m in EXACT_M:
+        ts = generate_transforms(MinimalParams(m, 3))
+        d = rng.integers(-3, 4, size=(m + 2, m + 2)).tolist()
+        g = rng.integers(-3, 4, size=(3, 3)).tolist()
+        ts.program_1d, ts.program_2d  # built here, so that no timed call builds one
+        calls[f"exact_1d.{m}"] = repeated(EXACT_CALLS, winograd_1d_exact, ts, d[0], g[0])
+        calls[f"exact_2d.{m}"] = repeated(EXACT_CALLS, winograd_2d_tile_exact, ts, d, g)
+        calls[f"build_1d.{m}"] = repeated(1, transform_program, ts, 1)
+        calls[f"build_2d.{m}"] = repeated(1, transform_program, ts, 2)
+    return calls
+
+
+def bench_synthesis_and_cli(rng: np.random.Generator) -> dict:
+    """generate_transforms per m (r = 3), exact mode, and the CLI in and as processes."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     cli = [sys.executable, "-m", "winoconv.cli"]
     with (tempfile.TemporaryDirectory() as outdir, open(os.devnull, "w") as devnull,
           contextlib.redirect_stdout(devnull)):
-        calls = {f"generate_transforms.{m}": lambda p=MinimalParams(m, 3): synthesize(p)
-                 for m in SYNTH_M}
+        calls = {f"generate_transforms.{m}": repeated(SYNTH_CALLS, generate_transforms,
+                                                      MinimalParams(m, 3)) for m in SYNTH_M}
+        calls.update(exact_calls(rng))
         for command in ("dse", "report"):  # cli_main returns the exit status
             calls[command] = lambda c=command: cli_main([c, "--outdir", outdir]) and sys.exit(
                 f"winoconv {c} failed")
@@ -350,8 +379,14 @@ def bench_synthesis_and_cli() -> dict:
         calls["import_profile"] = profile_import
         seconds, _ = round_robin(calls, CLI_REPEATS)
     per_call = {m: [t / SYNTH_CALLS for t in seconds[f"generate_transforms.{m}"]] for m in SYNTH_M}
+    exact = {str(m): {} for m in EXACT_M}
+    for m in EXACT_M:
+        for name, calls, unit in (("exact_1d", EXACT_CALLS, "us"), ("exact_2d", EXACT_CALLS, "us"),
+                                  ("build_1d", 1, "ms"), ("build_2d", 1, "ms")):
+            exact[str(m)].update(timing(name, [t / calls for t in seconds[f"{name}.{m}"]], unit))
     return {"r": 3, "calls_per_sample": SYNTH_CALLS, "repeats": CLI_REPEATS,
             "m": {str(m): timing("generate_transforms", per_call[m]) for m in SYNTH_M},
+            "exact": {"r": 3, "calls_per_sample": EXACT_CALLS, "m": exact},
             "cli": {**timing("dse", seconds["dse"]), **timing("report", seconds["report"])},
             "process": {**{k: v for name in processes
                            for k, v in timing(name, seconds[f"process.{name}"]).items()},
@@ -427,7 +462,7 @@ def main(argv=None) -> int:
               "fixed_cost": {"repeats": FIXED_COST_REPEATS, "calls_per_sample": FIXED_COST_CALLS,
                              "multipliers": MULTIPLIERS, "workloads": fixed_cost},
               "simulate": bench_network(VGG16D, rng),
-              "synthesis": bench_synthesis_and_cli(),
+              "synthesis": bench_synthesis_and_cli(rng),
               "dse_stages": bench_dse_stages(),
               "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}
     synth = result["synthesis"]
@@ -435,6 +470,11 @@ def main(argv=None) -> int:
           + "/".join(f"{t['generate_transforms_ms'] * 1e3:.0f}" for t in synth["m"].values())
           + f" us; dse {synth['cli']['dse_ms']:.1f} ms, report {synth['cli']['report_ms']:.1f} ms",
           flush=True)
+    print(f"exact m={EXACT_M[0]}..{EXACT_M[-1]}: 1D/2D per call "
+          + ", ".join(f"{t['exact_1d_us']:.1f}/{t['exact_2d_us']:.1f}"
+                      for t in synth["exact"]["m"].values()) + " us; program build 1D/2D "
+          + ", ".join(f"{t['build_1d_ms']:.2f}/{t['build_2d_ms']:.2f}"
+                      for t in synth["exact"]["m"].values()) + " ms", flush=True)
     print("as processes, bare/import/transform/dse/report: "
           + "/".join(f"{synth['process'][f'{name}_ms']:.0f}"
                      for name in ("bare", "import", "transform", "dse", "report")) + " ms",

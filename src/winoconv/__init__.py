@@ -27,19 +27,19 @@ from .transforms import (
     TransformSet,
     default_points,
     generate_transforms,
-    winograd_1d_exact,
-    winograd_2d_tile_exact,
 )
 from .workload import Workload, WorkloadLayer, load_workload
 
 __version__ = "0.1.0"
 
-# Names of conv and pipeline_sim, which need NumPy, load on first access (PEP 562).
+# Names of conv and pipeline_sim, which need NumPy, and of exact mode load on first
+# access (PEP 562), so that `import winoconv` neither loads NumPy nor compiles them.
 _LAZY = {
     **dict.fromkeys(["ConvSpec", "FeatureMap", "KernelBank", "precompute_filter_transforms",
                      "spatial_conv", "winograd_conv"], "conv"),
     **dict.fromkeys(["EngineConfig", "SimTrace", "engine_config_for", "expected_cycles",
                      "simulate_layer", "validate_against_analytical"], "pipeline_sim"),
+    **dict.fromkeys(["winograd_1d_exact", "winograd_2d_tile_exact"], "exact"),
 }
 
 

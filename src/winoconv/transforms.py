@@ -1,4 +1,4 @@
-"""Winograd minimal filtering: transform synthesis and exact single-tile mode.
+"""Winograd minimal filtering: synthesis of the exact transform matrices.
 
 A minimal 1D algorithm F(m, r) computes m outputs of a valid (no padding)
 convolution with an r-tap filter using only m+r-1 multiplications:
@@ -16,9 +16,9 @@ points via polynomial evaluation/interpolation (Cook-Toom), carried out in
 exact integer arithmetic.  A TransformSet keeps A^T, B^T and G once, exactly,
 as integer numerators over one common denominator each; the float64 copies
 are derived from those.  conv.winograd_conv and pipeline_sim.simulate_layer
-apply the floats to whole layers.  Exact mode (winograd_1d_exact,
-winograd_2d_tile_exact) evaluates the algorithms on one tile, on the integer
-numerators, and divides once per output.
+apply the floats to whole layers.  Exact mode (the exact module) evaluates the
+algorithms on one tile by running the straight-line integer programs that a
+TransformSet generates from its numerators, and divides once per output.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
-from numbers import Integral
-from operator import attrgetter, index, mul
+from operator import attrgetter, index
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -126,8 +125,9 @@ class TransformSet(Record):
     algorithm applies them.  at, bt and g are the same matrices as float64,
     each entry n / den correctly rounded, and kron_bt, kron_at and kron_g are
     kron(X, X) for X = B^T, A^T, G: they apply X t X^T to row-major flattened
-    tiles t.  All six are built once, on first use, so NumPy loads only then.
-    Only pipeline_sim.simulate_layer reads kron_at, as its per-issue-cycle product.
+    tiles t.  program_1d and program_2d are exact mode's integer programs.  All
+    eight are built once, on first use, so NumPy or the exact module loads only
+    then.  Only pipeline_sim.simulate_layer reads kron_at, per issue cycle.
     interpolation_points lists the finite synthesis points; the last evaluation
     point is always the point at infinity and is not stored.  Instances are
     immutable (every array is read-only), thread-safe, and compare and hash by
@@ -169,6 +169,13 @@ class TransformSet(Record):
     kron_bt = cached_property(lambda self: _kron(self.bt))
     kron_at = cached_property(lambda self: _kron(self.at))
     kron_g = cached_property(lambda self: _kron(self.g))
+    program_1d = cached_property(lambda self: _program(self, 1))
+    program_2d = cached_property(lambda self: _program(self, 2))
+
+
+def _program(ts: TransformSet, dims: int):
+    from .exact import transform_program  # here, so that `import winoconv` never compiles it
+    return transform_program(ts, dims)
 
 
 def _floats(x: ScaledIntMatrix) -> np.ndarray:
@@ -293,65 +300,6 @@ def generate_transforms(
                + [sign * at_den if j == m - 1 else 0] for j in range(m)]
     return TransformSet(params, _lowest_terms(at_rows, at_den), _lowest_terms(bt_rows, q_all),
                         _lowest_terms(g_rows, g_den), tuple(pts))
-
-
-# Exact (rational) mode: same algorithms, evaluated on integer numerators
-# over one common denominator per operand and divided once per output.
-# Outputs are bit-identical to brute-force convolution, which makes the
-# correctness identity testable without floating-point tolerances.
-#
-# tuple() and *-arguments below take lists, not generator expressions.
-# CPython builds a tuple from a generator at a guessed size and resizes it,
-# bypassing the per-size tuple free lists, but frees it into them; called
-# per tile, that fills the free lists (2000 tuples per size) with memory
-# the process keeps.
-
-def _scaled_input(x) -> tuple[list[list[int]], int]:
-    """Rows of anything Fraction() accepts as Python-int rows over one positive denominator."""
-    rows = [[v if type(v) is int else int(v) if isinstance(v, Integral) else Fraction(v)
-             for v in row] for row in x]
-    den = lcm(*[v.denominator for row in rows for v in row])
-    return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den
-
-
-def _matmul(rows, cols) -> list[list[int]]:
-    """rows @ X, where cols lists the columns of X."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
-
-
-def _sandwich(t, x) -> list[list[int]]:
-    """T x T^T for T given by its rows."""
-    return _matmul(_matmul(t, list(zip(*x))), t)
-
-
-def winograd_1d_exact(ts: TransformSet, d, g) -> tuple[Fraction, ...]:
-    """F(m, r) on one tile in exact arithmetic; d and g are sequences of rationals."""
-    alpha, r = ts.params.alpha, ts.params.r
-    (dv,), d_den = _scaled_input([d])
-    (gv,), g_den = _scaled_input([g])
-    if len(dv) != alpha or len(gv) != r:
-        raise ValueError(f"need len(d)={alpha} and len(g)={r}")
-    u = [sum(map(mul, row, dv)) for row in ts.bt_int.num]
-    v = [sum(map(mul, row, gv)) for row in ts.g_int.num]
-    prod = list(map(mul, u, v))
-    den = ts.at_int.den * ts.bt_int.den * ts.g_int.den * d_den * g_den
-    return tuple([Fraction(sum(map(mul, row, prod)), den) for row in ts.at_int.num])
-
-
-def winograd_2d_tile_exact(ts: TransformSet, d, g) -> tuple[tuple[Fraction, ...], ...]:
-    """F(m x m, r x r) on one tile in exact arithmetic; d is alpha x alpha, g is r x r."""
-    alpha, r = ts.params.alpha, ts.params.r
-    dm, d_den = _scaled_input(d)
-    if len(dm) != alpha or any(len(row) != alpha for row in dm):
-        raise ValueError(f"input tile must be {alpha}x{alpha}")
-    gm, g_den = _scaled_input(g)
-    if len(gm) != r or any(len(row) != r for row in gm):
-        raise ValueError(f"kernel tile must be {r}x{r}")
-    u = _sandwich(ts.bt_int.num, dm)
-    v = _sandwich(ts.g_int.num, gm)
-    y = _sandwich(ts.at_int.num, [list(map(mul, ur, vr)) for ur, vr in zip(u, v)])
-    den = (ts.at_int.den * ts.bt_int.den * ts.g_int.den) ** 2 * d_den * g_den
-    return tuple([tuple([Fraction(x, den) for x in row]) for row in y])
 
 
 def _rationals(mat: ScaledIntMatrix) -> list[list[Fraction]]:

@@ -18,6 +18,7 @@ from winoconv.cost_model import (
     exact_cycles,
 )
 from winoconv.dse import SweepSpec, recommend, run_sweep, table2_report
+from winoconv.exact import winograd_1d_exact, winograd_2d_tile_exact
 from winoconv.pipeline_sim import (
     EngineConfig,
     expected_cycles,
@@ -32,8 +33,6 @@ from winoconv.reference_data import (
 from winoconv.transforms import (
     MinimalParams,
     generate_transforms,
-    winograd_1d_exact,
-    winograd_2d_tile_exact,
 )
 from winoconv.workload import VGG16D, load_workload
 

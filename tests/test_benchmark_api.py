@@ -141,6 +141,15 @@ def test_layer_harness_network_section_on_one_layer(bench, monkeypatch, capsys):
     assert capsys.readouterr().out.count("= exact_cycles") == 3
 
 
+def test_layer_harness_exact_entries(bench, monkeypatch):
+    monkeypatch.setattr(bench, "EXACT_CALLS", 1)
+    calls = bench.exact_calls(np.random.default_rng(0))
+    assert list(calls) == [f"{name}.{m}" for m in bench.EXACT_M
+                           for name in ("exact_1d", "exact_2d", "build_1d", "build_2d")]
+    seconds, _ = bench.round_robin(calls, 2)
+    assert all(len(s) == 2 and min(s) > 0 for s in seconds.values())
+
+
 def test_layer_harness_dse_stages_section(bench, monkeypatch):
     monkeypatch.setattr(bench, "CLI_REPEATS", 2)
     monkeypatch.setattr(bench, "DSE_CALLS", 1)

@@ -1,8 +1,9 @@
-"""`import winoconv` and the analytic CLI subcommands run without NumPy.
+"""`import winoconv`, the analytic CLI subcommands and exact mode run without NumPy.
 
-The names exported from conv and pipeline_sim, the two modules that need
-NumPy, resolve on first access.  Nor do they load dataclasses or inspect,
-whose import and generated methods once made up most of `import winoconv`.
+The names exported from exact, and from conv and pipeline_sim, the two
+modules that need NumPy, resolve on first access.  Nor do they load
+dataclasses or inspect, whose import and generated methods once made up most
+of `import winoconv`.
 Each check that needs a fresh interpreter runs one in a subprocess with this
 checkout's src/ on its path.
 """
@@ -31,11 +32,20 @@ def run_fresh(code: str, cwd: Path) -> str:
     return proc.stdout
 
 
+def cli(*argv: str) -> str:
+    return f"from winoconv.cli import main\nassert main({list(argv)!r}) == 0\n"
+
+
 STEPS = {
-    "import": None,  # import winoconv alone
-    "dse": ["dse", "--outdir", "out"],
-    "report": ["report", "--outdir", "out"],
-    "transform": ["transform", "--m", "4", "--r", "3", "--outdir", "out"],
+    "import": "",  # import winoconv alone
+    "dse": cli("dse", "--outdir", "out"),
+    "report": cli("report", "--outdir", "out"),
+    "transform": cli("transform", "--m", "4", "--r", "3", "--outdir", "out"),
+    # last, so that every step before it shows whether it loaded exact mode
+    "exact": ("from winoconv import MinimalParams, generate_transforms, winograd_1d_exact, "
+              "winograd_2d_tile_exact\nts = generate_transforms(MinimalParams(2, 3))\n"
+              "assert winograd_1d_exact(ts, [1, 2, 3, 4], [1, 1, 1]) == (6, 9)\n"
+              "assert winograd_2d_tile_exact(ts, [[1] * 4] * 4, [[1] * 3] * 3) == ((9, 9),) * 2\n"),
 }
 
 
@@ -52,12 +62,10 @@ def step_reports(tmp_path_factory):
     fixture returns that too.
     """
     code = "import sys\n" + PRINT_SLOW + "import winoconv\n"
-    for argv in STEPS.values():
-        if argv is not None:
-            code += f"from winoconv.cli import main\nassert main({argv!r}) == 0\n"
-        code += ("print('@', sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
-                 "print('@', sorted(m for m in sys.modules if m.startswith('winoconv.')))\n"
-                 + PRINT_SLOW)
+    for step in STEPS.values():
+        code += step + ("print('@', sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+                        "print('@', sorted(m for m in sys.modules if m.startswith('winoconv.')))\n"
+                        + PRINT_SLOW)
     out = run_fresh(code, tmp_path_factory.mktemp("steps"))
     start, *reports = [line[2:] for line in out.splitlines() if line[:2] == "@ "]
     assert len(reports) == 3 * len(STEPS)
@@ -72,6 +80,11 @@ def test_analytic_paths_do_not_load_numpy(step_reports, step):
     for module in ("cost_model", "dse", "reference_data", "transforms", "workload"):
         assert f"'winoconv.{module}'" in loaded
     assert "'winoconv.conv'" not in loaded and "'winoconv.pipeline_sim'" not in loaded
+
+
+def test_exact_mode_loads_on_its_first_call(step_reports):
+    loaded = {step: "'winoconv.exact'" in report[1] for step, report in step_reports[1].items()}
+    assert loaded == {step: step == "exact" for step in STEPS}
 
 
 @pytest.mark.parametrize("step", list(STEPS))

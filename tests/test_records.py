@@ -21,6 +21,8 @@ from winoconv import (
     Workload,
     WorkloadLayer,
     generate_transforms,
+    winograd_1d_exact,
+    winograd_2d_tile_exact,
 )
 from winoconv.conv import ConvSpec, FeatureMap, KernelBank
 from winoconv.cost_model import CLOCK_PERIOD_S, LayerCost
@@ -141,3 +143,17 @@ def test_every_record_class_is_in_the_table():
     classes = {row[0] for row in RECORDS}
     assert len(classes) == 19
     assert set(transforms.Record.__subclasses__()) == classes
+
+
+def test_exact_programs_stay_out_of_the_record():
+    ts, fresh = generate_transforms(MinimalParams(3, 3)), generate_transforms(MinimalParams(3, 3))
+    before = repr(ts)
+    assert winograd_1d_exact(ts, [1, 2, 3, 4, 5], [1, 0, -1]) == (-2, -2, -2)
+    assert winograd_2d_tile_exact(ts, [[1] * 5] * 5, [[1] * 3] * 3) == ((9,) * 3,) * 3
+    assert ts.program_1d is ts.program_1d and ts.program_2d is ts.program_2d
+    assert ts == fresh and hash(ts) == hash(fresh)
+    assert repr(ts) == before == repr(fresh)
+    assert ts._fields == ("params", "at_int", "bt_int", "g_int", "interpolation_points")
+    for name in ("params", "program_2d"):
+        with pytest.raises(AttributeError, match=rf"^cannot assign to field '{name}'$"):
+            setattr(ts, name, None)

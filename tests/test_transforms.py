@@ -1,3 +1,4 @@
+import dis
 import hashlib
 import random
 
@@ -7,6 +8,8 @@ from fractions import Fraction
 from math import ulp
 
 from winoconv.conv import ConvSpec, FeatureMap, KernelBank, winograd_conv
+from winoconv.cost_model import count_transform_ops
+from winoconv.exact import winograd_1d_exact, winograd_2d_tile_exact
 from winoconv.transforms import (
     MinimalParams,
     MultCounter,
@@ -15,8 +18,6 @@ from winoconv.transforms import (
     default_points,
     export_transforms_csv,
     generate_transforms,
-    winograd_1d_exact,
-    winograd_2d_tile_exact,
 )
 
 
@@ -280,6 +281,23 @@ def test_exact_results_do_not_depend_on_entry_type(m):
         y_1d, y_2d = winograd_1d_exact(ts, dk[0], gk[0]), winograd_2d_tile_exact(ts, dk, gk)
         assert y_1d == want_1d and y_2d == want_2d
         assert all(type(x) is Fraction for x in y_1d + sum(y_2d, ()))
+
+
+# integer + and - in bytecode: Python 3.11 on, then 3.10
+ADD_OPCODES = {("BINARY_OP", "+"), ("BINARY_OP", "-"), ("BINARY_ADD", ""), ("BINARY_SUBTRACT", "")}
+
+
+def test_exact_2d_program_additions_are_the_adds_only_counts():
+    # the cost model's counts checked against transform code that runs, not against a formula
+    for m in range(2, 9):
+        for r in (1, 2, 3, 5):
+            ts = generate_transforms(MinimalParams(m, r))
+            adds = sum((ins.opname, ins.argrepr) in ADD_OPCODES
+                       for ins in dis.get_instructions(ts.program_2d))
+            ops = count_transform_ops(ts, "adds_only")
+            assert adds == ops.beta + ops.gamma + ops.delta, (m, r)
+            if (m, r) == (2, 3):  # Lavin & Gray's F(2x2, 3x3): 32 + 28 + 24
+                assert adds == 84
 
 
 def test_csv_export_renders_exact_rationals(tmp_path):
