@@ -179,7 +179,7 @@ def timing(entry: str, seconds: list[float], unit: str = "ms") -> dict:
 
 def im2col_conv(fmap: FeatureMap, kernels: KernelBank, pad: int) -> np.ndarray:
     """Baseline: the (C*r*r, N*H_out*W_out) patch matrix, then one GEMM with the kernels."""
-    n, c, r, k = fmap.n, fmap.c, kernels.r, kernels.k
+    (n, c), (k, _, r, _) = fmap.data.shape[:2], kernels.data.shape
     x = np.pad(fmap.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     win = np.lib.stride_tricks.sliding_window_view(x, (r, r), axis=(2, 3))
     h_out, w_out = win.shape[2:4]

@@ -66,8 +66,9 @@ def cmd_conv(args) -> int:
     if layout != "KCRR":
         raise ValueError(f"{args.kernels}: expected a KCRR tensor, got {layout}")
     fmap, kernels = FeatureMap(data), KernelBank(kdata)
+    _, c, r, _ = kdata.shape
     spec = ConvSpec(pad=args.pad)
-    ts = generate_transforms(MinimalParams(args.m, kernels.r))
+    ts = generate_transforms(MinimalParams(args.m, r))
 
     wino_counter = MultCounter()
     reference = spatial_conv(fmap, kernels, spec)
@@ -77,7 +78,7 @@ def cmd_conv(args) -> int:
     err = np.abs(out.data.astype(np.float64) - reference.data.astype(np.float64))
     scale = np.max(np.abs(reference.data)) or 1.0
     stats = [
-        {"path": "spatial", "multiplications": reference.data.size * kernels.c * kernels.r**2},
+        {"path": "spatial", "multiplications": reference.data.size * c * r**2},
         {"path": "winograd", "m": args.m, "multiplications": wino_counter.count},
         {"max_abs_error": float(np.max(err)), "max_rel_error": float(np.max(err) / scale)},
     ]

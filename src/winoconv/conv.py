@@ -9,7 +9,10 @@ matrix of spatial_conv, alpha x alpha tiles at stride m for transformed_operands
 front end, shared by winograd_conv and pipeline_sim.simulate_layer, returns the
 data transforms U, one GEMM kron(B^T, B^T) @ [alpha^2 x C*N*Ty*Tx], and the
 filter transforms V channel-major, one GEMM kron(G, G) @ [r^2 x K] per channel,
-as (C, alpha^2, K).  winograd_conv sums channels in the transformed domain
+as (C, alpha^2, K), computed in the wider of the map's and the kernels' dtype and
+cast to the map's.  precompute_filter_transforms, which takes no dtype, computes
+them in the kernels' dtype and returns a (K, C, alpha, alpha) view of that
+channel-major storage.  winograd_conv sums channels in the transformed domain
 (Lavin & Gray, arXiv:1509.09308), one GEMM per tile position (xi, nu),
 
     M[xi, nu] = V[:, xi, nu]^T @ U[xi, nu],   [K x C] @ [C x N*Ty*Tx],
@@ -49,22 +52,6 @@ class FeatureMap(Record):
         check_dense_4d(data, "feature map", "N,C,H,W")
         self.__dict__.update(data=data)
 
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def h(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[3]
-
 
 class KernelBank(Record):
     """Dense K-C-r-r tensor of K kernels with square spatial support."""
@@ -75,17 +62,13 @@ class KernelBank(Record):
             raise ValueError(f"kernels must be square, got {data.shape[2:]}")
         self.__dict__.update(data=data)
 
-    @property
-    def k(self) -> int:
-        return self.data.shape[0]
 
-    @property
-    def c(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def r(self) -> int:
-        return self.data.shape[2]
+def _layer_dims(fmap: FeatureMap, kernels: KernelBank) -> tuple[int, int, int, int, int, int]:
+    """(N, C, H, W, K, r) of a layer; ValueError unless the map and kernels agree on C."""
+    (n, c, h, w), (k, kernel_c, r, _) = fmap.data.shape, kernels.data.shape
+    if c != kernel_c:
+        raise ValueError(f"channel mismatch: input has {c}, kernels have {kernel_c}")
+    return n, c, h, w, k, r
 
 
 def output_hw(h: int, w: int, r: int, pad: int) -> tuple[int, int]:
@@ -114,8 +97,7 @@ def spatial_conv(
     and the kernels integer, float or bool (by dtype.kind), and for an integer map with float
     kernels, which would truncate, or with a sum not exact in float64 or its dtype.
     """
-    if fmap.c != kernels.c:
-        raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    n, c, h, w, k, r = _layer_dims(fmap, kernels)
     for what, kinds, data in (("feature map", "iuf", fmap.data),
                               ("kernel bank", "biuf", kernels.data)):
         if data.dtype.kind not in kinds:
@@ -123,10 +105,9 @@ def spatial_conv(
                              f"got {data.dtype}")
     if kernels.data.dtype.kind == "f":
         require_floating("feature map", fmap.data)
-    n, c, k, r = fmap.n, fmap.c, kernels.k, kernels.r
-    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    padded = np.zeros((n, c, fmap.h + 2 * spec.pad, fmap.w + 2 * spec.pad), fmap.data.dtype)
-    padded[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
+    h_out, w_out = output_hw(h, w, r, spec.pad)
+    padded = np.zeros((n, c, h + 2 * spec.pad, w + 2 * spec.pad), fmap.data.dtype)
+    padded[:, :, spec.pad : spec.pad + h, spec.pad : spec.pad + w] = fmap.data
     cols = np.empty((n, c * r * r, h_out * w_out), np.float64)
     cols.reshape(n, c, r, r, h_out, w_out)[...] = _windows(padded, r, 1, h_out, w_out)
     g = kernels.data.reshape(k, c * r * r).astype(np.float64)
@@ -146,29 +127,28 @@ def require_floating(what: str, data: np.ndarray) -> None:
         raise ValueError(f"{what} must be floating point, got {data.dtype}")
 
 
-def precompute_filter_transforms(
-    kernels: KernelBank, ts: TransformSet, dtype: np.dtype | None = None
-) -> np.ndarray:
-    """G g G^T of every (k, c) kernel slice, in the kernels' dtype or dtype if wider.
-
-    The wider precision keeps a float64 map's accuracy when its kernels are float32.
-    Returns (K, C, alpha, alpha) as a view of a channel-major (C, alpha^2, K) array,
-    kron(G, G) @ [r^2 x K] for each channel as one stacked matmul.
-    """
-    if kernels.r != ts.params.r:
-        raise ValueError(
-            f"kernel size {kernels.r} does not match transform set r={ts.params.r}"
-        )
+def _filter_transforms(kernels: KernelBank, ts: TransformSet, like: np.dtype | None) -> np.ndarray:
+    """G g G^T of every (k, c) kernel slice as channel-major (C, alpha^2, K), kron(G, G) @
+    [r^2 x K] for each channel as one stacked matmul, in the kernels' dtype or like's if wider."""
+    (k, c, r, _), alpha = kernels.data.shape, ts.params.alpha
+    if r != ts.params.r:
+        raise ValueError(f"kernel size {r} does not match transform set r={ts.params.r}")
     require_floating("kernel bank", kernels.data)
-    k, c, r, alpha = kernels.k, kernels.c, kernels.r, ts.params.alpha
-    dtype = kernels.data.dtype if dtype is None else np.promote_types(dtype, kernels.data.dtype)
+    dtype = kernels.data.dtype if like is None else np.promote_types(like, kernels.data.dtype)
     # Cast before the transposed view: GEMM rounding depends on the operands' layout.
     g = kernels.data.astype(dtype, copy=False).transpose(1, 2, 3, 0).reshape(c, r * r, k)
     # Channels padded by 16 elements: a channel stride of a multiple of 4 KiB (as at
     # alpha^2 * K = 16 * 512) puts the rows winograd_conv's GEMM reads in one cache set.
     v = np.empty((c, alpha * alpha * k + 16), dtype)[:, : alpha * alpha * k].reshape(c, -1, k)
     np.matmul(ts.kron_g.astype(dtype), g, out=v)
-    return v.reshape(c, alpha, alpha, k).transpose(3, 0, 1, 2)
+    return v
+
+
+def precompute_filter_transforms(kernels: KernelBank, ts: TransformSet) -> np.ndarray:
+    """G g G^T of every (k, c) kernel slice in the kernels' dtype: a (K, C, alpha, alpha)
+    view of channel-major (C, alpha^2, K) storage, the layout the front end uses."""
+    (k, c, _, _), alpha = kernels.data.shape, ts.params.alpha
+    return _filter_transforms(kernels, ts, None).reshape(c, alpha, alpha, k).transpose(3, 0, 1, 2)
 
 
 def transformed_operands(
@@ -178,23 +158,21 @@ def transformed_operands(
 
     Returns (U, V, (Ty, Tx), (H_out, W_out)), both in the map's dtype: U is the data
     transform B^T d B of every alpha x alpha tile at stride m as (alpha^2, C, N*Ty*Tx),
-    tiles ordered (image, tile row, tile column); V is the filter precompute as a
-    (C, alpha^2, K) view.  The padded map is zero-extended so that partial edge tiles are full size.
+    tiles ordered (image, tile row, tile column); V is the filter transforms as
+    (C, alpha^2, K), computed in the wider of the map's and the kernels' dtype.  The
+    padded map is zero-extended so that partial edge tiles are full size.
     """
-    if fmap.c != kernels.c:
-        raise ValueError(f"channel mismatch: input has {fmap.c}, kernels have {kernels.c}")
+    n, c, h, w, _, r = _layer_dims(fmap, kernels)
     require_floating("feature map", fmap.data)
-    m, r, alpha, dtype = ts.params.m, kernels.r, ts.params.alpha, fmap.data.dtype
-    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
-    v = precompute_filter_transforms(kernels, ts, dtype).transpose(1, 2, 3, 0)
-    v = v.reshape(kernels.c, alpha * alpha, kernels.k).astype(dtype, copy=False)
+    m, alpha, pad, dtype = ts.params.m, ts.params.alpha, spec.pad, fmap.data.dtype
+    h_out, w_out = output_hw(h, w, r, pad)
+    v = _filter_transforms(kernels, ts, dtype).astype(dtype, copy=False)
     ty, tx = tile_grid(h_out, w_out, m)
-    ext = np.zeros((fmap.n, fmap.c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
-    ext[:, :, spec.pad : spec.pad + fmap.h, spec.pad : spec.pad + fmap.w] = fmap.data
+    ext = np.zeros((n, c, ty * m + r - 1, tx * m + r - 1), dtype=dtype)
+    ext[:, :, pad : pad + h, pad : pad + w] = fmap.data
     # Row-major flattened tiles, one column each: vec(B^T d B) = kron(B^T, B^T) vec(d).
-    n_tiles = fmap.n * ty * tx
     d = _windows(ext, alpha, m, ty, tx).transpose(2, 3, 1, 0, 4, 5).reshape(alpha * alpha, -1)
-    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, fmap.c, n_tiles)
+    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, n * ty * tx)
     return u, v, (ty, tx), (h_out, w_out)
 
 
@@ -218,7 +196,7 @@ def winograd_conv(
     """
     m, alpha = ts.params.m, ts.params.alpha
     u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)
-    k, c, n, dtype = kernels.k, kernels.c, fmap.n, fmap.data.dtype
+    (n, c), k, dtype = fmap.data.shape[:2], kernels.data.shape[0], fmap.data.dtype
     kt = k * n * ty * tx
     prod = np.matmul(v.transpose(1, 2, 0), u).reshape(alpha, alpha, kt)  # summed over C
     if counter is not None:

@@ -96,11 +96,9 @@ def simulate_layer(
         raise ValueError("transform set does not match engine parameters")
     u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)
 
-    m, alpha = cfg.params.m, cfg.params.alpha
-    a2, m2, p, k, c = alpha * alpha, m * m, cfg.p, kernels.k, kernels.c
-    dtype = fmap.data.dtype
-    n_groups = ceil(k / p)
-    n_tiles = fmap.n * ty * tx
+    m, alpha, p, dtype = cfg.params.m, cfg.params.alpha, cfg.p, fmap.data.dtype
+    (n, c), k = fmap.data.shape[:2], kernels.data.shape[0]
+    a2, m2, n_groups, n_tiles = alpha * alpha, m * m, ceil(k / p), n * ty * tx
     step = min(c, max(1, STEP_ELEMENTS // (n_tiles * n_groups * p * (a2 + m2))))
 
     u = u.transpose(1, 2, 0)[..., None]  # shared data transforms, (C, tiles, alpha^2, 1)
@@ -127,8 +125,8 @@ def simulate_layer(
                      issue_cycles=issued, data_transform_invocations=issued,
                      inverse_transform_count=products // a2, hadamard_mult_count=products,
                      tiles_per_image=ty * tx, kernel_groups=n_groups, idle_pe_slots=idle)
-    y = accum.reshape(fmap.n, ty, tx, n_groups, m, m, p).transpose(0, 3, 6, 1, 4, 2, 5)
-    return untile(y.reshape(fmap.n, n_groups * p, ty, m, tx, m)[:, :k], h_out, w_out), trace
+    y = accum.reshape(n, ty, tx, n_groups, m, m, p).transpose(0, 3, 6, 1, 4, 2, 5)
+    return untile(y.reshape(n, n_groups * p, ty, m, tx, m)[:, :k], h_out, w_out), trace
 
 
 class ValidationReport(Record):

@@ -5,9 +5,9 @@ perfbench's own tests run the harness and are slow.  Here their sources are
 read with ast, so a deleted or renamed name fails in Tier-1, and the
 benchmark's workload code runs once on a tiny spec, which also covers the
 attribute reads, checks and golden digests that ast cannot see.  The layer
-harness's sampler runs on recording callables, its network and dse stage
-sections run on small inputs, and its list of the syntheses one dse + report
-run makes is checked against what dse calls.
+harness's sampler runs on recording callables, its layer, fixed-cost, network
+and dse stage sections run on small inputs, and its list of the syntheses one
+dse + report run makes is checked against what dse calls.
 """
 
 import ast
@@ -118,6 +118,33 @@ def test_layer_harness_dse_syntheses_are_what_a_cli_run_synthesizes(bench, monke
         assert cli_main([command, "--outdir", str(tmp_path)]) == 0
     assert tuple(params for params, _ in made) == bench.DSE_SYNTHESES
     assert [id(ts) for ts in counted] == [id(ts) for _, ts in made]  # one count per set
+
+
+def test_layer_harness_layer_section_on_one_shape(bench, monkeypatch):
+    # runs the im2col baseline and its error check, which no other test calls
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    (row,) = bench.bench_layers([(LayerShape(1, 6, 6, 2, 3, 3), 1)], np.random.default_rng(0))
+    assert row.keys() == {"h", "w", "c", "k", "r", "pad", "spatial_ms", "spatial_median_ms",
+                          "spatial_faults", "im2col_ms", "im2col_median_ms", "m",
+                          "best_winograd_over_im2col"}
+    assert [row[key] for key in ("h", "w", "c", "k", "r", "pad")] == [6, 6, 2, 3, 3, 1]
+    assert list(row["m"]) == [str(m) for m in bench.TILE_SIZES]
+    for entry in row["m"].values():
+        assert entry.keys() == {"filter_precompute_ms", "filter_precompute_median_ms",
+                                "winograd_ms", "winograd_median_ms", "winograd_faults",
+                                "max_rel_err"}
+        assert entry["max_rel_err"] < 1e-5
+
+
+def test_layer_harness_fixed_cost_calls_on_tiny_layers(bench):
+    calls = bench.fixed_cost_calls((6, 2, 3), (4, 2, 3), np.random.default_rng(0))
+    assert list(calls) == ["spatial", *(f"{name}.{m}" for m in bench.TILE_SIZES
+                                        for name in ("winograd", "simulate"))]
+    shapes = {}  # each entry's output shape, from pass 0
+    seconds, _ = bench.round_robin(calls, 1, first=lambda name, y: shapes.update({name: y.shape}))
+    assert all(len(s) == 1 for s in seconds.values())
+    assert shapes == {name: (1, 3, 4, 4) if name.startswith("simulate") else (1, 3, 6, 6)
+                      for name in calls}
 
 
 def test_layer_harness_network_section_on_one_layer(bench, monkeypatch, capsys):

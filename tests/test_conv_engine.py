@@ -249,7 +249,8 @@ def test_tiling_counts_and_instrumented_multiplications():
     counter = MultCounter()
     winograd_conv(fmap, kern, spec, ts, counter=counter)
     # ceiling-tile version of the element-wise multiplication count
-    assert counter.count == fmap.n * ty * tx * fmap.c * kern.k * 6 * 6
+    (n, c), k = fmap.data.shape[:2], kern.data.shape[0]
+    assert counter.count == n * ty * tx * c * k * 6 * 6
 
 
 def test_every_output_pixel_written_once():
@@ -261,6 +262,11 @@ def test_every_output_pixel_written_once():
     ts = generate_transforms(MinimalParams(3, 3))
     out = winograd_conv(FeatureMap(data), KernelBank(kern), ConvSpec(pad=1), ts)
     assert np.allclose(out.data, data, rtol=1e-12, atol=1e-9)
+
+
+# (map, kernels) dtype pairs: either one wider, both the same, and non-native byte order
+FRONT_END_DTYPES = [(np.float32, np.float64), (np.float64, np.float32), (np.float64, np.float64),
+                    (np.float32, np.float32), (">f4", ">f4")]
 
 
 def test_precompute_filter_transforms():
@@ -290,16 +296,17 @@ def test_precompute_filter_transforms():
                 for c in range(2):
                     np.testing.assert_allclose(v[k, c], ts.g @ kern.data[k, c] @ ts.g.T,
                                                rtol=1e-12)
-            # the front end's (C, alpha^2, K) V is a view of it when the dtypes match
+            # it is a view of channel-major (C, alpha^2, K) storage, the front end's layout
             assert np.shares_memory(v, v.transpose(1, 2, 3, 0).reshape(2, a * a, 3))
             kern32 = KernelBank(kern.data.astype(np.float32))
             v32 = precompute_filter_transforms(kern32, ts)
             assert v32.dtype == np.float32
-            # a wider dtype computes at that precision; a narrower one changes nothing
-            assert np.array_equal(precompute_filter_transforms(kern32, ts, np.float64),
-                                  precompute_filter_transforms(
-                                      KernelBank(kern32.data.astype(np.float64)), ts))
-            assert precompute_filter_transforms(kern32, ts, np.float16).dtype == np.float32
+            # the front end computes V at the wider precision and casts it to the map's dtype
+            for map_dtype, kernel_dtype in FRONT_END_DTYPES:
+                x = FeatureMap(np.ones((1, 2, r, r), map_dtype))
+                w = KernelBank(kern.data.astype(kernel_dtype))
+                assert_identical(transformed_operands(x, w, ConvSpec(), ts)[1],
+                                 front_end_filter_transforms(x, w, ts))
 
 
 @pytest.mark.parametrize("dtype, bound", [(np.float32, 1e-6), (np.float64, 1e-14)])
@@ -315,7 +322,8 @@ def test_data_transform_matches_per_tile_reference(dtype, bound):
         assert u.shape == (a * a, 3, 2 * ty * tx) and v.shape == (3, a * a, 4)
         assert u.dtype == v.dtype == dtype
         ext = np.zeros((2, 3, ty * m + 2, tx * m + 2))
-        ext[:, :, pad : pad + fmap.h, pad : pad + fmap.w] = fmap.data
+        h, w = fmap.data.shape[2:]
+        ext[:, :, pad : pad + h, pad : pad + w] = fmap.data
         want = np.empty(u.shape)
         for img in range(2):
             for yi in range(ty):
@@ -341,18 +349,26 @@ def pad_window_spatial(d, g, pad):
 
 def pad_window_operands(fmap, kernels, spec, ts):
     """transformed_operands with its tiles cut by np.pad and sliding_window_view."""
-    m, r, alpha, dtype = ts.params.m, kernels.r, ts.params.alpha, fmap.data.dtype
-    h_out, w_out = output_hw(fmap.h, fmap.w, r, spec.pad)
+    (_, c, h, w), (k, _, r, _) = fmap.data.shape, kernels.data.shape
+    m, alpha, dtype = ts.params.m, ts.params.alpha, fmap.data.dtype
+    h_out, w_out = output_hw(h, w, r, spec.pad)
     ty, tx = tile_grid(h_out, w_out, m)
     p = spec.pad
-    ext = np.pad(fmap.data, ((0, 0), (0, 0), (p, ty * m + r - 1 - p - fmap.h),
-                             (p, tx * m + r - 1 - p - fmap.w)))
+    ext = np.pad(fmap.data, ((0, 0), (0, 0), (p, ty * m + r - 1 - p - h),
+                             (p, tx * m + r - 1 - p - w)))
     tiles = sliding_window_view(ext, (alpha, alpha), axis=(2, 3))[:, :, ::m, ::m]
     d = tiles.transpose(4, 5, 1, 0, 2, 3).reshape(alpha * alpha, -1)
-    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, fmap.c, -1)
-    v = precompute_filter_transforms(kernels, ts, dtype).transpose(1, 2, 3, 0)
-    v = v.reshape(kernels.c, alpha * alpha, kernels.k).astype(dtype, copy=False)
-    return u, v, (ty, tx), (h_out, w_out)
+    u = (ts.kron_bt.astype(dtype) @ d).reshape(alpha * alpha, c, -1)
+    return u, front_end_filter_transforms(fmap, kernels, ts), (ty, tx), (h_out, w_out)
+
+
+def front_end_filter_transforms(fmap, kernels, ts):
+    """The front end's V from the public precompute: kernels cast to the wider dtype,
+    transformed, laid out as (C, alpha^2, K) and cast to the map's dtype."""
+    (k, c, _, _), a, dtype = kernels.data.shape, ts.params.alpha, fmap.data.dtype
+    wide = KernelBank(kernels.data.astype(np.promote_types(dtype, kernels.data.dtype)))
+    v = precompute_filter_transforms(wide, ts).transpose(1, 2, 3, 0).reshape(c, a * a, k)
+    return v.astype(dtype, copy=False)
 
 
 def layouts(x):
@@ -507,3 +523,26 @@ def test_shape_validation():
     with pytest.raises(ValueError, match="does not fit"):
         spatial_conv(FeatureMap(np.ones((1, 1, 2, 2))), KernelBank(np.ones((1, 1, 3, 3))),
                      ConvSpec(pad=0))
+
+
+def test_non_float_kernels_rejected_by_kind_before_promotion():
+    # The kernel checks run before np.promote_types, which raises DTypePromotionError (not
+    # ValueError) for datetime64 kernels against a float map.
+    ts = generate_transforms(MinimalParams(2, 3))
+    cfg = EngineConfig(ts.params, p=2)
+    fmap = FeatureMap(np.ones((1, 2, 8, 8), np.float32))
+    size = "kernel size 5 does not match transform set r=3"
+    channels = "channel mismatch: input has 2, kernels have 3"
+    for dtype in ("<U1", "datetime64[s]", "timedelta64[s]", object, bool, np.complex64, np.int8):
+        kind = f"kernel bank must be floating point, got {np.dtype(dtype)}"
+        # (shape, message of the two Winograd paths, message of the precompute)
+        for shape, engine_message, precompute_message in [
+                ((2, 2, 3, 3), kind, kind), ((2, 2, 5, 5), size, size),
+                ((2, 3, 3, 3), channels, kind)]:
+            kernels = KernelBank(np.zeros(shape, dtype))
+            for call, message in [
+                    (lambda: winograd_conv(fmap, kernels, ConvSpec(), ts), engine_message),
+                    (lambda: simulate_layer(cfg, fmap, kernels, ConvSpec(), ts), engine_message),
+                    (lambda: precompute_filter_transforms(kernels, ts), precompute_message)]:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()

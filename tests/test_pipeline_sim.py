@@ -104,7 +104,7 @@ def test_hadamard_count_and_per_pe_throughput():
     out, trace = simulate_layer(cfg, fmap, kern, ConvSpec(pad=1))
     tiles = 16
     assert trace.hadamard_mult_count == tiles * 3 * 2 * 3 * 16  # tiles*C*groups*P*alpha^2
-    assert out.data.size == tiles * 4 * kern.k
+    assert out.data.size == tiles * 4 * kern.data.shape[0]
 
     # steady state (C=1, K=P): every issue cycle each PE emits m^2 output pixels
     for m in (2, 3, 4):
@@ -272,7 +272,7 @@ def stepped_hardware_order(cfg, fmap, kern, spec):
     """
     ts = generate_transforms(cfg.params)
     m, alpha, p = cfg.params.m, cfg.params.alpha, cfg.p
-    n, c, k, dtype = fmap.n, fmap.c, kern.k, fmap.data.dtype
+    (n, c), k, dtype = fmap.data.shape[:2], kern.data.shape[0], fmap.data.dtype
     u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kern, spec, ts)
     groups = -(-k // p)
     zero = np.zeros(alpha * alpha, dtype=dtype)
@@ -325,13 +325,13 @@ def test_bit_identical_to_hardware_order_stepping(monkeypatch):
         h = m * int(rng.integers(1, 3) + 3 // m) + partial + 2 - 2 * pad  # r = 3
         w = m * int(rng.integers(1, 3) + 3 // m) + partial + 2 - 2 * pad
         dtype = (np.float32, np.float64)[(i // 5) % 2]
-        fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, int(rng.integers(1, 6)), h, w))
-                          .astype(dtype))
-        kern = KernelBank(rng.standard_normal((k, fmap.c, 3, 3)).astype(dtype))
+        c = int(rng.integers(1, 6))
+        fmap = FeatureMap(rng.standard_normal((1 + (i // 2) % 2, c, h, w)).astype(dtype))
+        kern = KernelBank(rng.standard_normal((k, c, 3, 3)).astype(dtype))
         cfg = EngineConfig(MinimalParams(m, 3), p=p)
         spec = ConvSpec(pad=pad)
         want, want_trace = stepped_hardware_order(cfg, fmap, kern, spec)
-        per_channel = want_trace.inverse_transform_count // fmap.c * ((m + 2) ** 2 + m * m)
+        per_channel = want_trace.inverse_transform_count // c * ((m + 2) ** 2 + m * m)
         for budget in (pipeline_sim.STEP_ELEMENTS, 1, 2 * per_channel):
             monkeypatch.setattr(pipeline_sim, "STEP_ELEMENTS", budget)
             out, trace = simulate_layer(cfg, fmap, kern, spec)
