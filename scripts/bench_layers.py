@@ -57,11 +57,11 @@ as four entries, in CLI_REPEATS passes of DSE_CALLS runs: transform synthesis
 (run_sweep and table2_report) and CSV writes.  Per pass, pricing is compute less
 synthesis and op counting, and the total is compute plus the CSV writes.
 
-BLAS is pinned to one thread, and the host (nproc, numpy, BLAS) and the
-process's peak RSS are recorded with the results.  The whole run takes about
-35 s on a 2-vCPU host and peaks at 400-430 MB RSS in spatial_conv on
-the 224x224, 64->64 layer, whose float64 patch matrix alone is 231 MB.  It
-imports winoconv from this checkout's src/.
+BLAS is pinned to one thread and the host (nproc, Python, numpy, BLAS) is
+recorded, both by perfbench/run.py's functions, with the process's peak RSS.
+The whole run takes about 35 s on a 2-vCPU host and peaks at 400-430 MB RSS in
+spatial_conv on the 224x224, 64->64 layer, whose float64 patch matrix alone is
+231 MB.  It imports winoconv from this checkout's src/.
 """
 
 from __future__ import annotations
@@ -78,15 +78,14 @@ from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
-BLAS_THREADS = 1
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)  # before numpy is imported
-
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from run import environment, pin_blas_threads  # noqa: E402
+
+BLAS_THREADS = pin_blas_threads()  # before numpy is imported
+
+import numpy as np  # noqa: E402
 from winoconv import (  # noqa: E402
     ConvSpec,
     EngineConfig,
@@ -112,8 +111,6 @@ from winoconv.cli import main as cli_main  # noqa: E402
 from winoconv.exact import transform_program  # noqa: E402
 from winoconv.reference_data import SHARED_DESIGNS  # noqa: E402
 from winoconv.workload import VGG16D  # noqa: E402
-
-sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import DSE_BUDGETS, DSE_M_VALUES, MULTIPLIERS, WORKLOADS  # noqa: E402
 
 TILE_SIZES = (2, 3, 4)
@@ -186,16 +183,6 @@ def im2col_conv(fmap: FeatureMap, kernels: KernelBank, pad: int) -> np.ndarray:
     cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * r * r, n * h_out * w_out)
     y = kernels.data.reshape(k, c * r * r) @ cols
     return np.ascontiguousarray(y.reshape(k, n, h_out, w_out).transpose(1, 0, 2, 3))
-
-
-def host() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {
-        "nproc": os.cpu_count(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_threads": BLAS_THREADS,
-    }
 
 
 def random_layer(layer, rng: np.random.Generator) -> tuple[FeatureMap, KernelBank]:
@@ -457,8 +444,8 @@ def main(argv=None) -> int:
               + " us, simulate m=2/3/4 "
               + "/".join(f"{row['m'][str(m)]['simulate_us']:.1f}" for m in TILE_SIZES) + " us",
               flush=True)
-    result = {"host": host(), "seed": args.seed, "repeats": REPEATS, "n": 1, "dtype": "float32",
-              "layers": layers,
+    result = {"host": environment(BLAS_THREADS), "seed": args.seed, "repeats": REPEATS, "n": 1,
+              "dtype": "float32", "layers": layers,
               "fixed_cost": {"repeats": FIXED_COST_REPEATS, "calls_per_sample": FIXED_COST_CALLS,
                              "multipliers": MULTIPLIERS, "workloads": fixed_cost},
               "simulate": bench_network(VGG16D, rng),

@@ -20,8 +20,9 @@ channel-major storage.  winograd_conv sums channels in the transformed domain
 with V^T a view that BLAS reads as it is, then applies A^T M A as two 1-D passes
 on cache-sized blocks; untile drops the excess output rows/columns.
 simulate_layer models the hardware order instead: inverse transform per channel,
-then accumulation over C cycles.  The Winograd paths need floating-point input:
-the transforms have fractional entries.
+then accumulation over C cycles.  The Winograd paths need floating-point input,
+as the transforms have fractional entries, and a map of float32 or wider: they
+compute in the map's dtype, where float16 loses the result at large m.
 """
 
 from __future__ import annotations
@@ -165,6 +166,8 @@ def transformed_operands(
     n, c, h, w, _, r = _layer_dims(fmap, kernels)
     require_floating("feature map", fmap.data)
     m, alpha, pad, dtype = ts.params.m, ts.params.alpha, spec.pad, fmap.data.dtype
+    if dtype.itemsize < 4:  # in float16 a 64-channel layer erred 1% at m = 4, 200% at 7, NaN at 8
+        raise ValueError(f"feature map must be float32 or wider, got {dtype}")
     h_out, w_out = output_hw(h, w, r, pad)
     v = _filter_transforms(kernels, ts, dtype).astype(dtype, copy=False)
     ty, tx = tile_grid(h_out, w_out, m)
@@ -191,8 +194,8 @@ def winograd_conv(
 ) -> FeatureMap:
     """Tiled minimal-filtering convolution, equal to spatial_conv within tolerance.
 
-    Computes in the feature map's dtype and returns it; integer input raises
-    ValueError.
+    Computes in the feature map's dtype and returns it; an integer or float16 map
+    raises ValueError.
     """
     m, alpha = ts.params.m, ts.params.alpha
     u, v, (ty, tx), (h_out, w_out) = transformed_operands(fmap, kernels, spec, ts)

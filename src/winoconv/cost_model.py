@@ -91,14 +91,17 @@ class LayerCost(Record):
 class DesignPoint(Record):
     """One evaluated (m, r, hardware) configuration over a workload.
 
-    `layers` holds one LayerCost per workload layer, in order; the totals
-    o_m, o_t, o_s and t_total are in-order sums over it, not stored.
+    `ops` are the transform op counts its layers were priced with, and `layers`
+    holds one LayerCost per workload layer, in order.  Nothing derivable is
+    stored: the PE count p is pe_count(hw.m_total, params), and the totals o_m,
+    o_t, o_s and t_total are in-order sums over the layers.
     """
 
-    def __init__(self, params: MinimalParams, hw: HardwareConfig, p: int,
+    def __init__(self, params: MinimalParams, hw: HardwareConfig, ops: TransformOpCounts,
                  layers: tuple[LayerCost, ...]):
-        self.__dict__.update(params=params, hw=hw, p=p, layers=layers)
+        self.__dict__.update(params=params, hw=hw, ops=ops, layers=layers)
 
+    p = property(lambda self: pe_count(self.hw.m_total, self.params))
     o_m = property(lambda self: sum(c.o_m for c in self.layers))
     o_t = property(lambda self: sum(c.o_t for c in self.layers))
     o_s = property(lambda self: sum(c.o_s for c in self.layers))

@@ -1,10 +1,13 @@
 """Design space exploration over output tile size and multiplier budget.
 
 run_sweep, the one DesignPoint builder, prices every (m, budget) pair of a
-SweepSpec against a workload, all of one m's budgets in one pass over the layers
-(cost_model.price_layers).  Group sums (through group_costs), totals, figures and
-Table 2 are sums over a point's per-layer costs.  run_sweep also derives the
-percentage-change columns between consecutive tile sizes:
+SweepSpec (its axes stored sorted, without duplicates) against a workload, all of
+one m's budgets in one pass over the layers (cost_model.price_layers).  A
+SweepResult is those points and the transitions between them: each point keeps
+the op counts it was priced with, and SweepResult.op_counts reads them back.
+Group sums (through group_costs), totals, figures and Table 2 are sums over a
+point's per-layer costs.  run_sweep also derives the percentage-change columns
+between consecutive tile sizes:
 
   - multiplication savings: 100 * (O_m(m) - O_m(m')) / O_m(m), of one layer
   - transform overhead:     100 * (t(m') - t(m)) / t(m), where
@@ -37,20 +40,22 @@ from .workload import VGG16D, Workload
 
 
 class SweepSpec(Record):
+    """The sweep axes, each stored sorted and without duplicates, so equal sweeps compare equal."""
+
     def __init__(self, m_values: tuple[int, ...], r: int, budgets: tuple[int, ...],
                  workload: Workload, hw: HardwareConfig):
         # hw is unread: run_sweep builds one HardwareConfig per budget
         if not m_values or not budgets:
             raise ValueError("m_values and budgets must be nonempty")
         params = [MinimalParams(m, r) for m in m_values]  # checks m and r
-        budgets = tuple([_checked_int(b, "multiplier budget", 1) for b in budgets])
+        budgets = {_checked_int(b, "multiplier budget", 1) for b in budgets}
         r = params[0].r
         for layer in workload.shapes:
             if layer.r != r:
                 raise ValueError(f"sweep r={r} does not match a {layer.r}x{layer.r} "
                                  f"layer of workload {workload.name!r}")
-        self.__dict__.update(m_values=tuple([p.m for p in params]), r=r, budgets=budgets,
-                             workload=workload, hw=hw)
+        self.__dict__.update(m_values=tuple(sorted({p.m for p in params})), r=r,
+                             budgets=tuple(sorted(budgets)), workload=workload, hw=hw)
 
 
 class Transition(Record):
@@ -76,9 +81,13 @@ class SweepResult(Record):
     """points are sorted by (m, budget); transitions lie between consecutive m values."""
 
     def __init__(self, spec: SweepSpec, points: tuple[DesignPoint, ...],
-                 transitions: tuple[Transition, ...], op_counts: dict[int, TransformOpCounts]):
-        self.__dict__.update(spec=spec, points=points, transitions=transitions,
-                             op_counts=op_counts)
+                 transitions: tuple[Transition, ...]):
+        self.__dict__.update(spec=spec, points=points, transitions=transitions)
+
+    @property
+    def op_counts(self) -> dict[int, TransformOpCounts]:
+        """Each swept m's transform op counts, as its design points hold them."""
+        return {pt.params.m: pt.ops for pt in self.points}
 
 
 def group_costs(workload: Workload, point: DesignPoint) -> dict[str, list[LayerCost]]:
@@ -90,39 +99,26 @@ def group_costs(workload: Workload, point: DesignPoint) -> dict[str, list[LayerC
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    ms = sorted(set(spec.m_values))
-    budgets = sorted(set(spec.budgets))
-    counts: dict[int, TransformOpCounts] = {}
     points: list[DesignPoint] = []
-    for m in ms:
+    for m in spec.m_values:
         params = MinimalParams(m, spec.r)
         try:
             ts = generate_transforms(params)
         except ValueError as exc:
             raise ValueError(f"transform generation failed for m={m}: {exc}") from exc
-        counts[m] = count_transform_ops(ts)
-        ps = [pe_count(budget, params) for budget in budgets]
-        priced = price_layers(spec.workload.shapes, params, counts[m], ps)
-        points += [DesignPoint(params=params, hw=HardwareConfig(budget), p=p, layers=tuple(costs))
-                   for budget, p, costs in zip(budgets, ps, priced)]
+        ops = count_transform_ops(ts)
+        ps = [pe_count(budget, params) for budget in spec.budgets]
+        priced = price_layers(spec.workload.shapes, params, ops, ps)
+        points += [DesignPoint(params, HardwareConfig(budget), ops, tuple(costs))
+                   for budget, costs in zip(spec.budgets, priced)]
 
-    # O_m of one layer does not depend on the budget; any layer gives the ratio.
-    first_layer_om = {pt.params.m: pt.layers[0].o_m for pt in points}
-    per_pixel_transform_ops = {m: (c.beta + c.gamma + c.delta) / m**2 for m, c in counts.items()}
-    transitions: list[Transition] = []
-    for m_from, m_to in zip(ms, ms[1:]):
-        om_from, om_to = first_layer_om[m_from], first_layer_om[m_to]
-        pct_mult = 100.0 * (om_from - om_to) / om_from
-        t_from, t_to = per_pixel_transform_ops[m_from], per_pixel_transform_ops[m_to]
-        transitions.append(Transition(
-            m_from=m_from, m_to=m_to,
-            pct_mult_decrease=pct_mult,
-            pct_transform_increase=(100.0 * (t_to - t_from) / t_from) if t_from > 0 else None,
-        ))
-
-    return SweepResult(
-        spec=spec, points=tuple(points), transitions=tuple(transitions), op_counts=counts,
-    )
+    # Neither O_m of one layer nor t(m) depends on the budget: each m's first point gives them.
+    per_m = [(pt.params.m, pt.layers[0].o_m, (pt.ops.beta + pt.ops.gamma + pt.ops.delta)
+              / pt.params.m**2) for pt in points[:: len(spec.budgets)]]
+    transitions = [Transition(m_from, m_to, 100.0 * (om_from - om_to) / om_from,
+                              (100.0 * (t_to - t_from) / t_from) if t_from > 0 else None)
+                   for (m_from, om_from, t_from), (m_to, om_to, t_to) in zip(per_m, per_m[1:])]
+    return SweepResult(spec=spec, points=tuple(points), transitions=tuple(transitions))
 
 
 def recommend(result: SweepResult) -> DesignPoint:
@@ -133,7 +129,7 @@ def recommend(result: SweepResult) -> DesignPoint:
     """
     if not result.points:
         raise ValueError("cannot recommend from an empty sweep")
-    feasible = {min(p.params.m for p in result.points)}
+    feasible = {result.spec.m_values[0]}
     for tr in result.transitions:
         if tr.favorable:
             feasible.add(tr.m_to)
@@ -192,19 +188,17 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def write_fig1_csv(result: SweepResult, path: str | Path):
-    """Per-group multiplication complexity: m, group, O_m."""
-    budget0 = min(p.hw.m_total for p in result.points)
+    """Per-group multiplication complexity at the smallest budget: m, group, O_m."""
     _write_csv(path, ["m", "group", "o_m"],
                ([pt.params.m, group, _fmt(sum(c.o_m for c in costs))]
-                for pt in result.points if pt.hw.m_total == budget0
+                for pt in result.points if pt.hw.m_total == result.spec.budgets[0]
                 for group, costs in group_costs(result.spec.workload, pt).items()))
 
 
 def write_fig2_csv(result: SweepResult, path: str | Path):
-    """Whole-network transform complexity: m, O_t (design totals)."""
-    budget0 = min(p.hw.m_total for p in result.points)
-    _write_csv(path, ["m", "o_t"],
-               ([pt.params.m, _fmt(pt.o_t)] for pt in result.points if pt.hw.m_total == budget0))
+    """Whole-network transform complexity at the smallest budget: m, O_t (design totals)."""
+    _write_csv(path, ["m", "o_t"], ([pt.params.m, _fmt(pt.o_t)] for pt in result.points
+                                    if pt.hw.m_total == result.spec.budgets[0]))
 
 
 def write_fig3_csv(result: SweepResult, path: str | Path):

@@ -70,9 +70,17 @@ def transform_program(ts: TransformSet, dims: int):
     return namespace["program"]
 
 
+def _rational(v) -> Fraction:
+    """v as a Fraction; a ValueError for anything Fraction() rejects."""
+    try:
+        return Fraction(v)
+    except (ArithmeticError, TypeError) as exc:  # 1/0, inf, None, complex, ...
+        raise ValueError(f"tile entry {v!r} is not a finite rational") from exc
+
+
 def _scaled_input(x) -> tuple[list[list[int]], int]:
     """Rows of anything Fraction() accepts as Python-int rows over one positive denominator."""
-    rows = [[v if type(v) is int else int(v) if isinstance(v, Integral) else Fraction(v)
+    rows = [[v if type(v) is int else int(v) if isinstance(v, Integral) else _rational(v)
              for v in row] for row in x]
     den = lcm(*[v.denominator for row in rows for v in row])
     return [[v.numerator * (den // v.denominator) for v in row] for row in rows], den

@@ -4,15 +4,17 @@
 perfbench's own tests run the harness and are slow.  Here their sources are
 read with ast, so a deleted or renamed name fails in Tier-1, and the
 benchmark's workload code runs once on a tiny spec, which also covers the
-attribute reads, checks and golden digests that ast cannot see.  The layer
-harness's sampler runs on recording callables, its layer, fixed-cost, network
-and dse stage sections run on small inputs, and its list of the syntheses one
-dse + report run makes is checked against what dse calls.
+attribute reads, checks and golden digests that ast cannot see, and the golden
+recorder runs once into a temporary file.  The layer harness's sampler runs on
+recording callables, its layer, fixed-cost, network and dse stage sections run
+on small inputs, and its list of the syntheses one dse + report run makes is
+checked against what dse calls.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -66,6 +68,16 @@ def test_benchmark_workload_code_runs_clean(tmp_path, monkeypatch):
     wl.int32_probe(inp, rec, checks)
     assert checks.attempted > 0
     assert checks.failed == 0, checks.failures
+
+
+def test_golden_recorder_reproduces_the_golden_file(tmp_path, monkeypatch):
+    # the CLI path of the recorder, its SweepSpec(..., hw=...) and its best.hw.m_total read
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH), *sys.path])  # it also prepends src/
+    record_golden = importlib.import_module("record_golden")
+    monkeypatch.setattr(record_golden.wl, "GOLDEN_PATH", tmp_path / "golden.json")
+    assert record_golden.main() == 0
+    recorded = json.loads((tmp_path / "golden.json").read_text())
+    assert recorded == json.loads((PERFBENCH / "golden.json").read_text())
 
 
 @pytest.fixture

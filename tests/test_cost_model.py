@@ -288,8 +288,8 @@ def test_design_point_invariants():
     point = vgg16d_m4_point()
     assert point.p == 684 // MinimalParams(4, 3).alpha**2
     assert point.throughput == pytest.approx(point.o_s / point.t_total)
-    # the totals are derived from the per-layer costs, never stored beside them
-    assert list(point._fields) == ["params", "hw", "p", "layers"]
+    # P and the totals are derived, from the budget and the per-layer costs, never stored
+    assert list(point._fields) == ["params", "hw", "ops", "layers"]
     assert point.o_t == sum(c.o_t for c in point.layers)
 
 

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from winoconv.cost_model import HardwareConfig, pipeline_depth
+from winoconv.cost_model import HardwareConfig, count_transform_ops, pe_count, pipeline_depth
 from winoconv.dse import (
     SweepSpec,
     group_costs,
@@ -17,8 +17,8 @@ from winoconv.dse import (
     write_table2_reference_csv,
 )
 from winoconv.reference_data import PRIOR_DESIGNS
-from winoconv.transforms import MinimalParams
-from winoconv.workload import Workload, WorkloadLayer, load_workload
+from winoconv.transforms import MinimalParams, generate_transforms
+from winoconv.workload import VGG16D, Workload, WorkloadLayer, load_workload
 from winoconv.cost_model import LayerShape
 
 
@@ -113,6 +113,21 @@ def test_design_point_invariants(sweep):
     for p in sweep.points:
         assert p.p == p.hw.m_total // p.params.alpha**2
         assert p.throughput == pytest.approx(p.o_s / p.t_total)
+
+
+def test_sweep_axes_are_stored_once_and_a_sweep_hashes():
+    hw = HardwareConfig(700)
+    spec = SweepSpec((3, 2, 2), 3, (700, 688, 700), VGG16D, hw)
+    same = SweepSpec((2, 3), 3, (688, 700), VGG16D, hw)
+    assert (spec.m_values, spec.budgets) == ((2, 3), (688, 700))
+    assert spec == same and hash(spec) == hash(same)
+    result = run_sweep(spec)
+    assert result == run_sweep(same) and hash(result) == hash(run_sweep(same))
+    # each point keeps the op counts it was priced with; the sweep's map reads them back
+    assert result.op_counts == {m: count_transform_ops(generate_transforms(MinimalParams(m, 3)))
+                                for m in (2, 3)}
+    assert [pt.p for pt in result.points] == [pe_count(pt.hw.m_total, pt.params)
+                                              for pt in result.points] == [43, 43, 27, 28]
 
 
 def test_sweep_propagates_generation_failure(vgg, monkeypatch):

@@ -35,7 +35,8 @@ P23 = MinimalParams(2, 3)
 HW = HardwareConfig(700)
 TS = generate_transforms(P23)
 COST = LayerCost(1.0, 2.0, 3.0, 4.0, 5.0)
-POINT = DesignPoint(P23, HW, 43, (COST,))
+OPS = TransformOpCounts(1, 2, 3)
+POINT = DesignPoint(P23, HW, OPS, (COST,))
 SPEC = SweepSpec((2,), 3, (700,), VGG16D, HW)
 SHAPE = LayerShape(1, 2, 3, 4, 5, 3)
 TRACE_FIELDS = ("cycles_elapsed issue_cycles data_transform_invocations inverse_transform_count "
@@ -51,11 +52,10 @@ RECORDS = [
     (TransformOpCounts, "beta gamma delta", (1, 2, 3), {}),
     (HardwareConfig, "m_total t_c", (700, CLOCK_PERIOD_S), {"t_c": CLOCK_PERIOD_S}),
     (LayerCost, "o_m o_t o_s latency_s o_t_shared", (1.0, 2.0, 3.0, 4.0, 5.0), {}),
-    (DesignPoint, "params hw p layers", (P23, HW, 43, (COST,)), {}),
+    (DesignPoint, "params hw ops layers", (P23, HW, OPS, (COST,)), {}),
     (SweepSpec, "m_values r budgets workload hw", ((2,), 3, (700,), VGG16D, HW), {}),
     (Transition, "m_from m_to pct_mult_decrease pct_transform_increase", (2, 3, 10.0, None), {}),
-    (SweepResult, "spec points transitions op_counts",
-     (SPEC, (POINT,), (), {2: TransformOpCounts(1, 2, 3)}), {}),
+    (SweepResult, "spec points transitions", (SPEC, (POINT,), ()), {}),
     (Table2Row, "name multipliers pes precision_bits freq_mhz conv_ms overall_ms gops "
                 "gops_per_mult power_w gops_per_w m",
      ("d", 700, 43, 32, 200.0, (1.0, 2.0), 3.0, 4.0, 0.5, None, 6.0, 2), {"m": None}),
@@ -69,8 +69,8 @@ RECORDS = [
     (ValidationReport, "simulated_cycles analytical_cycles gap_cycles ceiling_overhead",
      (10, 9.5, 0.5, 0.5), {}),
 ]
-# a dict or an array field makes the tuple of values unhashable
-UNHASHABLE = {SweepResult, FeatureMap, KernelBank}
+# an array field makes the tuple of values unhashable
+UNHASHABLE = {FeatureMap, KernelBank}
 
 
 @pytest.mark.parametrize("cls, names, values, defaults", RECORDS,

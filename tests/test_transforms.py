@@ -1,6 +1,7 @@
 import dis
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -149,9 +150,10 @@ def test_generate_transforms_errors():
     for points in ([0, 1], []):
         with pytest.raises(ValueError, match=r"^F\(1, r\) is a plain dot product; it takes no points$"):
             generate_transforms(MinimalParams(1, 3), points=points)
-    with pytest.raises(ValueError, match=r"^zero denominator in interpolation points "
-                                         r"\['0', '1', '1/0'\]$"):
-        generate_transforms(f23, points=["0", "1", "1/0"])
+    for points in (["0", "1", "1/0"], iter(["0", "1", "1/0"])):  # an iterator printed as []
+        with pytest.raises(ValueError, match=r"^zero denominator in interpolation points "
+                                             r"\['0', '1', '1/0'\]$"):
+            generate_transforms(f23, points=points)
     # float("inf") raised OverflowError out of Fraction; NaN already gave ValueError
     for bad in (float("inf"), float("-inf")):
         with pytest.raises(ValueError, match=rf"^infinite value in interpolation points "
@@ -159,6 +161,10 @@ def test_generate_transforms_errors():
             generate_transforms(f23, points=[0, 1, bad])
     with pytest.raises(ValueError):
         generate_transforms(f23, points=[0, 1, float("nan")])
+    for bad in (None, 1j):  # raised TypeError out of Fraction
+        with pytest.raises(ValueError, match=rf"^non-rational value in interpolation points "
+                                             rf"\[0, 1, {bad}\]$"):
+            generate_transforms(f23, points=[0, 1, bad])
     # entries beyond float64: 10^800 in A^T overflowed out of float(); 10^-400 in G became 0.0.
     # The integer synthesis must leave both to TransformSet's check, not raise
     # OverflowError or ZeroDivisionError itself.
@@ -262,6 +268,20 @@ def test_exact_2d_bit_identical():
         winograd_2d_tile_exact(ts, [[1] * 4] * 4, [[1] * 3] * 2)
     with pytest.raises(ValueError, match="kernel tile must be 3x3"):
         winograd_2d_tile_exact(ts, [[1] * 4] * 4, [[1] * 3, [1] * 4, [1] * 3])
+
+
+def test_exact_modes_reject_what_fraction_rejects_with_value_error():
+    # "1/0" raised ZeroDivisionError out of Fraction, inf OverflowError, None and 1j TypeError;
+    # NaN and "x" already gave ValueError
+    ts = generate_transforms(MinimalParams(2, 3))
+    messages = {bad: f"^tile entry {re.escape(repr(bad))} is not a finite rational$"
+                for bad in ("1/0", float("inf"), float("-inf"), None, 1j)}
+    for bad, message in [*messages.items(), (float("nan"), None), ("x", None)]:
+        for d, g in (([1, 2, 3, bad], [1, 1, 1]), ([1, 2, 3, 4], [1, bad, 1])):
+            with pytest.raises(ValueError, match=message):
+                winograd_1d_exact(ts, d, g)
+            with pytest.raises(ValueError, match=message):
+                winograd_2d_tile_exact(ts, [d] * 4, [g] * 3)
 
 
 @pytest.mark.parametrize("m", [2, 5])
